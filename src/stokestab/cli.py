@@ -53,21 +53,22 @@ def _jsonable(obj):
 
 @dataclass
 class RunConfig:
-    """Flat, file-serializable bundle of every numeric knob."""
+    """Flat, file-serializable bundle of every numeric knob.
+
+    A --config file sets any of these keys; each one it sets replaces the
+    default of the command-line option of the same name, and an option given
+    explicitly on the command line wins over the file.
+    """
 
     h: float = 1.0
     eps: float = 0.01
     theta: float = 0.0
     K: int = 20
-    Nx: int = 32
-    Nz: int = 64
-    contour_nodes: int = 64
-    tol: float = 1e-12
     outdir: str = "."
     fmt: str = "csv"
 
     def validate(self):
-        for name in ("h", "K", "Nx", "Nz", "contour_nodes"):
+        for name in ("h", "K"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.fmt not in ("csv", "json", "svg"):
@@ -81,6 +82,11 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path):
+        return cls(**cls.read(path))
+
+    @classmethod
+    def read(cls, path):
+        """Only the keys a config file sets, cast and validated."""
         kwargs = {}
         types = {f.name: f.type for f in fields(cls)}
         with open(path, encoding="utf-8") as fh:
@@ -96,7 +102,8 @@ class RunConfig:
                 caster = t if isinstance(t, type) else \
                     {"float": float, "int": int, "str": str}[t]
                 kwargs[key] = caster(raw.strip())
-        return cls(**kwargs).validate()
+        cls(**kwargs).validate()
+        return kwargs
 
 
 def thread_cap():
@@ -331,7 +338,8 @@ def cmd_hcrit(args):
     return 0
 
 
-def build_parser():
+def build_parser(config=None):
+    """The argument parser; config maps option names to new defaults."""
     ap = argparse.ArgumentParser(
         prog="stokestab",
         description="Transverse-instability toolkit for finite-depth "
@@ -360,7 +368,7 @@ def build_parser():
                                       "coefficients as JSON")
     common(p)
     p.add_argument("--no-kato", action="store_true",
-                   help="skip the contour pipeline (tables only)")
+                   help="skip the reduction (tables only)")
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("dno-dump", help="multiplier rows as CSV")
@@ -401,17 +409,16 @@ def build_parser():
     p.add_argument("--hi", type=float, default=0.3)
     p.add_argument("--tol", type=float, default=1e-5)
     p.set_defaults(func=cmd_hcrit)
+    for p in sub.choices.values():
+        p.set_defaults(**{key: value for key, value in (config or {}).items()
+                          if p.get_default(key) is not None})
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.config:
-        cfg = RunConfig.from_file(args.config)
-        for f in fields(RunConfig):
-            if hasattr(args, f.name) and getattr(args, f.name, None) is None:
-                setattr(args, f.name, getattr(cfg, f.name))
+        args = build_parser(RunConfig.read(args.config)).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:

@@ -165,6 +165,10 @@ def build_context(h, tol=1e-12):
     return ctx.validate(tol=max(tol * 10.0, 1e-12))
 
 
+# the two flat branches (wavenumber, sign) that collide at i*sigma
+RESONANT_BRANCHES = ((1, -1), (-2, 1))
+
+
 def spectrum_gap(ctx, K=12):
     """Distance from i*sigma to the rest of the flat spectrum below cutoff K.
 
@@ -177,7 +181,7 @@ def spectrum_gap(ctx, K=12):
     gap = math.inf
     for k in range(-K, K + 1):
         for sign in (1, -1):
-            if (k, sign) in ((1, -1), (-2, 1)):
+            if (k, sign) in RESONANT_BRANCHES:
                 continue
             lam = lambda0(k, ctx.beta_star, ctx.h, sign)
             gap = min(gap, abs(lam.imag - ctx.sigma))

@@ -27,13 +27,24 @@ class BracketError(ValueError):
     """Root bracket without a sign change."""
 
 
+class GridError(ValueError):
+    """Depth grid request that spans no positive range."""
+
+
 B30_DEGENERACY_FLOOR = 1e-8
+TRUSTED_PARAMETER = 0.05   # |eps|, |delta| where the Taylor table holds
+
+
+def _check_trusted(eps, delta=0.0):
+    if abs(eps) > TRUSTED_PARAMETER or abs(delta) > TRUSTED_PARAMETER:
+        raise ValueError("Taylor table is trusted only for |eps|, |delta| "
+                         f"<= {TRUSTED_PARAMETER} (got eps={eps}, "
+                         f"delta={delta})")
 
 
 def eigenvalues(km, eps, delta):
     """The reduced-matrix eigenvalue pair at one (amplitude, detuning)."""
-    if abs(eps) > 0.05 or abs(delta) > 0.05:
-        raise ValueError("Taylor table is trusted only for |eps|, |delta| <= 0.05")
+    _check_trusted(eps, delta)
     a, b, c = km.A(eps, delta), km.B(eps, delta), km.C(eps, delta)
     disc = -(a - c) ** 2 + 4.0 * b * b
     center = 1j * (km.sigma + 0.5 * (a + c))
@@ -72,6 +83,7 @@ class IsolaGeometry:
 
 
 def isola_geometry(km, eps):
+    _check_trusted(eps)
     if abs(km.b30) < B30_DEGENERACY_FLOOR:
         raise DegenerateIsolaError(
             f"|b30| = {abs(km.b30):.2e} at h = {km.h}: the depth sits at (or "
@@ -95,6 +107,7 @@ def lambda_pair_theta(km, eps, theta):
     This is the closed-form expansion (real part from the square root of the
     leading discriminant), exact on the predicted ellipse.
     """
+    _check_trusted(eps)
     e3 = abs(eps) ** 3
     imag = (km.sigma + center_drift(km) * eps * eps
             + 0.5 * (km.a01 + km.c01) * theta * e3)
@@ -131,7 +144,7 @@ def scan_h(h_grid, quantity, progress=None, max_workers=1):
 
     Returns a list of (h, value_or_None, error_message_or_"") rows in grid
     order. beta_star needs only the resonance solve; the rest run the
-    contour pipeline (b30 the amplitude-only fast path, kappas the full
+    reduction pipeline (b30 the amplitude-only fast path, kappas the full
     table).
     """
     if quantity not in SCAN_QUANTITIES:
@@ -170,6 +183,11 @@ def scan_h(h_grid, quantity, progress=None, max_workers=1):
 
 def default_h_grid(h_min=0.1, h_max=10.0, points=200):
     """Logarithmic grid plus the extreme endpoints used by the depth scans."""
+    if points < 2:
+        raise GridError(f"a depth grid needs at least 2 points, got {points}")
+    if not 0.0 < h_min < h_max:
+        raise GridError(f"a depth grid needs 0 < h_min < h_max, got "
+                        f"h_min={h_min}, h_max={h_max}")
     grid = [0.05] if h_min > 0.05 else []
     ratio = (h_max / h_min) ** (1.0 / (points - 1))
     grid += [h_min * ratio ** i for i in range(points)]

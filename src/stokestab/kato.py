@@ -1,79 +1,45 @@
-"""Contour-integral reduction of the spectral problem to a 2x2 matrix.
+"""Residue reduction of the spectral problem to a 2x2 matrix.
 
 Near the double eigenvalue i*sigma the linearized operator is similar to a
 2x2 matrix acting on a perturbed basis. The basis corrections come from
-derivatives of the spectral projection, each a contour integral of resolvent
-and expansion-block compositions over a circle inside the spectral gap; the
+derivatives of the spectral projection, each a circle integral around
+i*sigma of a chain of resolvent and expansion-block compositions; the
 matrix entries then follow from a finite ledger of inner products. The
-composition chains under each integral are generated directly from the
-Neumann series of the resolvent, so every order is assembled by one rule.
+chains under each integral are generated directly from the Neumann series
+of the resolvent, so every order is assembled by one rule.
 
-Conventions: S_lam is the flat resolvent (L0 - lam)^{-1}; the reduced matrix
-is written i*sigma*I + i*[[A, B], [-B, C]] with A, B, C real; the Taylor
-coefficients of A, B, C in (amplitude, transverse detuning) are the outputs.
+The flat resolvent is block-diagonal in the Fourier mode with poles known
+in closed form, so each integral is evaluated exactly as the mu^-1 Laurent
+coefficient of its chain at i*sigma (Kato, Perturbation Theory for Linear
+Operators, Ch. II, sections 1-2): no quadrature is involved.
+
+Conventions: S(mu) is the flat resolvent (L0 - i*sigma - mu)^{-1}; the
+reduced matrix is written i*sigma*I + i*[[A, B], [-B, C]] with A, B, C real;
+the Taylor coefficients of A, B, C in (amplitude, transverse detuning) are
+the outputs.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dno
-from .dispersion import spectrum_gap
+from .dispersion import RESONANT_BRANCHES, spectrum_gap
 from .modealg import (DEFAULT_CUTOFF, ModeVector, base_eigenvectors, compose_J,
                       inner, operator_family)
 
 
 class PoleError(RuntimeError):
-    """Resolvent evaluated on (or numerically at) the flat spectrum."""
+    """A non-resonant flat eigenvalue sits (numerically) on i*sigma."""
 
     def __init__(self, message, wavenumber):
         super().__init__(message)
         self.wavenumber = wavenumber
 
 
-class ContourError(RuntimeError):
-    """Quadrature failed to converge while doubling nodes."""
-
-
 class AssemblyError(RuntimeError):
     """A structural identity of the reduced matrix failed."""
-
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """Circle around i*sigma used for every projection integral.
-
-    tol is the target relative stability under node doubling. When the gap
-    (hence the radius) is small, resolvent-chain roundoff puts a jitter
-    floor above tol; refinements that stall twice in a row are accepted at
-    that floor provided it stays under plateau_cap relative, and the
-    achieved level is recorded on the assembler.
-    """
-
-    center: complex
-    radius: float
-    nodes: int = 64
-    max_nodes: int = 1024
-    tol: float = 1e-11
-    plateau_cap: float = 1e-4
-
-    def validate(self, gap):
-        if not 0.0 < self.radius < gap:
-            raise ValueError(
-                f"contour radius {self.radius} must lie inside the spectral "
-                f"gap {gap}"
-            )
-        if self.nodes < 32 or self.nodes % 2:
-            raise ValueError("need an even node count of at least 32")
-        return self
-
-
-def default_contour(ctx, K=DEFAULT_CUTOFF, nodes=64):
-    gap = spectrum_gap(ctx, K)
-    return ContourSpec(center=1j * ctx.sigma, radius=0.5 * gap,
-                       nodes=nodes).validate(gap)
 
 
 def _compositions(m, n):
@@ -90,94 +56,91 @@ def _compositions(m, n):
     return out
 
 
-class KatoAssembler:
-    """Builds basis corrections and the reduced-matrix Taylor table."""
+def _total(vectors):
+    out = None
+    for v in vectors:
+        out = v if out is None else out + v
+    return out
 
-    def __init__(self, ctx, tables, contour=None, K=DEFAULT_CUTOFF):
+
+class KatoAssembler:
+    """Builds basis corrections and the reduced-matrix Taylor table.
+
+    achieved_tol is the resonance defect max |lam_res - i*sigma| / gap of the
+    two colliding flat eigenvalues: the residue treats both as sitting
+    exactly on i*sigma, and this is the only approximation it makes.
+    """
+
+    def __init__(self, ctx, tables, K=DEFAULT_CUTOFF):
         self.ctx = ctx
         self.tables = tables
         self.K = K
         self.H = operator_family(ctx, tables, K=K)
         self.JH = {key: compose_J(op) for key, op in self.H.items()}
-        self.contour = contour or default_contour(ctx, K=K)
-        self.achieved_tol = 0.0
-        self._res_cache = {}
+        self._branches, defect = self._flat_branches()
+        self.achieved_tol = defect / spectrum_gap(ctx, K)
+        self._laurent = {}
         u1, u2 = base_eigenvectors(ctx, K=K)
         self.U = {1: u1, 2: u2}
         self._chains = {}
 
-    # -- resolvent ------------------------------------------------------
+    # -- resolvent Laurent series ----------------------------------------
 
-    def _resolvent_block(self, lam, k):
-        key = (lam, k)
-        blk = self._res_cache.get(key)
-        if blk is None:
-            d = 1j * self.ctx.c0 * k - lam
-            a0 = dno.r0_coeff(k, self.ctx.beta_star, self.ctx.h)
-            det = d * d + a0
-            if abs(det) < 1e-12 * (abs(d) ** 2 + abs(a0)):
-                raise PoleError(
-                    f"resolvent point {lam} is numerically on the spectrum "
-                    f"at wavenumber {k}", k)
-            blk = np.array([[d, -a0], [1.0, d]], dtype=complex) / det
-            self._res_cache[key] = blk
-        return blk
+    def _flat_branches(self):
+        """Per mode, [(P, lam - i*sigma)] over its two branches, with None in
+        place of lam - i*sigma on a resonant branch; and the resonance defect
+        max |lam_res - i*sigma|."""
+        ctx = self.ctx
+        branches = {}
+        defect = 0.0
+        for k in range(-self.K, self.K + 1):
+            a0 = dno.r0_coeff(k, ctx.beta_star, ctx.h)
+            block = np.array([[1j * ctx.c0 * k, a0], [-1.0, 1j * ctx.c0 * k]])
+            lam = {s: 1j * (ctx.c0 * k + s * math.sqrt(a0)) for s in (1, -1)}
+            branches[k] = []
+            for s in (1, -1):
+                proj = (block - lam[-s] * np.eye(2)) / (lam[s] - lam[-s])
+                d = lam[s] - 1j * ctx.sigma
+                if (k, s) in RESONANT_BRANCHES:
+                    defect = max(defect, abs(d))
+                    branches[k].append((proj, None))
+                elif abs(d) <= 1e-12 * abs(lam[s]):
+                    raise PoleError(
+                        f"flat eigenvalue {lam[s]} at wavenumber {k} is "
+                        f"numerically on i*sigma = {1j * ctx.sigma}", k)
+                else:
+                    branches[k].append((proj, d))
+        return branches, defect
 
-    def resolvent_apply(self, lam, v):
-        """(L0 - lam)^{-1} v, mode-diagonal 2x2 solves."""
+    def _laurent_block(self, k, n):
+        """mu^n coefficient of the mode-k block of S(mu); None when zero.
+
+        A resonant branch contributes -P / mu, any other branch
+        sum_{n >= 0} mu^n P / d^(n+1) with d = lam - i*sigma.
+        """
+        key = (k, n)
+        if key not in self._laurent:
+            if n < 0:
+                terms = [-p for p, d in self._branches[k] if d is None]
+            else:
+                terms = [p / d ** (n + 1) for p, d in self._branches[k]
+                         if d is not None]
+            self._laurent[key] = sum(terms) if terms else None
+        return self._laurent[key]
+
+    def resolvent_apply(self, n, v):
+        """mu^n Laurent coefficient of S(mu) applied to v (n >= -1).
+
+        n = -1 gives -P0 v, n >= 0 the reduced resolvent power R^(n+1) v.
+        """
         out = ModeVector(K=v.K)
         for k, val in v.entries.items():
-            out.entries[k] = self._resolvent_block(lam, k) @ val
+            blk = self._laurent_block(k, n)
+            if blk is not None:
+                out.entries[k] = blk @ val
         return out
 
-    # -- contour quadrature ----------------------------------------------
-
-    def _contour(self, integrand):
-        """(1/2 pi i) closed-circle integral with node doubling until stable."""
-        spec = self.contour
-        center, radius = spec.center, spec.radius
-
-        def partial(nodes, stride_offset, stride):
-            total = None
-            for q in range(stride_offset, nodes, stride):
-                theta = 2.0 * math.pi * q / nodes
-                w = cmath.exp(1j * theta)
-                term = integrand(center + radius * w).scale(w * radius / nodes)
-                total = term if total is None else total + term
-            return total
-
-        nodes = spec.nodes
-        total = partial(nodes, 0, 1)
-        best_err = math.inf
-        stalls = 0
-        while True:
-            nodes *= 2
-            refined = total.scale(0.5) + partial(nodes, 1, 2)
-            err = (refined - total).norm()
-            scale = 1.0 + refined.norm()
-            rel = err / scale
-            if rel <= spec.tol:
-                self.achieved_tol = max(self.achieved_tol, rel)
-                return refined
-            stalls = stalls + 1 if err > 0.5 * best_err else 0
-            at_cap = nodes >= spec.max_nodes
-            if (stalls >= 2 or at_cap) and rel <= spec.plateau_cap:
-                # quadrature converged; the remaining motion is the roundoff
-                # floor of the resolvent chains at this radius
-                self.achieved_tol = max(self.achieved_tol, rel)
-                return refined
-            if at_cap:
-                raise ContourError(
-                    f"contour integral still moving by {rel:.2e} relative at "
-                    f"{nodes} nodes; the circle may be too close to the "
-                    "spectrum"
-                )
-            best_err = min(best_err, err)
-            total = refined
-
-    def projector0(self, v):
-        """Order-zero spectral projector onto span{U1, U2}."""
-        return self._contour(lambda lam: self.resolvent_apply(lam, v).scale(-1.0))
+    # -- projection derivatives --------------------------------------------
 
     def chains(self, m, n):
         key = (m, n)
@@ -190,24 +153,26 @@ class KatoAssembler:
 
         Assembled from the resolvent Neumann series: every ordered
         composition (a_1 .. a_r) of (m, n) contributes
-        (-1)^(r+1) S L^{a_1} S ... L^{a_r} S v under the contour integral,
-        weighted m! n!.
+        (-1)^(r+1) S L^{a_1} S ... L^{a_r} S v under the circle integral,
+        weighted m! n!. The integral is the mu^-1 coefficient of the chain:
+        truncated Laurent series are pushed through it from the right. The
+        chain has r + 1 resolvent factors; after q of them the series starts
+        at mu^-q, and each factor still to come lowers the power by at most
+        one, so only the r + 1 powers -q .. r - q can reach mu^-1. P(0, 0) is
+        the order-zero projector onto span{U1, U2}.
         """
-        chains = self.chains(m, n)
         weight = math.factorial(m) * math.factorial(n)
-
-        def integrand(lam):
-            base = self.resolvent_apply(lam, v)
-            total = None
-            for chain in chains:
-                w = base
-                for a in reversed(chain):
-                    w = self.resolvent_apply(lam, self.JH[a].apply(w))
-                w = w.scale(float(weight * (-1) ** (len(chain) + 1)))
-                total = w if total is None else total + w
-            return total
-
-        return self._contour(integrand)
+        terms = []
+        for chain in self.chains(m, n):
+            series = [self.resolvent_apply(i, v) for i in range(-1, len(chain))]
+            for a in reversed(chain):
+                w = [self.JH[a].apply(s) for s in series]
+                series = [_total(self.resolvent_apply(p - 1 - j, w[j])
+                                 for j in range(p + 1))
+                          for p in range(len(w))]
+            sign = (-1) ** (len(chain) + 1)
+            terms.append(series[-1].scale(float(weight * sign)))
+        return _total(terms)
 
     # -- perturbed basis --------------------------------------------------
 
@@ -338,7 +303,15 @@ def _structural_residues(ip11, ip22, ip12, ip21):
     return imag_res, antisym, b_forbidden
 
 
-def assemble_matrix_coeffs(ctx, tables, contour=None, K=DEFAULT_CUTOFF,
+def _normalized_basis(asm, j, eps_only=False):
+    """V_j^{(m,n)} = U_j^{(m,n)} / sqrt(gamma_j), including the (0, 0) order."""
+    corr = asm.basis_corrections(j, eps_only=eps_only)
+    corr[(0, 0)] = asm.U[j]
+    g = math.sqrt(asm.ctx.gamma1 if j == 1 else asm.ctx.gamma2)
+    return {order: vec.scale(1.0 / g) for order, vec in corr.items()}
+
+
+def assemble_matrix_coeffs(ctx, tables, K=DEFAULT_CUTOFF,
                            check_tol=(1e-9, 1e-10, 1e-9)):
     """Full third-order Taylor table of the reduced matrix at one depth.
 
@@ -347,13 +320,8 @@ def assemble_matrix_coeffs(ctx, tables, contour=None, K=DEFAULT_CUTOFF,
     before gating, so deep or shallow extremes fail only on genuine
     structural violations. Raises AssemblyError naming the broken identity.
     """
-    asm = KatoAssembler(ctx, tables, contour=contour, K=K)
-    basis = {}
-    for j in (1, 2):
-        corr = asm.basis_corrections(j)
-        corr[(0, 0)] = asm.U[j]
-        g = math.sqrt(asm.ctx.gamma1 if j == 1 else asm.ctx.gamma2)
-        basis[j] = {order: vec.scale(1.0 / g) for order, vec in corr.items()}
+    asm = KatoAssembler(ctx, tables, K=K)
+    basis = {j: _normalized_basis(asm, j) for j in (1, 2)}
     ip11 = asm.inner_product_table(basis[1], basis[1], ALL_ORDERS)
     ip22 = asm.inner_product_table(basis[2], basis[2], ALL_ORDERS)
     ip12 = asm.inner_product_table(basis[1], basis[2], ALL_ORDERS)
@@ -373,9 +341,8 @@ def assemble_matrix_coeffs(ctx, tables, contour=None, K=DEFAULT_CUTOFF,
         c21=c[(2, 1)], c03=c[(0, 3)], b30=b30,
     )
     imag_res, antisym, b_forbidden = _structural_residues(ip11, ip22, ip12, ip21)
-    w4 = 1.0 / (4.0 * math.pi)
     scale = max(1.0, *(abs(v) for v in km.as_dict().values()),
-                *(abs(v) * w4 for table in (ip11, ip22, ip12, ip21)
+                *(abs(v) * w for table in (ip11, ip22, ip12, ip21)
                   for v in table.values()))
     km.diagnostics = {
         "imag_residue": imag_res,
@@ -384,13 +351,12 @@ def assemble_matrix_coeffs(ctx, tables, contour=None, K=DEFAULT_CUTOFF,
         "a_forbidden_orders": max(abs(a[o]) for o in
                                   ((1, 0), (1, 1), (3, 0), (1, 2))),
         "coefficient_scale": scale,
-        "contour_radius": asm.contour.radius,
-        "contour_achieved_tol": asm.achieved_tol,
+        "resonance_defect": asm.achieved_tol,
     }
     names = ("purely imaginary matrix", "off-diagonal antisymmetry",
              "no B terms below third order in amplitude")
     for res, tol, name in zip((imag_res, antisym, b_forbidden), check_tol, names):
-        allowed = max(tol, 10.0 * asm.achieved_tol) * scale
+        allowed = tol * scale
         if res > allowed:
             raise AssemblyError(
                 f"violated identity: {name} (residue {res:.3e}, "
@@ -404,32 +370,12 @@ def assemble_matrix_coeffs(ctx, tables, contour=None, K=DEFAULT_CUTOFF,
     return km
 
 
-def resolvent_apply(lam, v, ctx, K=DEFAULT_CUTOFF):
-    """(L0 - lam)^{-1} v at the resonant transverse parameter."""
-    from .stokes import build_tables
-    return KatoAssembler(ctx, build_tables(ctx), K=K).resolvent_apply(lam, v)
 
 
-def contour_P(mn, j, ctx, tables, contour=None, K=DEFAULT_CUTOFF):
-    """P^{(m,n)} U_j: one projection derivative applied to a base eigenvector."""
-    asm = KatoAssembler(ctx, tables, contour=contour, K=K)
-    return asm.apply_P(mn[0], mn[1], asm.U[j])
-
-
-def perturbed_basis(mn, j, ctx, tables, contour=None, K=DEFAULT_CUTOFF):
-    """U_j^{(m,n)} (or the normalized V version via scale(1/sqrt(gamma_j)))."""
-    asm = KatoAssembler(ctx, tables, contour=contour, K=K)
-    return asm.basis_corrections(j)[tuple(mn)]
-
-
-def b30_coefficient(ctx, tables, contour=None, K=DEFAULT_CUTOFF):
+def b30_coefficient(ctx, tables, K=DEFAULT_CUTOFF):
     """Fast path: only the (3, 0) off-diagonal coefficient (for depth scans)."""
-    asm = KatoAssembler(ctx, tables, contour=contour, K=K)
-    basis = {}
-    for j in (1, 2):
-        corr = asm.basis_corrections(j, eps_only=True)
-        corr[(0, 0)] = asm.U[j]
-        g = math.sqrt(asm.ctx.gamma1 if j == 1 else asm.ctx.gamma2)
-        basis[j] = {order: vec.scale(1.0 / g) for order, vec in corr.items()}
-    ip12 = asm.inner_product_table(basis[1], basis[2], orders=[(3, 0)])
+    asm = KatoAssembler(ctx, tables, K=K)
+    ip12 = asm.inner_product_table(_normalized_basis(asm, 1, eps_only=True),
+                                   _normalized_basis(asm, 2, eps_only=True),
+                                   orders=[(3, 0)])
     return float(ip12[(3, 0)].real) / (4.0 * math.pi)

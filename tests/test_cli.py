@@ -10,8 +10,8 @@ def run_cli(args):
 
 
 def test_runconfig_roundtrip(tmp_path):
-    cfg = RunConfig(h=2.5, eps=0.02, theta=0.1, K=24, Nx=48, Nz=80,
-                    contour_nodes=128, tol=1e-10, outdir="out", fmt="json")
+    cfg = RunConfig(h=2.5, eps=0.02, theta=0.1, K=24, outdir="out",
+                    fmt="json")
     path = tmp_path / "run.cfg"
     cfg.to_file(path)
     assert RunConfig.from_file(path) == cfg
@@ -29,6 +29,16 @@ def test_runconfig_validation():
         RunConfig(h=-1.0).validate()
     with pytest.raises(ValueError):
         RunConfig(fmt="xml").validate()
+
+
+def test_config_file_sets_defaults(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("h=2.0\n")
+    assert run_cli(["--config", str(path), "resonance"]) == 0
+    assert "beta_star(2) = 2.3878" in capsys.readouterr().out
+    # an explicit flag wins over the file
+    assert run_cli(["--config", str(path), "resonance", "--h", "1"]) == 0
+    assert "beta_star(1) = 1.0710" in capsys.readouterr().out
 
 
 def test_float_format_17_digits():
@@ -108,6 +118,20 @@ def test_scan_csv_schema(tmp_path, capsys, monkeypatch):
     assert lines[0] == "h,value,failure"
     assert len(lines) == 3
     assert all(line.endswith(",") for line in lines[1:])  # empty failure col
+
+
+def test_scan_single_point_is_an_error(tmp_path, capsys):
+    assert run_cli(["scan", "--points", "1", "--outdir", str(tmp_path)]) == 1
+    assert "error: a depth grid needs at least 2 points" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()
+
+
+def test_isola_rejects_untrusted_amplitude(tmp_path, capsys):
+    assert run_cli(["isola", "--h", "1", "--eps", "0.2",
+                    "--outdir", str(tmp_path)]) == 1
+    assert "error: Taylor table is trusted only" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_validate_command(tmp_path, capsys):

@@ -5,6 +5,8 @@ import pytest
 from stokestab.isola import (
     BracketError,
     DegenerateIsolaError,
+    GridError,
+    default_h_grid,
     delta_of_theta,
     eigenvalues,
     find_h_crit,
@@ -53,6 +55,10 @@ def test_characteristic_polynomial_identities(km1):
 def test_eigenvalue_guard(km1):
     with pytest.raises(ValueError):
         eigenvalues(km1, 0.06, 0.0)
+    with pytest.raises(ValueError):
+        isola_geometry(km1, 0.06)
+    with pytest.raises(ValueError):
+        lambda_pair_theta(km1, -0.06, 0.0)
 
 
 def test_isola_samples_on_ellipse(km1):
@@ -102,6 +108,15 @@ def test_scan_beta_star_respects_asymptotes():
     assert values[0.05] == pytest.approx((4.0 / 3.0) * 0.05 ** 2, rel=0.05)
     assert values[10.0] == pytest.approx(2.7275, abs=1e-3)
     assert values[0.05] < values[0.1] < values[8.0] < values[10.0]
+
+
+@pytest.mark.parametrize("h_min, h_max, points", [
+    (0.1, 10.0, 1), (2.0, 2.0, 5), (3.0, 1.0, 5), (0.0, 1.0, 5),
+    (-1.0, 1.0, 5),
+])
+def test_default_h_grid_rejects_empty_ranges(h_min, h_max, points):
+    with pytest.raises(GridError):
+        default_h_grid(h_min, h_max, points)
 
 
 def test_scan_records_failures():

@@ -1,14 +1,19 @@
+import cmath
+import dataclasses
+import functools
+import math
+import operator
+
 import numpy as np
 import pytest
 
-from stokestab.dispersion import build_context
+from stokestab import dno
+from stokestab.dispersion import build_context, lambda0, spectrum_gap
 from stokestab.kato import (
     ALL_ORDERS,
-    ContourSpec,
     KatoAssembler,
     assemble_matrix_coeffs,
     b30_coefficient,
-    default_contour,
     PoleError,
 )
 from stokestab.modealg import ModeVector, base_eigenvectors, symplectic_pairing
@@ -21,40 +26,62 @@ def asm(ctx1, tables1):
     return KatoAssembler(ctx1, tables1)
 
 
-def test_contour_spec_validation(ctx1):
-    spec = default_contour(ctx1)
-    assert spec.radius > 0.0
+def _flat_block(ctx, k, lam):
+    """Mode-k block of L0 - lam."""
+    a0 = dno.r0_coeff(k, ctx.beta_star, ctx.h)
+    return np.array([[1j * ctx.c0 * k - lam, a0],
+                     [-1.0, 1j * ctx.c0 * k - lam]])
+
+
+def _shifted_L0(ctx, v):
+    """(L0 - i sigma) v, mode by mode."""
+    out = ModeVector(K=v.K)
+    out.entries = {k: _flat_block(ctx, k, 1j * ctx.sigma) @ val
+                   for k, val in v.entries.items()}
+    return out
+
+
+def _circle(integrand, ctx, radius, nodes):
+    """(1/2 pi i) trapezoidal integral over |lam - i sigma| = radius."""
+    weights = [cmath.exp(2j * math.pi * q / nodes) for q in range(nodes)]
+    return functools.reduce(operator.add, (
+        integrand(1j * ctx.sigma + radius * w) * (w * radius / nodes)
+        for w in weights))
+
+
+def test_resonance_defect_reported(asm, km1, ctx1, tables1):
+    """The residue's one assumption: both colliding eigenvalues sit on i*sigma."""
+    assert 0.0 <= asm.achieved_tol < 1e-13
+    assert km1.diagnostics["resonance_defect"] == asm.achieved_tol
     with pytest.raises(ValueError):
-        ContourSpec(center=spec.center, radius=-1.0).validate(1.0)
-    with pytest.raises(ValueError):
-        ContourSpec(center=spec.center, radius=0.1, nodes=31).validate(1.0)
+        KatoAssembler(ctx1, tables1, K=4)   # too few modes to bound the gap
 
 
 def test_resolvent_inverse_identity(asm, ctx1):
-    lam = 1j * ctx1.sigma + 0.1
-    u1, _ = base_eigenvectors(ctx1)
-    w = asm.resolvent_apply(lam, u1)
-    # apply (L0 - lam) back: L0 block = [[i c0 k, A0], [-1, i c0 k]]
-    from stokestab import dno
-    recon = ModeVector(K=w.K)
-    for k, val in w.entries.items():
-        a0 = dno.r0_coeff(k, ctx1.beta_star, ctx1.h)
-        blk = np.array([[1j * ctx1.c0 * k - lam, a0],
-                        [-1.0, 1j * ctx1.c0 * k - lam]])
-        recon.entries[k] = blk @ val
-    assert (recon - u1).norm() < 1e-11
+    """(L0 - i sigma) R v = v - P0 v, (L0 - i sigma) P0 v = 0, and
+    (L0 - i sigma) R^2 v = R v for the Laurent coefficients of S(mu)."""
+    v = ModeVector({k: [1.0 + 0.5j * k, 2.0 - k] for k in range(-4, 5)})
+    minus_p0 = asm.resolvent_apply(-1, v)
+    r1 = asm.resolvent_apply(0, v)
+    r2 = asm.resolvent_apply(1, v)
+    assert minus_p0.support() == [-2, 1]
+    assert (_shifted_L0(ctx1, r1) - (v + minus_p0)).norm() < 1e-11
+    assert _shifted_L0(ctx1, minus_p0).norm() < 1e-11
+    assert (_shifted_L0(ctx1, r2) - r1).norm() < 1e-11
 
 
 def test_resolvent_mode_diagonal(asm):
     v = ModeVector({5: [1.0, 2.0]})
-    out = asm.resolvent_apply(0.3 + 0.2j, v)
-    assert out.support() == [5]
+    assert asm.resolvent_apply(0, v).support() == [5]
+    assert asm.resolvent_apply(2, v).support() == [5]
+    assert asm.resolvent_apply(-1, v).support() == []   # not a resonant mode
 
 
-def test_resolvent_pole_error(asm, ctx1):
+def test_resolvent_pole_error(ctx1, tables1):
+    on_branch = lambda0(3, ctx1.beta_star, ctx1.h, 1).imag
     with pytest.raises(PoleError) as err:
-        asm.resolvent_apply(1j * ctx1.sigma, ModeVector({1: [1.0, 0.0]}))
-    assert err.value.wavenumber == 1
+        KatoAssembler(dataclasses.replace(ctx1, sigma=on_branch), tables1)
+    assert err.value.wavenumber == 3
 
 
 def test_projector_idempotent_on_span(asm, ctx1):
@@ -62,21 +89,84 @@ def test_projector_idempotent_on_span(asm, ctx1):
     u1, u2 = base_eigenvectors(ctx1)
     v = u1.scale(complex(rng.normal(), rng.normal())) \
         + u2.scale(complex(rng.normal(), rng.normal()))
-    once = asm.projector0(v)
-    twice = asm.projector0(once)
+    once = asm.apply_P(0, 0, v)
+    twice = asm.apply_P(0, 0, once)
     assert (once - v).norm() < 1e-10
     assert (twice - once).norm() < 1e-10
 
 
-def test_contour_quadrature_node_insensitive(ctx1, tables1):
-    u1, _ = base_eigenvectors(ctx1)
-    coarse = KatoAssembler(ctx1, tables1,
-                           contour=default_contour(ctx1, nodes=64))
-    fine = KatoAssembler(ctx1, tables1,
-                         contour=default_contour(ctx1, nodes=128))
-    a = coarse.apply_P(1, 0, u1)
-    b = fine.apply_P(1, 0, u1)
-    assert (a - b).norm() < 1e-11
+def test_contour_quadrature_node_insensitive(asm, ctx1):
+    """The residue is what a converged circle quadrature of the same chain
+    gives, at any node count past convergence."""
+    u1 = asm.U[1]
+    exact = asm.apply_P(1, 0, u1)
+    radius = 0.5 * spectrum_gap(ctx1)
+
+    def integrand(lam):
+        def solve(v):
+            out = ModeVector(K=v.K)
+            out.entries = {k: np.linalg.solve(_flat_block(ctx1, k, lam), val)
+                           for k, val in v.entries.items()}
+            return out
+        return solve(asm.JH[(1, 0)].apply(solve(u1)))
+
+    for nodes in (64, 128):
+        approx = _circle(integrand, ctx1, radius, nodes)
+        assert (approx - exact).norm() < 1e-11 * exact.norm(), nodes
+
+
+def _dense_operator(op, K):
+    """Dense matrix of a banded mode operator on modes -K..K."""
+    mat = np.zeros((2 * (2 * K + 1),) * 2, dtype=complex)
+    for k in range(-K, K + 1):
+        for o in op.offsets:
+            if abs(k + o) <= K:
+                i, j = 2 * (k + K), 2 * (k + o + K)
+                mat[i:i + 2, j:j + 2] = op.block(k, o)
+    return mat
+
+
+def _dense_vector(v, K):
+    return np.concatenate([v.get(k) for k in range(-K, K + 1)])
+
+
+@pytest.mark.parametrize("h", [1.0, 0.1])
+def test_residues_match_dense_circle_quadrature(h):
+    """apply_P against dense resolvent chains integrated over a circle.
+
+    L0 is assembled from the flat symbols, the expansion blocks J H from
+    their mode blocks; P^(m,n) v is m! n! times the sum over chains of
+    (-1)^(r+1) (1/2 pi i) of the integral of S L^{a_1} S ... S v, with
+    S = (L0 - lam)^{-1} solved densely at each node.
+    """
+    ctx = build_context(h)
+    asm = KatoAssembler(ctx, build_tables(ctx))
+    K = asm.K
+    L0 = np.zeros((2 * (2 * K + 1),) * 2, dtype=complex)
+    for k in range(-K, K + 1):
+        L0[2 * (k + K):2 * (k + K) + 2, 2 * (k + K):2 * (k + K) + 2] = \
+            _flat_block(ctx, k, 0.0)
+    JH = {a: _dense_operator(op, K) for a, op in asm.JH.items()}
+    radius = 0.75 * spectrum_gap(ctx, K)
+    for (m, n), j in (((1, 0), 1), ((2, 1), 2)):
+        v = _dense_vector(asm.U[j], K)
+        chains = asm.chains(m, n)
+        weight = math.factorial(m) * math.factorial(n)
+
+        def integrand(lam):
+            S = np.linalg.inv(L0 - lam * np.eye(len(L0)))
+            total = 0.0
+            for chain in chains:
+                w = S @ v
+                for a in reversed(chain):
+                    w = S @ (JH[a] @ w)
+                total = total + (-1) ** (len(chain) + 1) * w
+            return weight * total
+
+        dense = _circle(integrand, ctx, radius, 256)
+        exact = _dense_vector(asm.apply_P(m, n, asm.U[j]), K)
+        err = np.linalg.norm(dense - exact) / np.linalg.norm(exact)
+        assert err < 1e-10, (h, m, n, err)
 
 
 def test_perturbation_support_table(asm):
@@ -110,11 +200,10 @@ def test_symplectic_pairing_preserved(asm):
             assert abs(total) < 1e-9, (j, m, n)
 
 
-def test_public_wrappers(ctx1, tables1):
-    from stokestab.kato import contour_P, perturbed_basis
-    p01 = contour_P((0, 1), 1, ctx1, tables1)
+def test_single_projection_supports(asm):
+    p01 = asm.apply_P(0, 1, asm.U[1])
     assert p01.support_above(1e-11) == [1]
-    u2_20 = perturbed_basis((2, 0), 2, ctx1, tables1)
+    u2_20 = asm.basis_corrections(2)[(2, 0)]
     assert set(u2_20.support_above(1e-11)) <= {-4, -2, 0}
 
 
