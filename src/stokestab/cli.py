@@ -62,17 +62,13 @@ class RunConfig:
 
     h: float = 1.0
     eps: float = 0.01
-    theta: float = 0.0
     K: int = 20
     outdir: str = "."
-    fmt: str = "csv"
 
     def validate(self):
         for name in ("h", "K"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.fmt not in ("csv", "json", "svg"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
         return self
 
     def to_file(self, path):
@@ -104,6 +100,19 @@ class RunConfig:
                 kwargs[key] = caster(raw.strip())
         cls(**kwargs).validate()
         return kwargs
+
+
+def _config_defaults(path):
+    """Option defaults from a --config file; any failure is a ValueError."""
+    try:
+        return RunConfig.read(path)
+    except KeyError as exc:
+        reason = exc.args[0]
+    except OSError as exc:
+        reason = exc.strerror
+    except ValueError as exc:
+        reason = exc
+    raise ValueError(f"config {path}: {reason}")
 
 
 def thread_cap():
@@ -417,9 +426,9 @@ def build_parser(config=None):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.config:
-        args = build_parser(RunConfig.read(args.config)).parse_args(argv)
     try:
+        if args.config:
+            args = build_parser(_config_defaults(args.config)).parse_args(argv)
         return args.func(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

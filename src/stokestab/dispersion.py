@@ -25,8 +25,8 @@ class SolverError(RuntimeError):
 
 
 def _check_domain(beta, h, allow_zero_beta=False):
-    if h <= 0.0:
-        raise ValueError(f"depth must be positive, got h={h}")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"depth must be finite and positive, got h={h}")
     if beta < 0.0 or (beta == 0.0 and not allow_zero_beta):
         raise ValueError(f"transverse parameter must be positive, got beta={beta}")
 
@@ -78,8 +78,7 @@ def solve_beta_star(h, tol=1e-12, bracket=(0.0, 3.0), max_iter=100):
     contains the unique root. Raises SolverError with the last bracket on
     failure to reach |F| <= tol within max_iter Newton steps.
     """
-    if h <= 0.0:
-        raise ValueError(f"depth must be positive, got h={h}")
+    _check_domain(bracket[0], h, allow_zero_beta=True)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     lo, hi = bracket

@@ -144,7 +144,7 @@ def scan_h(h_grid, quantity, progress=None, max_workers=1):
 
     Returns a list of (h, value_or_None, error_message_or_"") rows in grid
     order. beta_star needs only the resonance solve; the rest run the
-    reduction pipeline (b30 the amplitude-only fast path, kappas the full
+    reduction pipeline (b30 only its amplitude orders, kappas the full
     table).
     """
     if quantity not in SCAN_QUANTITIES:

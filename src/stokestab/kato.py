@@ -13,6 +13,12 @@ in closed form, so each integral is evaluated exactly as the mu^-1 Laurent
 coefficient of its chain at i*sigma (Kato, Perturbation Theory for Linear
 Operators, Ch. II, sections 1-2): no quadrature is involved.
 
+Every vector is a mode array and every H[j, l] a dense matrix (`modealg`).
+The basis corrections follow from the Taylor series in (eps, delta) of the
+similarity transform (I - Q^2)^(-1/2) P applied to U_j, Q = P - P0: each
+order is a sum over ordered products of projection derivatives, so no order
+has a formula of its own.
+
 Conventions: S(mu) is the flat resolvent (L0 - i*sigma - mu)^{-1}; the
 reduced matrix is written i*sigma*I + i*[[A, B], [-B, C]] with A, B, C real;
 the Taylor coefficients of A, B, C in (amplitude, transverse detuning) are
@@ -26,8 +32,8 @@ import numpy as np
 
 from . import dno
 from .dispersion import RESONANT_BRANCHES, spectrum_gap
-from .modealg import (DEFAULT_CUTOFF, ModeVector, base_eigenvectors, compose_J,
-                      inner, operator_family)
+from .modealg import (DEFAULT_CUTOFF, apply_J, base_eigenvectors, inner,
+                      operator_family, orders_below)
 
 
 class PoleError(RuntimeError):
@@ -56,11 +62,14 @@ def _compositions(m, n):
     return out
 
 
-def _total(vectors):
-    out = None
-    for v in vectors:
-        out = v if out is None else out + v
-    return out
+ALL_ORDERS = tuple((m, n) for m in range(4) for n in range(4)
+                   if 1 <= m + n <= 3)
+
+
+# x^r Taylor coefficients of sqrt((1 + x) / (1 - x)): (I - Q^2)^(-1/2) P U
+# for U in the range of P0 is sum_r w_r Q^r U, and Q^r expands into the
+# ordered products of the Taylor coefficients of Q
+_SERIES_WEIGHTS = (1.0, 1.0, 0.5, 0.5)
 
 
 class KatoAssembler:
@@ -71,73 +80,64 @@ class KatoAssembler:
     exactly on i*sigma, and this is the only approximation it makes.
     """
 
-    def __init__(self, ctx, tables, K=DEFAULT_CUTOFF):
+    def __init__(self, ctx, tables, orders=ALL_ORDERS):
         self.ctx = ctx
         self.tables = tables
-        self.K = K
-        self.H = operator_family(ctx, tables, K=K)
-        self.JH = {key: compose_J(op) for key, op in self.H.items()}
-        self._branches, defect = self._flat_branches()
-        self.achieved_tol = defect / spectrum_gap(ctx, K)
-        self._laurent = {}
-        u1, u2 = base_eigenvectors(ctx, K=K)
+        self.orders = tuple(orders)
+        self.H = operator_family(ctx, tables, self.orders)
+        top = max(m + n for m, n in self.orders)
+        self._laurent, defect = self._laurent_coefficients(top)
+        self.achieved_tol = defect / spectrum_gap(ctx, DEFAULT_CUTOFF)
+        u1, u2 = base_eigenvectors(ctx)
         self.U = {1: u1, 2: u2}
         self._chains = {}
 
     # -- resolvent Laurent series ----------------------------------------
 
-    def _flat_branches(self):
-        """Per mode, [(P, lam - i*sigma)] over its two branches, with None in
-        place of lam - i*sigma on a resonant branch; and the resonance defect
-        max |lam_res - i*sigma|."""
+    def _laurent_coefficients(self, top):
+        """S_{-1} .. S_{top-1} of S(mu) = sum_n mu^n S_n, stacked as per-mode
+        2x2 blocks of shape (top + 1, 2K + 1, 2, 2); and the resonance defect
+        max |lam_res - i*sigma|.
+
+        Each mode block of S(mu) sums over its two branches: a resonant
+        branch contributes -P / mu, any other branch
+        sum_{n >= 0} mu^n P / d^(n+1) with d = lam - i*sigma, where P is the
+        branch projector.
+        """
         ctx = self.ctx
-        branches = {}
+        K = DEFAULT_CUTOFF
+        coeffs = np.zeros((top + 1, 2 * K + 1, 2, 2), dtype=complex)
         defect = 0.0
-        for k in range(-self.K, self.K + 1):
+        for k in range(-K, K + 1):
             a0 = dno.r0_coeff(k, ctx.beta_star, ctx.h)
             block = np.array([[1j * ctx.c0 * k, a0], [-1.0, 1j * ctx.c0 * k]])
             lam = {s: 1j * (ctx.c0 * k + s * math.sqrt(a0)) for s in (1, -1)}
-            branches[k] = []
             for s in (1, -1):
                 proj = (block - lam[-s] * np.eye(2)) / (lam[s] - lam[-s])
                 d = lam[s] - 1j * ctx.sigma
                 if (k, s) in RESONANT_BRANCHES:
                     defect = max(defect, abs(d))
-                    branches[k].append((proj, None))
+                    coeffs[0, k + K] -= proj
                 elif abs(d) <= 1e-12 * abs(lam[s]):
                     raise PoleError(
                         f"flat eigenvalue {lam[s]} at wavenumber {k} is "
                         f"numerically on i*sigma = {1j * ctx.sigma}", k)
                 else:
-                    branches[k].append((proj, d))
-        return branches, defect
+                    for n in range(top):
+                        coeffs[n + 1, k + K] += proj / d ** (n + 1)
+        return coeffs, defect
 
-    def _laurent_block(self, k, n):
-        """mu^n coefficient of the mode-k block of S(mu); None when zero.
+    def resolvent_apply(self, series):
+        """Laurent series of S(mu) x(mu) from that of x(mu).
 
-        A resonant branch contributes -P / mu, any other branch
-        sum_{n >= 0} mu^n P / d^(n+1) with d = lam - i*sigma.
+        series holds one row per power of mu, from some mu^s on; the result
+        holds as many rows, from mu^(s-1) on. Row p of the result is
+        sum_{i <= p} S_{p-1-i} x_i, one batched matmul over the modes.
         """
-        key = (k, n)
-        if key not in self._laurent:
-            if n < 0:
-                terms = [-p for p, d in self._branches[k] if d is None]
-            else:
-                terms = [p / d ** (n + 1) for p, d in self._branches[k]
-                         if d is not None]
-            self._laurent[key] = sum(terms) if terms else None
-        return self._laurent[key]
-
-    def resolvent_apply(self, n, v):
-        """mu^n Laurent coefficient of S(mu) applied to v (n >= -1).
-
-        n = -1 gives -P0 v, n >= 0 the reduced resolvent power R^(n+1) v.
-        """
-        out = ModeVector(K=v.K)
-        for k, val in v.entries.items():
-            blk = self._laurent_block(k, n)
-            if blk is not None:
-                out.entries[k] = blk @ val
+        x = series.reshape(len(series), -1, 2, 1)
+        out = np.empty_like(series)
+        for p in range(len(series)):
+            out[p] = (self._laurent[p::-1] @ x[:p + 1]).sum(axis=0).ravel()
         return out
 
     # -- projection derivatives --------------------------------------------
@@ -154,97 +154,62 @@ class KatoAssembler:
         Assembled from the resolvent Neumann series: every ordered
         composition (a_1 .. a_r) of (m, n) contributes
         (-1)^(r+1) S L^{a_1} S ... L^{a_r} S v under the circle integral,
-        weighted m! n!. The integral is the mu^-1 coefficient of the chain:
-        truncated Laurent series are pushed through it from the right. The
-        chain has r + 1 resolvent factors; after q of them the series starts
-        at mu^-q, and each factor still to come lowers the power by at most
-        one, so only the r + 1 powers -q .. r - q can reach mu^-1. P(0, 0) is
-        the order-zero projector onto span{U1, U2}.
+        weighted m! n!, with L^a = J H[a]. The integral is the mu^-1
+        coefficient of the chain: truncated Laurent series are pushed
+        through it from the right. The chain has r + 1 resolvent factors;
+        after q of them the series starts at mu^-q, and each factor still to
+        come lowers the power by at most one, so only the r + 1 powers
+        -q .. r - q can reach mu^-1. P(0, 0) is the order-zero projector
+        onto span{U1, U2}.
         """
         weight = math.factorial(m) * math.factorial(n)
-        terms = []
+        total = np.zeros_like(v)
         for chain in self.chains(m, n):
-            series = [self.resolvent_apply(i, v) for i in range(-1, len(chain))]
+            series = np.zeros((len(chain) + 1, len(v)), dtype=complex)
+            series[0] = v
+            series = self.resolvent_apply(series)
             for a in reversed(chain):
-                w = [self.JH[a].apply(s) for s in series]
-                series = [_total(self.resolvent_apply(p - 1 - j, w[j])
-                                 for j in range(p + 1))
-                          for p in range(len(w))]
-            sign = (-1) ** (len(chain) + 1)
-            terms.append(series[-1].scale(float(weight * sign)))
-        return _total(terms)
+                series = self.resolvent_apply(apply_J(series @ self.H[a].T))
+            total += (-1) ** (len(chain) + 1) * weight * series[-1]
+        return total
 
     # -- perturbed basis --------------------------------------------------
 
-    def basis_corrections(self, j, eps_only=False):
-        """U_j^{(m,n)} for every 1 <= m + n <= 3 (or only n = 0 terms).
+    def basis_corrections(self, j, orders):
+        """U_j^{(m,n)} for every (m, n) in orders, (0, 0) giving U_j.
 
-        The combinations implement the symmetrized square-root similarity
-        transformation; repeated projection-derivative applications are
-        reused across orders.
+        U_j^{(m,n)} = sum over the ordered compositions (a_1 .. a_r) of
+        (m, n) of w_r Q_{a_1} ... Q_{a_r} U_j, with Q_a = P^(a) / a! the
+        Taylor coefficients of Q = P - P0 and w_r those of the square-root
+        similarity transform. Each product is formed once, from the product
+        of its tail.
         """
-        U = self.U[j]
-        P = self.apply_P
-        p10 = P(1, 0, U)
-        p10p10 = P(1, 0, p10)
-        out = {(1, 0): p10}
-        p20 = P(2, 0, U)
-        out[(2, 0)] = 0.5 * (p20 + p10p10)
-        p30 = P(3, 0, U)
-        out[(3, 0)] = (1.0 / 6.0) * p30 + 0.25 * (P(2, 0, p10) + P(1, 0, p20)) \
-            + 0.5 * P(1, 0, p10p10)
-        if eps_only:
-            return out
-        p01 = P(0, 1, U)
-        p02 = P(0, 2, U)
-        p11 = P(1, 1, U)
-        p01p01 = P(0, 1, p01)
-        p01p10 = P(0, 1, p10)
-        p10p01 = P(1, 0, p01)
-        out[(0, 1)] = p01
-        out[(0, 2)] = 0.5 * (p02 + p01p01)
-        out[(1, 1)] = p11 + 0.5 * (p01p10 + p10p01)
-        out[(0, 3)] = (1.0 / 6.0) * P(0, 3, U) \
-            + 0.25 * (P(0, 1, p02) + P(0, 2, p01)) + 0.5 * P(0, 1, p01p01)
-        out[(2, 1)] = 0.5 * P(2, 1, U) \
-            + 0.25 * (P(0, 1, p20) + P(2, 0, p01)) \
-            + 0.5 * (P(1, 0, p11) + P(1, 1, p10)) \
-            + 0.5 * (P(1, 0, p01p10) + P(0, 1, p10p10)) \
-            + 0.5 * P(1, 0, p10p01)
-        out[(1, 2)] = 0.5 * P(1, 2, U) \
-            + 0.25 * (P(1, 0, p02) + P(0, 2, p10)) \
-            + 0.5 * (P(0, 1, p11) + P(1, 1, p01)) \
-            + 0.5 * (P(1, 0, p01p01) + P(0, 1, p10p01)) \
-            + 0.5 * P(0, 1, p01p10)
-        return out
+        products = {(): self.U[j]}
+
+        def product(chain):
+            if chain not in products:
+                (m, n), tail = chain[0], chain[1:]
+                products[chain] = self.apply_P(m, n, product(tail)) / (
+                    math.factorial(m) * math.factorial(n))
+            return products[chain]
+
+        return {order: sum(_SERIES_WEIGHTS[len(c)] * product(c)
+                           for c in self.chains(*order))
+                for order in orders}
 
     def inner_product_table(self, basis_j, basis_k, orders):
         """(H V_j^{eps,delta}, V_k^{eps,delta}) Taylor coefficients.
 
-        basis_* map (m, n) -> U_*^{(m,n)} including the (0, 0) base vector;
-        the (m, n) entry sums (H^{a} V^{(b)}, V^{(c)}) over a + b + c = (m, n).
+        basis_* map (m, n) -> U_*^{(m,n)} at every order below `orders`,
+        (0, 0) included; the (m, n) entry sums (H^{a} V^{(b)}, V^{(c)}) over
+        a + b + c = (m, n).
         """
-        out = {}
-        for (m, n) in orders:
-            total = 0.0 + 0.0j
-            for am in range(m + 1):
-                for an in range(n + 1):
-                    Hop = self.H.get((am, an))
-                    if Hop is None:
-                        continue
-                    for bm in range(m - am + 1):
-                        for bn in range(n - an + 1):
-                            vb = basis_j.get((bm, bn))
-                            vc = basis_k.get((m - am - bm, n - an - bn))
-                            if vb is None or vc is None:
-                                continue
-                            total += inner(Hop.apply(vb), vc)
-            out[(m, n)] = total
-        return out
-
-
-ALL_ORDERS = tuple((m, n) for m in range(4) for n in range(4)
-                   if 1 <= m + n <= 3)
+        return {(m, n): sum(
+            inner(self.H[a] @ basis_j[b],
+                  basis_k[(m - a[0] - b[0], n - a[1] - b[1])])
+            for a in orders_below([(m, n)])
+            for b in orders_below([(m - a[0], n - a[1])]))
+            for m, n in orders}
 
 
 @dataclass
@@ -303,16 +268,15 @@ def _structural_residues(ip11, ip22, ip12, ip21):
     return imag_res, antisym, b_forbidden
 
 
-def _normalized_basis(asm, j, eps_only=False):
-    """V_j^{(m,n)} = U_j^{(m,n)} / sqrt(gamma_j), including the (0, 0) order."""
-    corr = asm.basis_corrections(j, eps_only=eps_only)
-    corr[(0, 0)] = asm.U[j]
+def _normalized_basis(asm, j):
+    """V_j^{(m,n)} = U_j^{(m,n)} / sqrt(gamma_j) at every order the ledger
+    of `asm` reaches, (0, 0) included."""
     g = math.sqrt(asm.ctx.gamma1 if j == 1 else asm.ctx.gamma2)
-    return {order: vec.scale(1.0 / g) for order, vec in corr.items()}
+    corr = asm.basis_corrections(j, orders_below(asm.orders))
+    return {order: vec * (1.0 / g) for order, vec in corr.items()}
 
 
-def assemble_matrix_coeffs(ctx, tables, K=DEFAULT_CUTOFF,
-                           check_tol=(1e-9, 1e-10, 1e-9)):
+def assemble_matrix_coeffs(ctx, tables, check_tol=(1e-9, 1e-10, 1e-9)):
     """Full third-order Taylor table of the reduced matrix at one depth.
 
     check_tol = (imaginary residue, off-diagonal antisymmetry, forbidden
@@ -320,7 +284,7 @@ def assemble_matrix_coeffs(ctx, tables, K=DEFAULT_CUTOFF,
     before gating, so deep or shallow extremes fail only on genuine
     structural violations. Raises AssemblyError naming the broken identity.
     """
-    asm = KatoAssembler(ctx, tables, K=K)
+    asm = KatoAssembler(ctx, tables)
     basis = {j: _normalized_basis(asm, j) for j in (1, 2)}
     ip11 = asm.inner_product_table(basis[1], basis[1], ALL_ORDERS)
     ip22 = asm.inner_product_table(basis[2], basis[2], ALL_ORDERS)
@@ -371,11 +335,10 @@ def assemble_matrix_coeffs(ctx, tables, K=DEFAULT_CUTOFF,
 
 
 
-
-def b30_coefficient(ctx, tables, K=DEFAULT_CUTOFF):
-    """Fast path: only the (3, 0) off-diagonal coefficient (for depth scans)."""
-    asm = KatoAssembler(ctx, tables, K=K)
-    ip12 = asm.inner_product_table(_normalized_basis(asm, 1, eps_only=True),
-                                   _normalized_basis(asm, 2, eps_only=True),
-                                   orders=[(3, 0)])
+def b30_coefficient(ctx, tables):
+    """Only the (3, 0) off-diagonal coefficient (for depth scans): the
+    assembler builds just the amplitude-order blocks and basis corrections."""
+    asm = KatoAssembler(ctx, tables, orders=[(3, 0)])
+    ip12 = asm.inner_product_table(_normalized_basis(asm, 1),
+                                   _normalized_basis(asm, 2), orders=[(3, 0)])
     return float(ip12[(3, 0)].real) / (4.0 * math.pi)

@@ -1,11 +1,13 @@
-"""Finite Fourier-mode algebra for the expansion blocks of the Hamiltonian.
+"""Fourier-mode arrays and the expansion blocks of the Hamiltonian.
 
-State vectors live on integer modes k in [-K, K], two complex components per
-mode; operators are banded in the mode index with a 2x2 block per (k, offset).
-The Hamiltonian blocks H[j, l] collect the order-(eps^j, delta^l) pieces of
-the linearized problem: cosine multipliers and first-order derivative terms
-in the corners, Fourier-multiplier rows of the surface operator in the
-lower-right slot (differentiated l times in the transverse parameter).
+A state is a complex array over the integer modes k in [-K, K], two
+components per mode, the component c of mode k at index 2(k + K) + c: the
+layout of the dense truncation in `validator`. Operators are dense matrices
+in the same layout. The Hamiltonian blocks H[j, l] collect the
+order-(eps^j, delta^l) pieces of the linearized problem: cosine multipliers
+and first-order derivative terms in the corners, Fourier-multiplier rows of
+the surface operator in the lower-right slot (differentiated l times in the
+transverse parameter).
 """
 
 import math
@@ -17,83 +19,35 @@ from .util import Jet
 from . import dno
 
 
-DEFAULT_CUTOFF = 12  # three shifts of <= 3 from modes {1, -2}, plus margin
+# vectors of the reduction reach only modes -5..4 (within 3 of the base
+# modes {1, -2}); the outer modes of the arrays stay zero
+DEFAULT_CUTOFF = 12
+BASE_MODES = (1, -2)
 
 
-class ModeVector:
-    """Map from integer wavenumber to a 2-component complex amplitude."""
+def mode_slot(k, K=DEFAULT_CUTOFF):
+    """Index of the first component of mode k; the second follows it."""
+    return 2 * (k + K)
 
-    __slots__ = ("entries", "K")
 
-    def __init__(self, entries=None, K=DEFAULT_CUTOFF):
-        self.K = K
-        self.entries = {}
-        if entries:
-            for k, val in entries.items():
-                arr = np.asarray(val, dtype=complex)
-                if arr.shape != (2,):
-                    raise ValueError("each mode entry must have two components")
-                if abs(k) <= K:
-                    self.entries[k] = arr.copy()
-
-    def copy(self):
-        out = ModeVector(K=self.K)
-        out.entries = {k: v.copy() for k, v in self.entries.items()}
-        return out
-
-    def support(self):
-        return sorted(k for k, v in self.entries.items()
-                      if np.any(np.abs(v) > 0.0))
-
-    def support_above(self, tol):
-        return sorted(k for k, v in self.entries.items()
-                      if np.max(np.abs(v)) > tol)
-
-    def get(self, k):
-        return self.entries.get(k, np.zeros(2, dtype=complex))
-
-    def __add__(self, other):
-        out = self.copy()
-        for k, v in other.entries.items():
-            if k in out.entries:
-                out.entries[k] = out.entries[k] + v
-            else:
-                out.entries[k] = v.copy()
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
-
-    def scale(self, factor):
-        out = ModeVector(K=self.K)
-        out.entries = {k: v * factor for k, v in self.entries.items()}
-        return out
-
-    def __mul__(self, factor):
-        return self.scale(factor)
-
-    __rmul__ = __mul__
-
-    def norm(self):
-        return math.sqrt(sum(float(np.sum(np.abs(v) ** 2))
-                             for v in self.entries.values()))
+def mode_vector(entries, K=DEFAULT_CUTOFF):
+    """State array from {mode: (first, second component)}."""
+    out = np.zeros(2 * (2 * K + 1), dtype=complex)
+    for k, val in entries.items():
+        out[mode_slot(k, K):mode_slot(k, K) + 2] = val
+    return out
 
 
 def inner(u, v):
     """L2(T) pairing (u, v) = 2*pi * sum_k <u_k, conj(v_k)>."""
-    total = 0.0 + 0.0j
-    for k, uv in u.entries.items():
-        vv = v.entries.get(k)
-        if vv is not None:
-            total += uv[0] * np.conj(vv[0]) + uv[1] * np.conj(vv[1])
-    return 2.0 * math.pi * total
+    return 2.0 * math.pi * np.vdot(v, u)
 
 
 def apply_J(v):
-    """Symplectic rotation J [a, b] = [b, -a], mode by mode."""
-    out = ModeVector(K=v.K)
-    out.entries = {k: np.array([val[1], -val[0]], dtype=complex)
-                   for k, val in v.entries.items()}
+    """Symplectic rotation J [a, b] = [b, -a] of every mode (last axis)."""
+    out = np.empty_like(v)
+    out[..., 0::2] = v[..., 1::2]
+    out[..., 1::2] = -v[..., 0::2]
     return out
 
 
@@ -101,52 +55,10 @@ def symplectic_pairing(u, v):
     return inner(apply_J(u), v)
 
 
-class ModeOperator:
-    """Banded operator: (A u)_k = sum_offsets block(k, o) @ u_{k+o}."""
-
-    def __init__(self, offsets, block_fn, provenance=None, K=DEFAULT_CUTOFF):
-        self.offsets = tuple(offsets)
-        self._block_fn = block_fn
-        self._cache = {}
-        self.provenance = provenance
-        self.K = K
-
-    def block(self, k, o):
-        key = (k, o)
-        blk = self._cache.get(key)
-        if blk is None:
-            blk = np.asarray(self._block_fn(k, o), dtype=complex)
-            self._cache[key] = blk
-        return blk
-
-    def apply(self, v):
-        out = ModeVector(K=min(self.K, v.K))
-        for q, val in v.entries.items():
-            for o in self.offsets:
-                k = q - o
-                if abs(k) > out.K:
-                    continue
-                contrib = self.block(k, o) @ val
-                if k in out.entries:
-                    out.entries[k] += contrib
-                else:
-                    out.entries[k] = contrib
-        return out
-
-
-def compose_J(op):
-    """The operator J @ H given H (2x2 block rotation of every block)."""
-    def block_fn(k, o):
-        b = op.block(k, o)
-        return np.array([b[1], -b[0]])
-    return ModeOperator(op.offsets, block_fn,
-                        provenance=("J",) + tuple([op.provenance]), K=op.K)
-
-
 def base_eigenvectors(ctx, K=DEFAULT_CUTOFF):
     """The two colliding eigenvectors U1 (mode 1) and U2 (mode -2)."""
-    u1 = ModeVector({1: [1j * ctx.gamma1, 1.0]}, K=K)
-    u2 = ModeVector({-2: [-1j * ctx.gamma2, 1.0]}, K=K)
+    u1 = mode_vector({1: [1j * ctx.gamma1, 1.0]}, K)
+    u2 = mode_vector({-2: [-1j * ctx.gamma2, 1.0]}, K)
     return u1, u2
 
 
@@ -219,24 +131,6 @@ class RowProvider:
         return out
 
 
-def beta_derivative(j, ell, k, h, ctx=None, tables=None, offset=None):
-    """Taylor coefficient in the transverse parameter of the order-j row.
-
-    Returns the full offset -> value dict, or a single value when offset is
-    given (order 0 rows are diagonal, so offset defaults to 0 there).
-    """
-    from .dispersion import build_context
-    from .stokes import build_tables
-    if ctx is None:
-        ctx = build_context(h)
-    if tables is None:
-        tables = build_tables(ctx)
-    row = RowProvider(ctx, tables).taylor(j, ell, k)
-    if offset is None and j == 0:
-        offset = 0
-    return row if offset is None else row[offset]
-
-
 # ----------------------------------------------------------------------
 # Hamiltonian expansion blocks
 
@@ -254,58 +148,61 @@ def _cosine_content(j, tables):
     raise ValueError("amplitude orders are 0..3")
 
 
-def build_H(j, ell, ctx, tables, rows=None, K=DEFAULT_CUTOFF):
+def build_H(j, ell, tables, rows, columns):
     """The (eps^j, delta^ell) block of the self-adjoint operator.
 
-    For ell >= 1 only the lower-right multiplier survives (the corner
-    coefficients do not depend on the transverse parameter).
+    Only the columns of the input modes in `columns` are filled; the rest
+    stay zero. For ell >= 1 only the lower-right multiplier survives (the
+    corner coefficients do not depend on the transverse parameter).
     """
-    if rows is None:
-        rows = RowProvider(ctx, tables)
-    mult_row = lambda k: rows.taylor(j, ell, k)
-
-    if ell > 0:
-        offsets = dno.shifts(j)
-
-        def block_fn(k, o, _row=mult_row):
-            b = np.zeros((2, 2), dtype=complex)
-            b[1, 1] = _row(k)[o]
-            return b
-
-        return ModeOperator(offsets, block_fn, provenance=(j, ell), K=K)
-
-    content = _cosine_content(j, tables)
-    cos_offsets = sorted({off for m, _, _ in content
-                          for off in ((0,) if m == 0 else (-m, m))})
-    offsets = sorted(set(cos_offsets) | set(dno.shifts(j)))
+    K = DEFAULT_CUTOFF
     amp = {}
-    for m, r_m, p_m in content:
-        if m == 0:
-            amp[0] = (r_m, p_m)
-        else:
-            amp[m] = (0.5 * r_m, 0.5 * p_m)
-            amp[-m] = (0.5 * r_m, 0.5 * p_m)
+    if ell == 0:
+        for m, r_m, p_m in _cosine_content(j, tables):
+            if m == 0:
+                amp[0] = (r_m, p_m)
+            else:
+                amp[m] = amp[-m] = (0.5 * r_m, 0.5 * p_m)
+    offsets = sorted(set(amp) | set(dno.shifts(j)))
+    H = np.zeros((2 * (2 * K + 1),) * 2, dtype=complex)
+    for q in columns:
+        for o in offsets:
+            k = q - o
+            if abs(k) > K:
+                continue
+            r, c = mode_slot(k), mode_slot(q)
+            if o in amp:
+                r_m, p_m = amp[o]
+                H[r, c] = r_m
+                H[r, c + 1] = -p_m * 1j * q     # -p cos(mx) d/dx
+                H[r + 1, c] = p_m * 1j * k      # d/dx (p cos(mx) . )
+            row = rows.taylor(j, ell, k)
+            if o in row:
+                H[r + 1, c + 1] += row[o]
+    return H
 
-    def block_fn(k, o):
-        b = np.zeros((2, 2), dtype=complex)
-        if o in amp:
-            r_m, p_m = amp[o]
-            b[0, 0] = r_m
-            b[0, 1] = -p_m * 1j * (k + o)   # -p cos(mx) d/dx
-            b[1, 0] = p_m * 1j * k          # d/dx (p cos(mx) . )
-        row = mult_row(k)
-        if o in row:
-            b[1, 1] += row[o]
-        return b
 
-    return ModeOperator(tuple(offsets), block_fn, provenance=(j, ell), K=K)
+def orders_below(orders):
+    """Every order (m, n) at or below one of `orders`, (0, 0) included."""
+    return sorted({(m, n) for top_m, top_n in orders
+                   for m in range(top_m + 1) for n in range(top_n + 1)})
 
 
-def operator_family(ctx, tables, K=DEFAULT_CUTOFF, max_total=3):
-    """All H[j, l] blocks with j + l <= max_total, sharing one row provider."""
+def operator_family(ctx, tables, orders):
+    """The H[j, l] blocks that the Taylor orders `orders` reach.
+
+    A vector of total order t lives within t of the base modes {1, -2}, and
+    H[j, l] only meets vectors of total order <= T - (j + l), T the highest
+    requested order: only those input columns are filled, so no multiplier
+    row (and no cascade tree) is computed that no vector reaches. The
+    blocks share one row provider.
+    """
     rows = RowProvider(ctx, tables)
+    top = max(m + n for m, n in orders)
     fam = {}
-    for j in range(0, max_total + 1):
-        for ell in range(0, max_total + 1 - j):
-            fam[(j, ell)] = build_H(j, ell, ctx, tables, rows=rows, K=K)
+    for j, ell in orders_below(orders):
+        reach = top - j - ell
+        columns = [q for q in range(-DEFAULT_CUTOFF, DEFAULT_CUTOFF + 1)
+                   if min(abs(q - b) for b in BASE_MODES) <= reach]
+        fam[(j, ell)] = build_H(j, ell, tables, rows, columns)
     return fam

@@ -17,7 +17,7 @@ import numpy as np
 from . import dno
 from .dispersion import lambda0
 from .isola import delta_of_theta, lambda_pair_theta
-from .modealg import base_eigenvectors
+from .modealg import apply_J, base_eigenvectors, inner, mode_slot
 from .stokes import profile_series
 
 
@@ -28,9 +28,6 @@ class TruncatedOperator:
     eps: float
     beta: float
     h: float
-
-    def index(self, k, comp):
-        return 2 * (k + self.K) + comp
 
 
 def _cosine_bands(series, eps):
@@ -60,35 +57,37 @@ def build_operator(eps, beta, h, K=20, tables=None, g_source="series",
         raise ValueError("operator truncation is trusted only for |eps| <= 0.05")
     n = 2 * (2 * K + 1)
     M = np.zeros((n, n), dtype=complex)
-    idx = lambda k, comp: 2 * (k + K) + comp
 
     p_bands = _cosine_bands(profile_series(tables, "p"), eps)
     r_bands = _cosine_bands(profile_series(tables, "r"), eps)
 
     for k in range(-K, K + 1):
+        i = mode_slot(k, K)
         for m, pm in p_bands.items():
             fac = 1.0 if m == 0 else 0.5
             for q in ({k} if m == 0 else {k - m, k + m}):
                 if abs(q) > K:
                     continue
                 # d/dx(p .) on the first row, p d/dx on the second
-                M[idx(k, 0), idx(q, 0)] += 1j * k * fac * pm
-                M[idx(k, 1), idx(q, 1)] += 1j * q * fac * pm
+                c = mode_slot(q, K)
+                M[i, c] += 1j * k * fac * pm
+                M[i + 1, c + 1] += 1j * q * fac * pm
         for m, rm in r_bands.items():
             fac = 1.0 if m == 0 else 0.5
             for q in ({k} if m == 0 else {k - m, k + m}):
                 if abs(q) > K:
                     continue
-                M[idx(k, 1), idx(q, 0)] -= fac * rm
+                M[i + 1, mode_slot(q, K)] -= fac * rm
 
     if g_source == "series":
         for k in range(-K, K + 1):
-            M[idx(k, 0), idx(k, 1)] += dno.r0_coeff(k, beta, h)
+            i = mode_slot(k, K)
+            M[i, i + 1] += dno.r0_coeff(k, beta, h)
             for j in (1, 2, 3):
                 row = dno.cascade_row(j, k, beta, h, tables)
                 for s, val in row.items():
                     if abs(k + s) <= K:
-                        M[idx(k, 0), idx(k + s, 1)] += eps ** j * val
+                        M[i, mode_slot(k + s, K) + 1] += eps ** j * val
     elif g_source == "oracle":
         modes = range(-K - oracle_pad, K + oracle_pad + 1)
         solver = dno.StripSolver(eps, beta, h, tables, modes, Nz=Nz)
@@ -96,7 +95,7 @@ def build_operator(eps, beta, h, K=20, tables=None, g_source="series",
         sols = solver.solve(cols)
         for q, sol in zip(range(-K, K + 1), sols):
             for k in range(-K, K + 1):
-                M[idx(k, 0), idx(q, 1)] += sol[k]
+                M[mode_slot(k, K), mode_slot(q, K) + 1] += sol[k]
     else:
         raise ValueError(f"unknown g_source {g_source!r}")
     return TruncatedOperator(matrix=M, K=K, eps=eps, beta=beta, h=h)
@@ -136,21 +135,11 @@ def eigenspace_near(op, center, count=2):
     return lams[order], vecs[:, order]
 
 
-def dense_vector(mv, K):
-    """Flatten a ModeVector into the dense ordering of the truncation."""
-    out = np.zeros(2 * (2 * K + 1), dtype=complex)
-    for k, val in mv.entries.items():
-        if abs(k) <= K:
-            out[2 * (k + K)] = val[0]
-            out[2 * (k + K) + 1] = val[1]
-    return out
-
-
 def eigenspace_match_residual(op, ctx):
     """How far the two near-collision eigenvectors sit from span{U1, U2}."""
     lams, vecs = eigenspace_near(op, 1j * ctx.sigma, count=2)
     u1, u2 = base_eigenvectors(ctx, K=op.K)
-    basis = np.stack([dense_vector(u1, op.K), dense_vector(u2, op.K)], axis=1)
+    basis = np.stack([u1, u2], axis=1)
     qmat, _ = np.linalg.qr(basis)
     worst_res = 0.0
     worst_gap = 0.0
@@ -287,16 +276,9 @@ def direct_reduced_matrix(ctx, tables, eps, delta, K=20, nodes=128,
     Ksim = _inverse_sqrt_one_minus(Q @ Q) @ (P @ P0 + (np.eye(P.shape[0]) - P)
                                              @ (np.eye(P.shape[0]) - P0))
     u1, u2 = base_eigenvectors(ctx, K=K)
-    v = [Ksim @ dense_vector(u1, K) / math.sqrt(ctx.gamma1),
-         Ksim @ dense_vector(u2, K) / math.sqrt(ctx.gamma2)]
-    # dense self-adjoint part: H = J^T L, with J the per-mode rotation
-    n = op.matrix.shape[0]
-    Jd = np.zeros((n, n))
-    for k in range(-K, K + 1):
-        Jd[2 * (k + K), 2 * (k + K) + 1] = 1.0
-        Jd[2 * (k + K) + 1, 2 * (k + K)] = -1.0
-    Hd = Jd.T @ op.matrix
-    ip = lambda a, b: 2.0 * math.pi * np.vdot(b, Hd @ a)  # (H a, b) pairing
+    v = [Ksim @ u1 / math.sqrt(ctx.gamma1), Ksim @ u2 / math.sqrt(ctx.gamma2)]
+    # self-adjoint part H = J^T L = -J L, paired as (H a, b)
+    ip = lambda a, b: inner(-apply_J(op.matrix @ a), b)
     w = 1j / (4.0 * math.pi)
     return np.array([
         [-w * ip(v[0], v[0]), w * ip(v[0], v[1])],

@@ -17,7 +17,8 @@ import pytest
 from stokestab import dno
 from stokestab.dispersion import build_context, solve_beta_star
 from stokestab.isola import delta_of_theta, find_h_crit, kappa1
-from stokestab.kato import KatoAssembler, assemble_matrix_coeffs, b30_coefficient
+from stokestab.kato import (ALL_ORDERS, KatoAssembler, assemble_matrix_coeffs,
+                            b30_coefficient)
 from stokestab.modealg import symplectic_pairing
 from stokestab.stokes import build_tables
 from stokestab.validator import (
@@ -116,8 +117,7 @@ def test_criterion_5_structure_invariants(pipeline):
         worst_b = max(worst_b, km.diagnostics["b_forbidden_orders"])
         asm = KatoAssembler(ctx, tables)
         for j in (1, 2):
-            corr = asm.basis_corrections(j)
-            corr[(0, 0)] = asm.U[j]
+            corr = asm.basis_corrections(j, [(0, 0), *ALL_ORDERS])
             for m in range(4):
                 for n in range(4):
                     if not 1 <= m + n <= 3:

@@ -10,8 +10,7 @@ def run_cli(args):
 
 
 def test_runconfig_roundtrip(tmp_path):
-    cfg = RunConfig(h=2.5, eps=0.02, theta=0.1, K=24, outdir="out",
-                    fmt="json")
+    cfg = RunConfig(h=2.5, eps=0.02, K=24, outdir="out")
     path = tmp_path / "run.cfg"
     cfg.to_file(path)
     assert RunConfig.from_file(path) == cfg
@@ -28,7 +27,7 @@ def test_runconfig_validation():
     with pytest.raises(ValueError):
         RunConfig(h=-1.0).validate()
     with pytest.raises(ValueError):
-        RunConfig(fmt="xml").validate()
+        RunConfig(K=0).validate()
 
 
 def test_config_file_sets_defaults(tmp_path, capsys):
@@ -39,6 +38,34 @@ def test_config_file_sets_defaults(tmp_path, capsys):
     # an explicit flag wins over the file
     assert run_cli(["--config", str(path), "resonance", "--h", "1"]) == 0
     assert "beta_star(1) = 1.0710" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", ["bogus=1", "theta=0.3", "fmt=json",
+                                  "h=deep"])
+def test_config_bad_key_or_value_is_an_error(tmp_path, capsys, line):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"h=2.0\n{line}\n")
+    assert run_cli(["--config", str(path), "resonance"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {path}: ")
+    assert "Traceback" not in err
+
+
+def test_config_missing_file_is_an_error(tmp_path, capsys):
+    path = tmp_path / "missing.cfg"
+    assert run_cli(["--config", str(path), "resonance"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: config {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("command", [["resonance", "--h", "nan"],
+                                     ["coeffs", "--h", "inf"],
+                                     ["coeffs", "--h=-inf"]])
+def test_non_finite_depth_is_an_error(tmp_path, capsys, command):
+    assert run_cli(command + ["--outdir", str(tmp_path)]) == 1
+    assert "error: depth must be finite and positive" in \
+        capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_float_format_17_digits():

@@ -45,6 +45,14 @@ def test_lambda0_domain_errors():
         lambda0(1, 1.0, 1.0, 2)
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_depth_must_be_finite_and_positive(h):
+    with pytest.raises(ValueError, match="depth must be finite and positive"):
+        solve_beta_star(h)
+    with pytest.raises(ValueError, match="depth must be finite and positive"):
+        lambda0(1, 1.0, h, 1)
+
+
 def test_residual_signs():
     assert resonance_residual(0.0, 1.0) > 0.0
     assert resonance_residual(3.0, 1.0) < 0.0

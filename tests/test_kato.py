@@ -16,9 +16,11 @@ from stokestab.kato import (
     b30_coefficient,
     PoleError,
 )
-from stokestab.modealg import ModeVector, base_eigenvectors, symplectic_pairing
+from stokestab.modealg import (DEFAULT_CUTOFF, apply_J, base_eigenvectors,
+                               mode_slot, mode_vector, symplectic_pairing)
 from stokestab.stokes import build_tables
-from stokestab.validator import direct_entry_functions
+from stokestab.validator import (_dense_projector, _inverse_sqrt_one_minus,
+                                 build_operator, direct_entry_functions)
 
 
 @pytest.fixture(scope="module")
@@ -33,12 +35,20 @@ def _flat_block(ctx, k, lam):
                      [-1.0, 1j * ctx.c0 * k - lam]])
 
 
-def _shifted_L0(ctx, v):
-    """(L0 - i sigma) v, mode by mode."""
-    out = ModeVector(K=v.K)
-    out.entries = {k: _flat_block(ctx, k, 1j * ctx.sigma) @ val
-                   for k, val in v.entries.items()}
-    return out
+def _flat_matrix(ctx, lam):
+    """Dense L0 - lam on the modes of the reduction."""
+    K = DEFAULT_CUTOFF
+    mat = np.zeros((2 * (2 * K + 1),) * 2, dtype=complex)
+    for k in range(-K, K + 1):
+        i = mode_slot(k)
+        mat[i:i + 2, i:i + 2] = _flat_block(ctx, k, lam)
+    return mat
+
+
+def _support(v, tol=0.0):
+    """Modes of a mode array with a component above tol in magnitude."""
+    peak = np.abs(v).reshape(-1, 2).max(axis=1)
+    return [int(i) - DEFAULT_CUTOFF for i in np.flatnonzero(peak > tol)]
 
 
 def _circle(integrand, ctx, radius, nodes):
@@ -54,27 +64,28 @@ def test_resonance_defect_reported(asm, km1, ctx1, tables1):
     assert 0.0 <= asm.achieved_tol < 1e-13
     assert km1.diagnostics["resonance_defect"] == asm.achieved_tol
     with pytest.raises(ValueError):
-        KatoAssembler(ctx1, tables1, K=4)   # too few modes to bound the gap
+        spectrum_gap(ctx1, K=4)   # too few modes to bound the gap
 
 
 def test_resolvent_inverse_identity(asm, ctx1):
     """(L0 - i sigma) R v = v - P0 v, (L0 - i sigma) P0 v = 0, and
     (L0 - i sigma) R^2 v = R v for the Laurent coefficients of S(mu)."""
-    v = ModeVector({k: [1.0 + 0.5j * k, 2.0 - k] for k in range(-4, 5)})
-    minus_p0 = asm.resolvent_apply(-1, v)
-    r1 = asm.resolvent_apply(0, v)
-    r2 = asm.resolvent_apply(1, v)
-    assert minus_p0.support() == [-2, 1]
-    assert (_shifted_L0(ctx1, r1) - (v + minus_p0)).norm() < 1e-11
-    assert _shifted_L0(ctx1, minus_p0).norm() < 1e-11
-    assert (_shifted_L0(ctx1, r2) - r1).norm() < 1e-11
+    v = mode_vector({k: [1.0 + 0.5j * k, 2.0 - k] for k in range(-4, 5)})
+    minus_p0, r1, r2 = asm.resolvent_apply(np.array([v, 0 * v, 0 * v]))
+    shifted = _flat_matrix(ctx1, 1j * ctx1.sigma)
+    assert _support(minus_p0) == [-2, 1]
+    assert np.linalg.norm(shifted @ r1 - (v + minus_p0)) < 1e-11
+    assert np.linalg.norm(shifted @ minus_p0) < 1e-11
+    assert np.linalg.norm(shifted @ r2 - r1) < 1e-11
 
 
 def test_resolvent_mode_diagonal(asm):
-    v = ModeVector({5: [1.0, 2.0]})
-    assert asm.resolvent_apply(0, v).support() == [5]
-    assert asm.resolvent_apply(2, v).support() == [5]
-    assert asm.resolvent_apply(-1, v).support() == []   # not a resonant mode
+    v = mode_vector({5: [1.0, 2.0]})
+    # rows: the mu^-1, mu^0, mu^1 and mu^2 coefficients of S(mu) v
+    series = asm.resolvent_apply(np.array([v, 0 * v, 0 * v, 0 * v]))
+    assert _support(series[1]) == [5]
+    assert _support(series[3]) == [5]
+    assert _support(series[0]) == []   # not a resonant mode
 
 
 def test_resolvent_pole_error(ctx1, tables1):
@@ -87,12 +98,12 @@ def test_resolvent_pole_error(ctx1, tables1):
 def test_projector_idempotent_on_span(asm, ctx1):
     rng = np.random.default_rng(2)
     u1, u2 = base_eigenvectors(ctx1)
-    v = u1.scale(complex(rng.normal(), rng.normal())) \
-        + u2.scale(complex(rng.normal(), rng.normal()))
+    v = u1 * complex(rng.normal(), rng.normal()) \
+        + u2 * complex(rng.normal(), rng.normal())
     once = asm.apply_P(0, 0, v)
     twice = asm.apply_P(0, 0, once)
-    assert (once - v).norm() < 1e-10
-    assert (twice - once).norm() < 1e-10
+    assert np.linalg.norm(once - v) < 1e-10
+    assert np.linalg.norm(twice - once) < 1e-10
 
 
 def test_contour_quadrature_node_insensitive(asm, ctx1):
@@ -103,53 +114,30 @@ def test_contour_quadrature_node_insensitive(asm, ctx1):
     radius = 0.5 * spectrum_gap(ctx1)
 
     def integrand(lam):
-        def solve(v):
-            out = ModeVector(K=v.K)
-            out.entries = {k: np.linalg.solve(_flat_block(ctx1, k, lam), val)
-                           for k, val in v.entries.items()}
-            return out
-        return solve(asm.JH[(1, 0)].apply(solve(u1)))
+        flat = _flat_matrix(ctx1, lam)
+        return np.linalg.solve(
+            flat, apply_J(asm.H[(1, 0)] @ np.linalg.solve(flat, u1)))
 
     for nodes in (64, 128):
         approx = _circle(integrand, ctx1, radius, nodes)
-        assert (approx - exact).norm() < 1e-11 * exact.norm(), nodes
-
-
-def _dense_operator(op, K):
-    """Dense matrix of a banded mode operator on modes -K..K."""
-    mat = np.zeros((2 * (2 * K + 1),) * 2, dtype=complex)
-    for k in range(-K, K + 1):
-        for o in op.offsets:
-            if abs(k + o) <= K:
-                i, j = 2 * (k + K), 2 * (k + o + K)
-                mat[i:i + 2, j:j + 2] = op.block(k, o)
-    return mat
-
-
-def _dense_vector(v, K):
-    return np.concatenate([v.get(k) for k in range(-K, K + 1)])
+        assert np.linalg.norm(approx - exact) < 1e-11 * np.linalg.norm(exact), nodes
 
 
 @pytest.mark.parametrize("h", [1.0, 0.1])
 def test_residues_match_dense_circle_quadrature(h):
     """apply_P against dense resolvent chains integrated over a circle.
 
-    L0 is assembled from the flat symbols, the expansion blocks J H from
-    their mode blocks; P^(m,n) v is m! n! times the sum over chains of
-    (-1)^(r+1) (1/2 pi i) of the integral of S L^{a_1} S ... S v, with
-    S = (L0 - lam)^{-1} solved densely at each node.
+    L0 is assembled from the flat symbols; P^(m,n) v is m! n! times the sum
+    over chains of (-1)^(r+1) (1/2 pi i) of the integral of
+    S J H[a_1] S ... S v, with S = (L0 - lam)^{-1} inverted densely at each
+    node.
     """
     ctx = build_context(h)
     asm = KatoAssembler(ctx, build_tables(ctx))
-    K = asm.K
-    L0 = np.zeros((2 * (2 * K + 1),) * 2, dtype=complex)
-    for k in range(-K, K + 1):
-        L0[2 * (k + K):2 * (k + K) + 2, 2 * (k + K):2 * (k + K) + 2] = \
-            _flat_block(ctx, k, 0.0)
-    JH = {a: _dense_operator(op, K) for a, op in asm.JH.items()}
-    radius = 0.75 * spectrum_gap(ctx, K)
+    L0 = _flat_matrix(ctx, 0.0)
+    radius = 0.75 * spectrum_gap(ctx, DEFAULT_CUTOFF)
     for (m, n), j in (((1, 0), 1), ((2, 1), 2)):
-        v = _dense_vector(asm.U[j], K)
+        v = asm.U[j]
         chains = asm.chains(m, n)
         weight = math.factorial(m) * math.factorial(n)
 
@@ -159,12 +147,12 @@ def test_residues_match_dense_circle_quadrature(h):
             for chain in chains:
                 w = S @ v
                 for a in reversed(chain):
-                    w = S @ (JH[a] @ w)
+                    w = S @ apply_J(asm.H[a] @ w)
                 total = total + (-1) ** (len(chain) + 1) * w
             return weight * total
 
         dense = _circle(integrand, ctx, radius, 256)
-        exact = _dense_vector(asm.apply_P(m, n, asm.U[j]), K)
+        exact = asm.apply_P(m, n, asm.U[j])
         err = np.linalg.norm(dense - exact) / np.linalg.norm(exact)
         assert err < 1e-10, (h, m, n, err)
 
@@ -179,16 +167,15 @@ def test_perturbation_support_table(asm):
             (2, 1): {-4, -2, 0}, (1, 2): {-3, -1}, (0, 3): {-2}},
     }
     for j in (1, 2):
-        corr = asm.basis_corrections(j)
+        corr = asm.basis_corrections(j, ALL_ORDERS)
         for order, allowed in expected[j].items():
-            assert set(corr[order].support_above(1e-10)) <= allowed, (j, order)
+            assert set(_support(corr[order], 1e-10)) <= allowed, (j, order)
 
 
 def test_symplectic_pairing_preserved(asm):
     """All order-(m, n) >= 1 corrections to (J U, U) must vanish."""
     for j in (1, 2):
-        corr = asm.basis_corrections(j)
-        corr[(0, 0)] = asm.U[j]
+        corr = asm.basis_corrections(j, [(0, 0), *ALL_ORDERS])
         for m, n in ALL_ORDERS:
             total = 0.0 + 0.0j
             for bm in range(m + 1):
@@ -202,9 +189,62 @@ def test_symplectic_pairing_preserved(asm):
 
 def test_single_projection_supports(asm):
     p01 = asm.apply_P(0, 1, asm.U[1])
-    assert p01.support_above(1e-11) == [1]
-    u2_20 = asm.basis_corrections(2)[(2, 0)]
-    assert set(u2_20.support_above(1e-11)) <= {-4, -2, 0}
+    assert _support(p01, 1e-11) == [1]
+    u2_20 = asm.basis_corrections(2, [(2, 0)])[(2, 0)]
+    assert set(_support(u2_20, 1e-11)) <= {-4, -2, 0}
+
+
+@pytest.mark.parametrize("direction, steps", [((1, 0), (0.005, 0.0025)),
+                                              ((0, 1), (0.01, 0.005))])
+def test_basis_corrections_are_taylor_coefficients(asm, ctx1, tables1,
+                                                   direction, steps):
+    """sum over m + n <= 3 of s^(m+n) U_j^(m,n) along a ray (eps, delta) =
+    s * direction is the cubic Taylor polynomial of the dense similarity
+    transform (I - Q^2)^(-1/2) P U_j, with P the projector of the dense
+    truncated operator by circle quadrature: the remainder shrinks 16-fold
+    when s halves (a wrong series weight leaves an s^3 term)."""
+    K = 20
+    center, radius = 1j * ctx1.sigma, 0.5 * spectrum_gap(ctx1)
+
+    def projector(eps, delta):
+        op = build_operator(eps, ctx1.beta_star + delta, ctx1.h, K=K,
+                            tables=tables1)
+        return _dense_projector(op.matrix, center, radius)
+
+    P0 = projector(0.0, 0.0)
+    pad = 2 * (K - DEFAULT_CUTOFF)
+    for j, u in zip((1, 2), base_eigenvectors(ctx1, K=K)):
+        corr = asm.basis_corrections(j, ALL_ORDERS)
+        ray = [(m, n) for m, n in ALL_ORDERS
+               if (m > 0) == (direction[0] > 0) and (n > 0) == (direction[1] > 0)]
+        rest = []
+        for step in steps:
+            P = projector(step * direction[0], step * direction[1])
+            Q = P - P0
+            dense = _inverse_sqrt_one_minus(Q @ Q) @ P @ u
+            taylor = u + sum(step ** sum(o) * np.pad(corr[o], pad)
+                             for o in ray)
+            rest.append(np.linalg.norm(dense - taylor))
+        assert rest[0] / rest[1] == pytest.approx(16.0, abs=0.5), (j, rest)
+
+
+def test_cascade_trees_per_depth(monkeypatch):
+    """Only the multiplier rows some vector reaches are computed: at a new
+    depth the b30 request builds 28 cascade trees, the full table 68."""
+    built = []
+
+    class Counted(dno.CascadeTree):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(dno, "CascadeTree", Counted)
+    for h, run, trees in ((0.7311, b30_coefficient, 28),
+                          (0.7313, assemble_matrix_coeffs, 68)):
+        ctx = build_context(h)
+        built.clear()
+        run(ctx, build_tables(ctx))
+        assert len(built) == trees, h
 
 
 def test_detuning_slopes_closed_form(km1, ctx1):

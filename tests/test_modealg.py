@@ -4,30 +4,40 @@ import numpy as np
 import pytest
 
 from stokestab import dno
+from stokestab.kato import ALL_ORDERS
 from stokestab.modealg import (
-    ModeVector,
+    DEFAULT_CUTOFF,
     RowProvider,
     apply_J,
     base_eigenvectors,
-    beta_derivative,
     build_H,
-    compose_J,
     inner,
+    mode_slot,
+    mode_vector,
     operator_family,
     symplectic_pairing,
 )
 
 
+@pytest.fixture(scope="module")
+def fam(ctx1, tables1):
+    return operator_family(ctx1, tables1, ALL_ORDERS)
+
+
 def random_vector(rng, kmin=-5, kmax=5):
-    return ModeVector({k: rng.normal(size=2) + 1j * rng.normal(size=2)
-                       for k in range(kmin, kmax + 1)})
+    return mode_vector({k: rng.normal(size=2) + 1j * rng.normal(size=2)
+                        for k in range(kmin, kmax + 1)})
+
+
+def support(v):
+    peak = np.abs(v).reshape(-1, 2).max(axis=1)
+    return [int(i) - DEFAULT_CUTOFF for i in np.flatnonzero(peak > 0.0)]
 
 
 def test_parseval_pairing():
     rng = np.random.default_rng(11)
     u = random_vector(rng)
-    direct = 2.0 * math.pi * sum(
-        float(np.sum(np.abs(v) ** 2)) for v in u.entries.values())
+    direct = 2.0 * math.pi * float(np.sum(np.abs(u) ** 2))
     assert inner(u, u).real == pytest.approx(direct, rel=1e-14)
     assert abs(inner(u, u).imag) < 1e-12
 
@@ -49,36 +59,39 @@ def test_base_pairings(ctx1):
     assert abs(symplectic_pairing(u2, u1)) == 0.0
 
 
-def test_eigen_relation(ctx1, tables1):
+def test_eigen_relation(ctx1, fam):
     u1, u2 = base_eigenvectors(ctx1)
-    L0 = compose_J(build_H(0, 0, ctx1, tables1))
     for u in (u1, u2):
-        assert (L0.apply(u) - u.scale(1j * ctx1.sigma)).norm() < 1e-10
+        L0u = apply_J(fam[(0, 0)] @ u)
+        assert np.linalg.norm(L0u - 1j * ctx1.sigma * u) < 1e-10
 
 
-def test_order_one_support(ctx1, tables1):
-    H10 = build_H(1, 0, ctx1, tables1)
-    assert sorted(H10.offsets) == [-1, 1]
+def test_order_one_support(ctx1, fam):
+    """H[1, 0] couples each mode to its two neighbours only."""
+    for q in range(-4, 4):
+        e_q = mode_vector({q: [1.0, 1.0]})
+        assert support(fam[(1, 0)] @ e_q) == [q - 1, q + 1], q
     u1, _ = base_eigenvectors(ctx1)
-    assert H10.apply(u1).support() == [0, 2]
+    assert support(fam[(1, 0)] @ u1) == [0, 2]
 
 
 def test_adjoint_symmetry(ctx1, tables1):
+    """Each H[j, 0] is self-adjoint on the modes whose columns it fills."""
     rng = np.random.default_rng(5)
-    u, v = random_vector(rng), random_vector(rng)
-    fam = operator_family(ctx1, tables1)
+    rows = RowProvider(ctx1, tables1)
+    modes = range(-3, 3)
+    u, v = random_vector(rng, -3, 2), random_vector(rng, -3, 2)
     for j in range(4):
-        H = fam[(j, 0)]
-        assert abs(inner(H.apply(u), v) - inner(u, H.apply(v))) < 1e-10
+        H = build_H(j, 0, tables1, rows, modes)
+        assert abs(inner(H @ u, v) - inner(u, H @ v)) < 1e-10
 
 
-def test_support_bookkeeping_through_blocks(ctx1, tables1):
+def test_support_bookkeeping_through_blocks(ctx1, fam):
     """Applying the order blocks must respect the banded offsets."""
-    fam = operator_family(ctx1, tables1)
     u1, _ = base_eigenvectors(ctx1)
-    assert fam[(2, 0)].apply(u1).support() == [-1, 1, 3]
-    assert fam[(3, 0)].apply(u1).support() == [-2, 0, 2, 4]
-    assert fam[(0, 1)].apply(u1).support() == [1]
+    assert support(fam[(2, 0)] @ u1) == [-1, 1, 3]
+    assert support(fam[(3, 0)] @ u1) == [-2, 0, 2, 4]
+    assert support(fam[(0, 1)] @ u1) == [1]
 
 
 def test_lower_right_detuning_block(ctx1, tables1):
@@ -104,7 +117,7 @@ def test_beta_derivative_second_order_fd_oracle(ctx1, tables1):
 def test_beta_derivative_jet_vs_central(ctx1, tables1):
     t = 1e-5
     beta, h = ctx1.beta_star, ctx1.h
-    jet = beta_derivative(1, 1, -2, h, ctx=ctx1, tables=tables1)
+    jet = RowProvider(ctx1, tables1).taylor(1, 1, -2)
     for s, idx in ((-1, 0), (1, 1)):
         fd = (dno.r1_coeffs(-2, beta + t, h)[idx]
               - dno.r1_coeffs(-2, beta - t, h)[idx]) / (2 * t)
@@ -113,7 +126,7 @@ def test_beta_derivative_jet_vs_central(ctx1, tables1):
 
 def test_beta_derivative_order_two_cascade(ctx1, tables1):
     """Finite-difference detuning slopes of the numerically solved rows."""
-    row = beta_derivative(2, 1, 1, ctx1.h, ctx=ctx1, tables=tables1)
+    row = RowProvider(ctx1, tables1).taylor(2, 1, 1)
     t = 2e-5
     for s in (-2, 0, 2):
         fd = (dno.cascade_row(2, 1, ctx1.beta_star + t, ctx1.h, tables1)[s]
@@ -123,8 +136,11 @@ def test_beta_derivative_order_two_cascade(ctx1, tables1):
 
 
 def test_mode_vector_cutoff():
-    v = ModeVector({15: [1.0, 0.0]}, K=12)
-    assert v.support() == []
-    v2 = ModeVector({3: [1.0, 2.0]}, K=12)
-    assert apply_J(v2).entries[3][0] == 2.0
-    assert apply_J(v2).entries[3][1] == -1.0
+    """Modes -K..K fill the array exactly, two components each."""
+    v = mode_vector({12: [1.0, 0.0], -12: [0.0, 3.0]}, K=12)
+    assert v.shape == (2 * (2 * 12 + 1),)
+    assert v[-2] == 1.0 and v[1] == 3.0
+    assert support(v) == [-12, 12]
+    v2 = mode_vector({3: [1.0, 2.0]}, K=12)
+    assert apply_J(v2)[mode_slot(3, 12)] == 2.0
+    assert apply_J(v2)[mode_slot(3, 12) + 1] == -1.0
