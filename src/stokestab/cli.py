@@ -82,37 +82,35 @@ class RunConfig:
 
     @classmethod
     def read(cls, path):
-        """Only the keys a config file sets, cast and validated."""
+        """Only the keys a config file sets, cast and validated.
+
+        Any failure, an unreadable file included, is a ValueError that
+        names the file.
+        """
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except OSError as exc:
+            raise ValueError(f"config {path}: {exc.strerror}") from None
         kwargs = {}
         types = {f.name: f.type for f in fields(cls)}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
+        try:
+            for line in lines:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 key, _, raw = line.partition("=")
                 key = key.strip()
                 if key not in types:
-                    raise KeyError(f"unknown config key {key!r}")
+                    raise ValueError(f"unknown config key {key!r}")
                 t = types[key]
                 caster = t if isinstance(t, type) else \
                     {"float": float, "int": int, "str": str}[t]
                 kwargs[key] = caster(raw.strip())
-        cls(**kwargs).validate()
+            cls(**kwargs).validate()
+        except ValueError as exc:
+            raise ValueError(f"config {path}: {exc}") from None
         return kwargs
-
-
-def _config_defaults(path):
-    """Option defaults from a --config file; any failure is a ValueError."""
-    try:
-        return RunConfig.read(path)
-    except KeyError as exc:
-        reason = exc.args[0]
-    except OSError as exc:
-        reason = exc.strerror
-    except ValueError as exc:
-        reason = exc
-    raise ValueError(f"config {path}: {reason}")
 
 
 def thread_cap():
@@ -428,7 +426,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.config:
-            args = build_parser(_config_defaults(args.config)).parse_args(argv)
+            args = build_parser(RunConfig.read(args.config)).parse_args(argv)
         return args.func(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,9 +24,13 @@ class SolverError(RuntimeError):
         self.bracket = bracket
 
 
-def _check_domain(beta, h, allow_zero_beta=False):
+def _check_depth(h):
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"depth must be finite and positive, got h={h}")
+
+
+def _check_domain(beta, h, allow_zero_beta=False):
+    _check_depth(h)
     if beta < 0.0 or (beta == 0.0 and not allow_zero_beta):
         raise ValueError(f"transverse parameter must be positive, got beta={beta}")
 
@@ -78,7 +82,7 @@ def solve_beta_star(h, tol=1e-12, bracket=(0.0, 3.0), max_iter=100):
     contains the unique root. Raises SolverError with the last bracket on
     failure to reach |F| <= tol within max_iter Newton steps.
     """
-    _check_domain(bracket[0], h, allow_zero_beta=True)
+    _check_depth(h)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     lo, hi = bracket

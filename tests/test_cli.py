@@ -19,7 +19,7 @@ def test_runconfig_roundtrip(tmp_path):
 def test_runconfig_rejects_unknown_key(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("h=1.0\nbogus=3\n")
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown config key 'bogus'"):
         RunConfig.from_file(path)
 
 
