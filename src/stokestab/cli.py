@@ -113,14 +113,6 @@ class RunConfig:
         return kwargs
 
 
-def thread_cap():
-    raw = os.environ.get("STOKES_ISOLA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # ----------------------------------------------------------------------
 # minimal SVG emission
 
@@ -299,7 +291,7 @@ def cmd_scan(args):
     if rc is not None:
         return rc
     grid = isola.default_h_grid(args.h_min, args.h_max, args.points)
-    rows = isola.scan_h(grid, args.quantity, max_workers=thread_cap())
+    rows = isola.scan_h(grid, args.quantity)
     path = _out(args, "scan.csv")
     write_csv(path, ["h", "value", "failure"],
               [(h, "" if v is None else v, err) for h, v, err in rows])

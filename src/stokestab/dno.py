@@ -21,6 +21,7 @@ recover the same multiplier rows through a second, unrelated path.
 """
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,41 +94,46 @@ def r1_coeffs_deep(k, beta):
 
 # ----------------------------------------------------------------------
 # the hyperbolic term algebra
+#
+# A term is the plain tuple (kind, rate, shift, amplitude, power, key), read
+# amplitude * z^power * kind(rate * z + shift) with rate >= 0 and power in
+# {0, 1}. key = (kind, power, round(rate, 10), round(shift, 10)) is the merge
+# key, computed once when the term is made: derivatives, scalings and
+# particular solutions keep a term's rate and shift, so they reuse its
+# rounded pair.
 
 COSH, SINH = "cosh", "sinh"
+_OTHER = {COSH: SINH, SINH: COSH}
 
 
-@dataclass(frozen=True)
-class HyperbolicTerm:
-    """amplitude * z^secular_power * kind(rate * z + shift), rate >= 0."""
-
-    kind: str
-    rate: float
-    shift: float
-    amplitude: float
-    secular_power: int = 0
-
-
-def _term(kind, rate, shift, amplitude, power=0):
+def term(kind, rate, shift, amplitude, power=0):
     """Build a term, flipping sign conventions so the rate is nonnegative."""
     if rate < 0.0:
         rate, shift = -rate, -shift
         if kind == SINH:
             amplitude = -amplitude
-    return HyperbolicTerm(kind, rate, shift, amplitude, power)
+    return (kind, rate, shift, amplitude, power,
+            (kind, power, round(rate, 10), round(shift, 10)))
+
+
+def _retyped(t, kind, amplitude, power):
+    """A term with t's rate and shift but a new kind, amplitude and power."""
+    key = t[5]
+    return (kind, t[1], t[2], amplitude, power, (kind, power, key[2], key[3]))
 
 
 def term_value(t, z):
-    m = t.amplitude * (z if t.secular_power else 1.0)
+    kind, rate, shift, amp, power, _ = t
+    m = amp * (z if power else 1.0)
     if m == 0.0:
         return 0.0
-    arg = t.rate * z + t.shift
+    arg = rate * z + shift
     if abs(arg) <= 700.0:
-        f = math.cosh(arg) if t.kind == COSH else math.sinh(arg)
+        f = math.cosh(arg) if kind == COSH else math.sinh(arg)
         return m * f
     # asymptotic branch: cosh/sinh(arg) ~ sign * exp(|arg|)/2; the amplitudes
     # produced by the cascade compensate, so the exponent below is moderate
-    sign = 1.0 if (t.kind == COSH or arg > 0.0) else -1.0
+    sign = 1.0 if (kind == COSH or arg > 0.0) else -1.0
     return sign * math.copysign(1.0, m) * math.exp(abs(arg) + math.log(abs(m)) - math.log(2.0))
 
 
@@ -147,16 +153,17 @@ def term_value_scaled(t, z, log_scale):
     values with an exp(-rho h)-type damping; fusing the two in log space
     keeps every intermediate representable.
     """
-    m = t.amplitude * (z if t.secular_power else 1.0)
+    kind, rate, shift, amp, power, _ = t
+    m = amp * (z if power else 1.0)
     if m == 0.0:
         return 0.0
-    arg = t.rate * z + t.shift
+    arg = rate * z + shift
     if abs(arg) <= 34.0:
-        f = math.cosh(arg) if t.kind == COSH else math.sinh(arg)
+        f = math.cosh(arg) if kind == COSH else math.sinh(arg)
         if log_scale > -700.0:
             return m * f * math.exp(log_scale)
         return 0.0  # true value below the underflow floor
-    sign = (1.0 if t.kind == COSH or arg > 0.0 else -1.0) * math.copysign(1.0, m)
+    sign = (1.0 if kind == COSH or arg > 0.0 else -1.0) * math.copysign(1.0, m)
     expo = abs(arg) + math.log(abs(m)) - math.log(2.0) + log_scale
     return sign * math.exp(expo) if expo > -700.0 else 0.0
 
@@ -165,37 +172,34 @@ def profile_value_scaled(terms, z, log_scale):
     return sum(term_value_scaled(t, z, log_scale) for t in terms)
 
 
-def term_derivative(t):
-    other = SINH if t.kind == COSH else COSH
-    out = [HyperbolicTerm(other, t.rate, t.shift, t.amplitude * t.rate, t.secular_power)]
-    if t.secular_power:
-        out.append(HyperbolicTerm(t.kind, t.rate, t.shift, t.amplitude, 0))
-    return out
-
-
 def profile_derivative(terms):
     out = []
     for t in terms:
-        out.extend(term_derivative(t))
+        kind, rate, _, amp, power, _ = t
+        out.append(_retyped(t, _OTHER[kind], amp * rate, power))
+        if power:
+            out.append(_retyped(t, kind, amp, 0))
     return merge_terms(out)
 
 
 def term_product(a, b):
     """Product of two terms via the hyperbolic product-to-sum identities."""
-    p = a.secular_power + b.secular_power
+    ka, ra, sa, aa, pa, _ = a
+    kb, rb, sb, ab, pb, _ = b
+    p = pa + pb
     if p > 1:
         raise CascadeError("product would exceed secular power 1")
-    amp = 0.5 * a.amplitude * b.amplitude
-    rs, rd = a.rate + b.rate, a.rate - b.rate
-    ss, sd = a.shift + b.shift, a.shift - b.shift
-    if a.kind == COSH and b.kind == COSH:
-        return [_term(COSH, rs, ss, amp, p), _term(COSH, rd, sd, amp, p)]
-    if a.kind == SINH and b.kind == SINH:
-        return [_term(COSH, rs, ss, amp, p), _term(COSH, rd, sd, -amp, p)]
-    if a.kind == SINH and b.kind == COSH:
-        return [_term(SINH, rs, ss, amp, p), _term(SINH, rd, sd, amp, p)]
+    amp = 0.5 * aa * ab
+    rs, rd = ra + rb, ra - rb
+    ss, sd = sa + sb, sa - sb
+    if ka == COSH and kb == COSH:
+        return term(COSH, rs, ss, amp, p), term(COSH, rd, sd, amp, p)
+    if ka == SINH and kb == SINH:
+        return term(COSH, rs, ss, amp, p), term(COSH, rd, sd, -amp, p)
+    if ka == SINH and kb == COSH:
+        return term(SINH, rs, ss, amp, p), term(SINH, rd, sd, amp, p)
     # cosh * sinh
-    return [_term(SINH, rs, ss, amp, p), _term(SINH, rd, sd, -amp, p)]
+    return term(SINH, rs, ss, amp, p), term(SINH, rd, sd, -amp, p)
 
 
 def profile_product(fa, fb):
@@ -207,23 +211,23 @@ def profile_product(fa, fb):
 
 
 def scale_profile(terms, factor):
-    return [HyperbolicTerm(t.kind, t.rate, t.shift, t.amplitude * factor,
-                           t.secular_power) for t in terms]
+    return [(kind, rate, shift, amp * factor, power, key)
+            for kind, rate, shift, amp, power, key in terms]
 
 
-def merge_terms(terms, drop_tol=0.0):
-    """Combine terms with identical (kind, power, rate, shift); drop zeros."""
+def merge_terms(terms):
+    """Sum the amplitudes of terms with one merge key; drop zero sums.
+
+    Each merged term keeps the first term's rate and shift, and the terms
+    come out in the order their keys first appear.
+    """
     acc = {}
     for t in terms:
-        key = (t.kind, t.secular_power, round(t.rate, 10), round(t.shift, 10))
-        if key in acc:
-            old = acc[key]
-            acc[key] = HyperbolicTerm(old.kind, old.rate, old.shift,
-                                      old.amplitude + t.amplitude,
-                                      old.secular_power)
-        else:
-            acc[key] = t
-    return [t for t in acc.values() if t.amplitude != 0.0 and abs(t.amplitude) > drop_tol]
+        key = t[5]
+        old = acc.get(key)
+        acc[key] = t if old is None else (
+            old[0], old[1], old[2], old[3] + t[3], old[4], key)
+    return [t for t in acc.values() if t[3] != 0.0]
 
 
 def particular_solution(forcing, rho):
@@ -237,25 +241,22 @@ def particular_solution(forcing, rho):
     rho2 = rho * rho
     out = []
     for t in forcing:
-        den = t.rate * t.rate - rho2
-        scale = max(1.0, rho2, t.rate * t.rate)
-        other = SINH if t.kind == COSH else COSH
+        kind, rate, _, amp, power, _ = t
+        den = rate * rate - rho2
+        scale = max(1.0, rho2, rate * rate)
+        other = _OTHER[kind]
         if abs(den) <= 1e-10 * scale:
-            if t.secular_power:
+            if power:
                 raise CascadeError(
-                    f"resonant secular forcing at rate {t.rate} vs rho {rho}: "
+                    f"resonant secular forcing at rate {rate} vs rho {rho}: "
                     "would require z^2 terms"
                 )
-            out.append(HyperbolicTerm(other, t.rate, t.shift,
-                                      t.amplitude / (2.0 * t.rate), 1))
-        elif t.secular_power == 0:
-            out.append(HyperbolicTerm(t.kind, t.rate, t.shift,
-                                      t.amplitude / den, 0))
+            out.append(_retyped(t, other, amp / (2.0 * rate), 1))
         else:
-            out.append(HyperbolicTerm(t.kind, t.rate, t.shift,
-                                      t.amplitude / den, 1))
-            out.append(HyperbolicTerm(other, t.rate, t.shift,
-                                      -2.0 * t.rate * t.amplitude / (den * den), 0))
+            out.append(_retyped(t, kind, amp / den, power))
+            if power:
+                out.append(_retyped(t, other,
+                                    -2.0 * rate * amp / (den * den), 0))
     return merge_terms(out)
 
 
@@ -274,20 +275,12 @@ def solve_vertical_bvp(forcing, rho, h, neumann_profile=(), neumann_factor=0.0):
     bottom = (neumann_factor * profile_value_scaled(neumann_profile, -h, ls)
               - profile_value_scaled(dup, -h, ls))
     b_hom = bottom / rho + a_hom * math.tanh(rho * h)
-    sol = up + [HyperbolicTerm(COSH, rho, 0.0, a_hom, 0),
-                HyperbolicTerm(SINH, rho, 0.0, b_hom, 0)]
+    sol = up + [term(COSH, rho, 0.0, a_hom), term(SINH, rho, 0.0, b_hom)]
     return merge_terms(sol)
 
 
 # ----------------------------------------------------------------------
 # the order-by-order cascade
-
-@dataclass(frozen=True)
-class VerticalProfile:
-    terms: tuple
-    wavenumber: int
-    order: int
-
 
 def jacobian_z_profiles(tables, h):
     """z-profiles Z[i][m] with J - 1 = sum_i eps^i sum_m Z[i][m](z) cos(m x)."""
@@ -295,75 +288,70 @@ def jacobian_z_profiles(tables, h):
     ch, c2h, c3h = math.cosh(h), math.cosh(2 * h), math.cosh(3 * h)
     z11 = t.zeta11
     return {
-        (1, 1): [HyperbolicTerm(COSH, 1.0, h, 2.0 * z11 / ch)],
-        (2, 0): [HyperbolicTerm(COSH, 2.0, 2 * h, z11 * z11 / (2 * ch * ch))],
-        (2, 2): [HyperbolicTerm(COSH, 2.0, 2 * h, 4.0 * t.zeta22 / c2h),
-                 HyperbolicTerm(COSH, 0.0, 0.0, z11 * z11 / (2 * ch * ch))],
-        (3, 1): [HyperbolicTerm(SINH, 1.0, 0.0, 2.0 * t.h2 * z11 / (ch * ch)),
-                 HyperbolicTerm(COSH, 3.0, 3 * h, 2.0 * z11 * t.zeta22 / (ch * c2h)),
-                 HyperbolicTerm(COSH, 1.0, h, 2.0 * t.zeta31 / ch)],
-        (3, 3): [HyperbolicTerm(COSH, 1.0, h, 2.0 * z11 * t.zeta22 / (ch * c2h)),
-                 HyperbolicTerm(COSH, 3.0, 3 * h, 6.0 * t.zeta33 / c3h)],
+        (1, 1): [term(COSH, 1.0, h, 2.0 * z11 / ch)],
+        (2, 0): [term(COSH, 2.0, 2 * h, z11 * z11 / (2 * ch * ch))],
+        (2, 2): [term(COSH, 2.0, 2 * h, 4.0 * t.zeta22 / c2h),
+                 term(COSH, 0.0, 0.0, z11 * z11 / (2 * ch * ch))],
+        (3, 1): [term(SINH, 1.0, 0.0, 2.0 * t.h2 * z11 / (ch * ch)),
+                 term(COSH, 3.0, 3 * h, 2.0 * z11 * t.zeta22 / (ch * c2h)),
+                 term(COSH, 1.0, h, 2.0 * t.zeta31 / ch)],
+        (3, 3): [term(COSH, 1.0, h, 2.0 * z11 * t.zeta22 / (ch * c2h)),
+                 term(COSH, 3.0, 3 * h, 6.0 * t.zeta33 / c3h)],
     }
 
 
 class CascadeTree:
-    """All vertical profiles reachable from a unit Dirichlet mode.
+    """The vertical profiles reachable from a unit Dirichlet mode k0.
 
-    profiles[(j, k)] holds the order-j profile at wavenumber k, forcings and
-    neumann the data of its defining problem (for residual verification).
+    profiles[(j, k)] holds the order-j profile at wavenumber k for every
+    order j <= jmax. `grow` solves higher orders on request; an order's
+    problem reads only lower orders, so a tree grown in steps equals one
+    built in one go.
     """
 
     def __init__(self, k0, beta, h, tables, jmax=3):
         if beta <= 0.0:
             raise ValueError(f"beta must be positive, got {beta}")
-        self.k0, self.beta, self.h, self.jmax = k0, beta, h, jmax
-        self.profiles = {}
-        self.forcings = {}
-        self.neumanns = {}
-        zprof = jacobian_z_profiles(tables, h)
-        h2 = tables.h2
-
+        self.k0, self.beta, self.h, self.jmax = k0, beta, h, 0
+        self.h2 = tables.h2
+        # (order i, harmonic m, z-profile), the cos(m x) halving applied
+        self._pieces = [(i, m, zp if m == 0 else scale_profile(zp, 0.5))
+                        for (i, m), zp in jacobian_z_profiles(tables, h).items()]
         rho0 = math.sqrt(k0 * k0 + beta)
-        base = [HyperbolicTerm(COSH, rho0, 0.0, 1.0),
-                HyperbolicTerm(SINH, rho0, 0.0, math.tanh(h * rho0))]
-        self.profiles[(0, k0)] = base
+        self.profiles = {(0, k0): [term(COSH, rho0, 0.0, 1.0),
+                                   term(SINH, rho0, 0.0, math.tanh(h * rho0))]}
+        self.grow(jmax)
 
-        pieces = [(i, m, zprof[(i, m)]) for (i, m) in
-                  ((1, 1), (2, 0), (2, 2), (3, 1), (3, 3))]
-        for j in range(1, jmax + 1):
-            for k in range(k0 - j, k0 + j + 1, 2):
-                forcing = []
-                for i, m, zp in pieces:
-                    if i > j:
-                        continue
-                    lower = self.profiles
-                    if m == 0:
-                        src = lower.get((j - i, k))
-                        if src:
-                            forcing.extend(profile_product(zp, src))
-                    else:
-                        for kk in (k - m, k + m):
-                            src = lower.get((j - i, kk))
-                            if src:
-                                forcing.extend(
-                                    profile_product(scale_profile(zp, 0.5), src))
-                forcing = merge_terms(scale_profile(forcing, beta))
-                neumann_profile = ()
-                if j >= 2:
-                    prev = self.profiles.get((j - 2, k))
-                    if prev:
-                        neumann_profile = profile_derivative(
-                            profile_derivative(prev))
-                rho = math.sqrt(k * k + beta)
+    def grow(self, jmax):
+        """Solve every order above the current top up to jmax."""
+        for j in range(self.jmax + 1, jmax + 1):
+            for k in range(self.k0 - j, self.k0 + j + 1, 2):
+                forcing, neumann_profile = self._problem(j, k)
+                rho = math.sqrt(k * k + self.beta)
                 try:
-                    sol = solve_vertical_bvp(forcing, rho, h,
-                                             neumann_profile, h2)
+                    self.profiles[(j, k)] = solve_vertical_bvp(
+                        forcing, rho, self.h, neumann_profile, self.h2)
                 except CascadeError as exc:
                     raise CascadeError(f"order {j}, wavenumber {k}: {exc}") from exc
-                self.profiles[(j, k)] = sol
-                self.forcings[(j, k)] = forcing
-                self.neumanns[(j, k)] = (neumann_profile, h2)
+            self.jmax = j
+
+    def _problem(self, j, k):
+        """Forcing and bottom Neumann profile of the order-j problem at k."""
+        forcing = []
+        for i, m, zp in self._pieces:
+            if i > j:
+                continue
+            for kk in ((k,) if m == 0 else (k - m, k + m)):
+                src = self.profiles.get((j - i, kk))
+                if src:
+                    forcing.extend(profile_product(zp, src))
+        forcing = merge_terms(scale_profile(forcing, self.beta))
+        neumann_profile = ()
+        if j >= 2:
+            prev = self.profiles.get((j - 2, k))
+            if prev:
+                neumann_profile = profile_derivative(profile_derivative(prev))
+        return forcing, neumann_profile
 
     def trace_derivative(self, j, k):
         """d/dz of the order-j profile at the surface z = 0."""
@@ -374,33 +362,39 @@ class CascadeTree:
 
     def neumann_value(self, j, k):
         """Evaluated bottom Neumann data (finite only at moderate depths)."""
-        profile, factor = self.neumanns[(j, k)]
-        return factor * profile_value(profile, -self.h)
-
-    def vertical_profile(self, j, k):
-        return VerticalProfile(tuple(self.profiles[(j, k)]), k, j)
+        return self.h2 * profile_value(self._problem(j, k)[1], -self.h)
 
     def residual(self, j, k, z):
         """Pointwise defect of the order-j problem at height z."""
         u = self.profiles[(j, k)]
-        rho2 = k * k + self.beta
         d2 = profile_derivative(profile_derivative(u))
-        f = self.forcings[(j, k)] if j else []
-        return (profile_value(d2, z) - rho2 * profile_value(u, z)
-                - profile_value(f, z))
+        forcing = self._problem(j, k)[0]
+        return (profile_value(d2, z) - (k * k + self.beta) * profile_value(u, z)
+                - profile_value(forcing, z))
 
 
-_tree_cache = {}
+# Process-wide tree cache: one level per (beta, h, tables), each mapping k0
+# to its tree. Past CACHE_LEVELS levels the least recently used one goes; a
+# full Taylor table uses five (beta* and four finite-difference betas).
+CACHE_LEVELS = 8
+_tree_cache = OrderedDict()
 
 
 def cascade_profiles(k0, beta, h, tables, jmax=3):
-    key = (k0, beta, h, jmax, tables.c0)
-    tree = _tree_cache.get(key)
+    """The tree of the unit mode k0, solved at least to order jmax."""
+    key = (beta, h, tables.c0)
+    level = _tree_cache.get(key)
+    if level is None:
+        level = _tree_cache[key] = {}
+        if len(_tree_cache) > CACHE_LEVELS:
+            _tree_cache.popitem(last=False)
+    else:
+        _tree_cache.move_to_end(key)
+    tree = level.get(k0)
     if tree is None:
-        if len(_tree_cache) > 4096:
-            _tree_cache.clear()
-        tree = CascadeTree(k0, beta, h, tables, jmax)
-        _tree_cache[key] = tree
+        tree = level[k0] = CascadeTree(k0, beta, h, tables, jmax)
+    else:
+        tree.grow(jmax)
     return tree
 
 
@@ -408,32 +402,14 @@ def shifts(j):
     return tuple(range(-j, j + 1, 2))
 
 
-def cascade_solve(j, k, beta, h, tables):
-    """Order-j multiplier row at output wavenumber k, plus its profiles.
-
-    Returns (row, profiles): row[s] multiplies the input coefficient at
-    wavenumber k + s (so row[-1] at j = 1 is the printed B-1(k)), and
-    profiles[s] is the solved vertical profile behind that entry.
-    """
-    if not 1 <= j <= 3:
-        raise ValueError("cascade orders are 1..3")
-    row, profs = {}, {}
-    for s in shifts(j):
-        tree = cascade_profiles(k + s, beta, h, tables, jmax=j)
-        row[s] = tree.trace_derivative(j, k)
-        profs[s] = tree.vertical_profile(j, k)
-    return row, profs
-
-
 def cascade_row(j, k, beta, h, tables):
-    """Multiplier row only (cached trees make repeated calls cheap)."""
+    """Order-j multiplier row at output wavenumber k: row[s] multiplies the
+    input coefficient at wavenumber k + s (so row[-1] at j = 1 is the
+    printed B-1(k)). Cached trees make repeated calls cheap."""
     if j == 0:
         return {0: r0_coeff(k, beta, h)}
-    row = {}
-    for s in shifts(j):
-        tree = cascade_profiles(k + s, beta, h, tables, jmax=j)
-        row[s] = tree.trace_derivative(j, k)
-    return row
+    return {s: cascade_profiles(k + s, beta, h, tables, j).trace_derivative(j, k)
+            for s in shifts(j)}
 
 
 @dataclass(frozen=True)

@@ -139,13 +139,13 @@ def delta_of_theta(km, eps, theta):
 SCAN_QUANTITIES = ("beta_star", "b30", "kappa0", "kappa1")
 
 
-def scan_h(h_grid, quantity, progress=None, max_workers=1):
+def scan_h(h_grid, quantity, progress=None):
     """Evaluate one pipeline quantity per depth; failures are recorded rows.
 
     Returns a list of (h, value_or_None, error_message_or_"") rows in grid
-    order. beta_star needs only the resonance solve; the rest run the
-    reduction pipeline (b30 only its amplitude orders, kappas the full
-    table).
+    order and hands each row to `progress` as soon as it is done. beta_star
+    needs only the resonance solve; the rest run the reduction pipeline
+    (b30 only its amplitude orders, kappas the full table).
     """
     if quantity not in SCAN_QUANTITIES:
         raise ValueError(f"unknown scan quantity {quantity!r}")
@@ -161,23 +161,13 @@ def scan_h(h_grid, quantity, progress=None, max_workers=1):
         return kappa0(km) if quantity == "kappa0" else kappa1(km)
 
     rows = []
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(one, h) for h in h_grid]
-            for h, fut in zip(h_grid, futures):
-                try:
-                    rows.append((h, fut.result(), ""))
-                except Exception as exc:  # recorded, scan continues
-                    rows.append((h, None, f"{type(exc).__name__}: {exc}"))
-    else:
-        for h in h_grid:
-            try:
-                rows.append((h, one(h), ""))
-            except Exception as exc:
-                rows.append((h, None, f"{type(exc).__name__}: {exc}"))
-            if progress:
-                progress(rows[-1])
+    for h in h_grid:
+        try:
+            rows.append((h, one(h), ""))
+        except Exception as exc:  # recorded, scan continues
+            rows.append((h, None, f"{type(exc).__name__}: {exc}"))
+        if progress:
+            progress(rows[-1])
     return rows
 
 

@@ -276,11 +276,16 @@ def _normalized_basis(asm, j):
     return {order: vec * (1.0 / g) for order, vec in corr.items()}
 
 
+# the orders of the diagonal Taylor coefficients a_mn, c_mn
+_DIAGONAL_ORDERS = ((0, 1), (2, 0), (0, 2), (2, 1), (0, 3))
+
+
 def assemble_matrix_coeffs(ctx, tables, check_tol=(1e-9, 1e-10, 1e-9)):
     """Full third-order Taylor table of the reduced matrix at one depth.
 
     check_tol = (imaginary residue, off-diagonal antisymmetry, forbidden
-    B-orders); each is scaled by the magnitude of the extracted coefficients
+    B-orders); each is scaled by coefficient_scale, the largest magnitude
+    among the eleven coefficients and the inner-product tables (at least 1),
     before gating, so deep or shallow extremes fail only on genuine
     structural violations. Raises AssemblyError naming the broken identity.
     """
@@ -294,18 +299,15 @@ def assemble_matrix_coeffs(ctx, tables, check_tol=(1e-9, 1e-10, 1e-9)):
     w = 1.0 / (4.0 * math.pi)
     a = {o: float(-w * ip11[o].real) for o in ip11}
     c = {o: float(+w * ip22[o].real) for o in ip22}
-    b30 = float(w * ip12[(3, 0)].real)
+    coeffs = {f"{name}{m}{n}": table[(m, n)]
+              for name, table in (("a", a), ("c", c))
+              for m, n in _DIAGONAL_ORDERS}
+    coeffs["b30"] = float(w * ip12[(3, 0)].real)
 
-    km = KatoMatrix(
-        h=ctx.h, beta_star=ctx.beta_star, sigma=ctx.sigma,
-        gamma1=ctx.gamma1, gamma2=ctx.gamma2,
-        a01=a[(0, 1)], a20=a[(2, 0)], a02=a[(0, 2)],
-        a21=a[(2, 1)], a03=a[(0, 3)],
-        c01=c[(0, 1)], c20=c[(2, 0)], c02=c[(0, 2)],
-        c21=c[(2, 1)], c03=c[(0, 3)], b30=b30,
-    )
+    km = KatoMatrix(h=ctx.h, beta_star=ctx.beta_star, sigma=ctx.sigma,
+                    gamma1=ctx.gamma1, gamma2=ctx.gamma2, **coeffs)
     imag_res, antisym, b_forbidden = _structural_residues(ip11, ip22, ip12, ip21)
-    scale = max(1.0, *(abs(v) for v in km.as_dict().values()),
+    scale = max(1.0, *(abs(v) for v in coeffs.values()),
                 *(abs(v) * w for table in (ip11, ip22, ip12, ip21)
                   for v in table.values()))
     km.diagnostics = {

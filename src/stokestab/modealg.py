@@ -19,9 +19,10 @@ from .util import Jet
 from . import dno
 
 
-# vectors of the reduction reach only modes -5..4 (within 3 of the base
-# modes {1, -2}); the outer modes of the arrays stay zero
-DEFAULT_CUTOFF = 12
+# a vector of order t lives within t of the base modes {1, -2}, and the
+# reduction stops at order 3, so every vector lives on modes -5..4: K = 5
+# holds them all (and is the least cutoff at which `spectrum_gap` is exact)
+DEFAULT_CUTOFF = 5
 BASE_MODES = (1, -2)
 
 

@@ -208,9 +208,14 @@ def test_svg_writer(tmp_path):
     assert body.rstrip().endswith("</svg>")
 
 
-def test_thread_cap_env(monkeypatch):
-    from stokestab.cli import thread_cap
-    monkeypatch.setenv("STOKES_ISOLA_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("STOKES_ISOLA_THREADS", "junk")
-    assert thread_cap() == 1
+def test_scan_progress_in_grid_order():
+    """scan_h hands every row to `progress` once, in grid order, failed
+    rows included."""
+    from stokestab.isola import scan_h
+    grid = [2.0, 0.5, -1.0, 1.0]
+    seen = []
+    rows = scan_h(grid, "beta_star", progress=seen.append)
+    assert seen == rows
+    assert [h for h, _, _ in seen] == grid
+    assert seen[2][1] is None and seen[2][2]
+    assert all(err == "" for i, (_, _, err) in enumerate(seen) if i != 2)

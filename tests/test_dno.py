@@ -1,4 +1,5 @@
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -54,8 +55,50 @@ def test_cascade_reproduces_order_one(h):
 
 def test_cascade_order_two_support(setup1):
     ctx, tables = setup1
-    row, _ = dno.cascade_solve(2, 3, ctx.beta_star, 1.0, tables)
+    row = dno.cascade_row(2, 3, ctx.beta_star, 1.0, tables)
     assert sorted(row) == [-2, 0, 2]
+
+
+def test_tree_growth_order_is_invisible(setup1, monkeypatch):
+    """Rows read at a fresh beta in the order j = 3, 2, 1 equal, bit for
+    bit, the rows read in the order 1, 2, 3 (trees grown in steps) and the
+    rows of trees built to order 3 in one go."""
+    ctx, tables = setup1
+    beta, h, ks = 1.01 * ctx.beta_star, 1.0, range(-4, 5)
+
+    def rows(orders):
+        monkeypatch.setattr(dno, "_tree_cache", OrderedDict())
+        return {(j, k): dno.cascade_row(j, k, beta, h, tables)
+                for j in orders for k in ks}
+
+    upward = rows((1, 2, 3))
+    assert rows((3, 2, 1)) == upward
+    one_go = {(j, k): {s: dno.CascadeTree(k + s, beta, h, tables, 3)
+                       .trace_derivative(j, k) for s in dno.shifts(j)}
+              for j in (1, 2, 3) for k in ks}
+    assert one_go == upward
+
+
+def test_tree_cache_keeps_few_levels(setup1, monkeypatch):
+    """The cache holds at most CACHE_LEVELS (beta, h, tables) levels and
+    drops the least recently used; an evicted row is rebuilt unchanged."""
+    ctx, tables = setup1
+    monkeypatch.setattr(dno, "_tree_cache", OrderedDict())
+    betas = [ctx.beta_star * (1.0 + 0.01 * i) for i in range(20)]
+    level = lambda beta: (beta, 1.0, tables.c0)
+    first = dno.cascade_row(2, 1, betas[0], 1.0, tables)
+    for i, beta in enumerate(betas[1:], start=1):
+        dno.cascade_row(2, 1, beta, 1.0, tables)
+        assert len(dno._tree_cache) <= dno.CACHE_LEVELS
+        if i == dno.CACHE_LEVELS:
+            # touch the oldest level: the next eviction takes the second
+            dno.cascade_row(1, 1, betas[1], 1.0, tables)
+            dno.cascade_row(2, 1, betas[i + 1], 1.0, tables)
+            assert level(betas[1]) in dno._tree_cache
+            assert level(betas[2]) not in dno._tree_cache
+    assert len(dno._tree_cache) == dno.CACHE_LEVELS
+    assert level(betas[0]) not in dno._tree_cache
+    assert dno.cascade_row(2, 1, betas[0], 1.0, tables) == first
 
 
 def test_cascade_mirror_symmetry(setup1):
@@ -97,7 +140,7 @@ def test_secular_branch_engaged(setup1):
     must carry z-weighted terms."""
     ctx, tables = setup1
     tree = dno.cascade_profiles(0, ctx.beta_star, 1.0, tables)
-    assert any(t.secular_power == 1 for t in tree.profiles[(2, 0)])
+    assert any(power == 1 for _, _, _, _, power, _ in tree.profiles[(2, 0)])
 
 
 def test_oracle_flat_multiplier(setup1):
@@ -190,4 +233,4 @@ def test_multiplier_coeffs_container(setup1):
 def test_resonant_secular_forcing_rejected():
     with pytest.raises(dno.CascadeError):
         dno.particular_solution(
-            [dno.HyperbolicTerm(dno.COSH, 2.0, 0.0, 1.0, 1)], 2.0)
+            [dno.term(dno.COSH, 2.0, 0.0, 1.0, power=1)], 2.0)

@@ -229,8 +229,10 @@ def test_basis_corrections_are_taylor_coefficients(asm, ctx1, tables1,
 
 
 def test_cascade_trees_per_depth(monkeypatch):
-    """Only the multiplier rows some vector reaches are computed: at a new
-    depth the b30 request builds 28 cascade trees, the full table 68."""
+    """Only the multiplier rows some vector reaches are computed, from one
+    tree per unit mode and beta grown to the highest order asked: at a new
+    depth the b30 request builds 16 cascade trees, the full table 56 (40 of
+    them at the four finite-difference betas, which stop at order 2)."""
     built = []
 
     class Counted(dno.CascadeTree):
@@ -239,8 +241,8 @@ def test_cascade_trees_per_depth(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(dno, "CascadeTree", Counted)
-    for h, run, trees in ((0.7311, b30_coefficient, 28),
-                          (0.7313, assemble_matrix_coeffs, 68)):
+    for h, run, trees in ((0.7311, b30_coefficient, 16),
+                          (0.7313, assemble_matrix_coeffs, 56)):
         ctx = build_context(h)
         built.clear()
         run(ctx, build_tables(ctx))

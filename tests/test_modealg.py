@@ -135,11 +135,15 @@ def test_beta_derivative_order_two_cascade(ctx1, tables1):
 
 
 def test_mode_vector_cutoff():
-    """Modes -K..K fill the array exactly, two components each."""
-    v = mode_vector({12: [1.0, 0.0], -12: [0.0, 3.0]}, K=12)
-    assert v.shape == (2 * (2 * 12 + 1),)
+    """Modes -K..K fill the array exactly, two components each; the default
+    K = 5 holds the modes -5..4 that the reduction's vectors reach."""
+    K = DEFAULT_CUTOFF
+    assert K == 5
+    v = mode_vector({K: [1.0, 0.0], -K: [0.0, 3.0]})
+    assert v.shape == (2 * (2 * K + 1),)
     assert v[-2] == 1.0 and v[1] == 3.0
-    assert support(v) == [-12, 12]
+    assert support(v) == [-K, K]
     v2 = mode_vector({3: [1.0, 2.0]}, K=12)
+    assert v2.shape == (2 * (2 * 12 + 1),)
     assert apply_J(v2)[mode_slot(3, 12)] == 2.0
     assert apply_J(v2)[mode_slot(3, 12) + 1] == -1.0
