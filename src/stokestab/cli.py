@@ -53,7 +53,7 @@ def _jsonable(obj):
 
 @dataclass
 class RunConfig:
-    """Flat, file-serializable bundle of every numeric knob.
+    """Flat bundle of every numeric knob, readable from a key=value file.
 
     A --config file sets any of these keys; each one it sets replaces the
     default of the command-line option of the same name, and an option given
@@ -70,15 +70,6 @@ class RunConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         return self
-
-    def to_file(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for f in fields(self):
-                fh.write(f"{f.name}={fmt(getattr(self, f.name))}\n")
-
-    @classmethod
-    def from_file(cls, path):
-        return cls(**cls.read(path))
 
     @classmethod
     def read(cls, path):
@@ -171,15 +162,14 @@ def write_svg(path, curves, xlabel="Re lambda", ylabel="Im lambda - center",
 # ----------------------------------------------------------------------
 # commands
 
-def _maybe_seed_check(args, module_names):
-    if getattr(args, "seed_check", False):
-        passed, failed, lines = checks.run_checks(module_names,
-                                                  h=getattr(args, "h", 1.0) or 1.0)
-        for line in lines:
-            print(line)
-        print(f"seed-check: {passed} passed, {failed} failed")
-        return 0 if failed == 0 else 1
-    return None
+def seed_check(args):
+    """Run the invariant suites of the command's modules; 0 if all pass."""
+    passed, failed, lines = checks.run_checks(args.suites,
+                                              h=getattr(args, "h", 1.0) or 1.0)
+    for line in lines:
+        print(line)
+    print(f"seed-check: {passed} passed, {failed} failed")
+    return 0 if failed == 0 else 1
 
 
 def _out(args, name):
@@ -198,9 +188,6 @@ def beta_star_asymptote(h):
 
 
 def cmd_resonance(args):
-    rc = _maybe_seed_check(args, ["dispersion"])
-    if rc is not None:
-        return rc
     if args.h_min is not None and args.h_max is not None:
         grid = isola.default_h_grid(args.h_min, args.h_max, args.points)
         rows = [(h, solve_beta_star(h), beta_star_asymptote(h)) for h in grid]
@@ -220,9 +207,6 @@ def cmd_resonance(args):
 
 
 def cmd_coeffs(args):
-    rc = _maybe_seed_check(args, ["stokes", "kato"])
-    if rc is not None:
-        return rc
     ctx = build_context(args.h)
     tables = build_tables(ctx)
     payload = {"h": ctx.h, "beta_star": ctx.beta_star, "sigma": ctx.sigma}
@@ -237,9 +221,6 @@ def cmd_coeffs(args):
 
 
 def cmd_dno_dump(args):
-    rc = _maybe_seed_check(args, ["dno"])
-    if rc is not None:
-        return rc
     ctx = build_context(args.h)
     tables = build_tables(ctx)
     beta = args.beta if args.beta is not None else ctx.beta_star
@@ -256,9 +237,6 @@ def cmd_dno_dump(args):
 
 
 def cmd_isola(args):
-    rc = _maybe_seed_check(args, ["isola"])
-    if rc is not None:
-        return rc
     ctx = build_context(args.h)
     tables = build_tables(ctx)
     km = kato.assemble_matrix_coeffs(ctx, tables)
@@ -287,9 +265,6 @@ def cmd_isola(args):
 
 
 def cmd_scan(args):
-    rc = _maybe_seed_check(args, ["isola"])
-    if rc is not None:
-        return rc
     grid = isola.default_h_grid(args.h_min, args.h_max, args.points)
     rows = isola.scan_h(grid, args.quantity)
     path = _out(args, "scan.csv")
@@ -300,9 +275,6 @@ def cmd_scan(args):
 
 
 def cmd_validate(args):
-    rc = _maybe_seed_check(args, ["validator"])
-    if rc is not None:
-        return rc
     ctx = build_context(args.h)
     tables = build_tables(ctx)
     km = kato.assemble_matrix_coeffs(ctx, tables)
@@ -327,9 +299,6 @@ def cmd_validate(args):
 
 
 def cmd_hcrit(args):
-    rc = _maybe_seed_check(args, ["isola"])
-    if rc is not None:
-        return rc
     hc = isola.find_h_crit((args.lo, args.hi), args.tol)
     write_json(_out(args, "hcrit.json"),
                {"h_crit": hc, "bracket": [args.lo, args.hi], "tol": args.tol})
@@ -361,14 +330,14 @@ def build_parser(config=None):
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--svg", action="store_true")
-    p.set_defaults(func=cmd_resonance)
+    p.set_defaults(func=cmd_resonance, suites=["dispersion"])
 
     p = sub.add_parser("coeffs", help="expansion tables and reduced-matrix "
                                       "coefficients as JSON")
     common(p)
     p.add_argument("--no-kato", action="store_true",
                    help="skip the reduction (tables only)")
-    p.set_defaults(func=cmd_coeffs)
+    p.set_defaults(func=cmd_coeffs, suites=["stokes", "kato"])
 
     p = sub.add_parser("dno-dump", help="multiplier rows as CSV")
     common(p)
@@ -376,13 +345,13 @@ def build_parser(config=None):
                    help="transverse parameter (default: resonant value)")
     p.add_argument("--kmin", type=int, default=-6)
     p.add_argument("--kmax", type=int, default=6)
-    p.set_defaults(func=cmd_dno_dump)
+    p.set_defaults(func=cmd_dno_dump, suites=["dno"])
 
     p = sub.add_parser("isola", help="unstable eigenvalue ellipse")
     common(p)
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--samples", type=int, default=41)
-    p.set_defaults(func=cmd_isola)
+    p.set_defaults(func=cmd_isola, suites=["isola"])
 
     p = sub.add_parser("scan", help="depth scan of one pipeline quantity")
     common(p, h=False)
@@ -391,7 +360,7 @@ def build_parser(config=None):
     p.add_argument("--h-min", type=float, default=0.1)
     p.add_argument("--h-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=200)
-    p.set_defaults(func=cmd_scan)
+    p.set_defaults(func=cmd_scan, suites=["isola"])
 
     p = sub.add_parser("validate", help="dense-operator comparison")
     common(p)
@@ -400,14 +369,14 @@ def build_parser(config=None):
     p.add_argument("--thetas", type=int, default=9)
     p.add_argument("--ratio-check", action="store_true",
                    help="also run at eps/2 and report the distance ratio")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, suites=["validator"])
 
     p = sub.add_parser("hcrit", help="critical depth where b30 vanishes")
     common(p, h=False)
     p.add_argument("--lo", type=float, default=0.2)
     p.add_argument("--hi", type=float, default=0.3)
     p.add_argument("--tol", type=float, default=1e-5)
-    p.set_defaults(func=cmd_hcrit)
+    p.set_defaults(func=cmd_hcrit, suites=["isola"])
     for p in sub.choices.values():
         p.set_defaults(**{key: value for key, value in (config or {}).items()
                           if p.get_default(key) is not None})
@@ -419,7 +388,7 @@ def main(argv=None):
     try:
         if args.config:
             args = build_parser(RunConfig.read(args.config)).parse_args(argv)
-        return args.func(args)
+        return seed_check(args) if args.seed_check else args.func(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

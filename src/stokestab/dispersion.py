@@ -13,11 +13,11 @@ lambda0_-(1) and lambda0_+(-2) collide at the double eigenvalue i*sigma.
 import math
 from dataclasses import dataclass
 
-from .util import sech2, tanh_half
+from .util import bracketed_root, sech2, tanh_half
 
 
 class SolverError(RuntimeError):
-    """Root solver failed to converge; carries the last bracket."""
+    """Resonance solve failed; carries the bracket."""
 
     def __init__(self, message, bracket=None):
         super().__init__(message)
@@ -39,13 +39,6 @@ def branch_magnitude(k, beta, h):
     """(k^2+beta)^(1/4) tanh^(1/2)(h sqrt(k^2+beta)); the gamma_j for k = j."""
     u = math.sqrt(k * k + beta)
     return math.sqrt(u) * tanh_half(h * u)
-
-
-def branch_magnitude_dbeta(k, beta, h):
-    """d/dbeta of branch_magnitude; equals tau/(2*gamma) in closed form."""
-    u = math.sqrt(k * k + beta)
-    tau = 0.5 * (h * sech2(h * u) + math.tanh(h * u) / u)
-    return tau / (2.0 * branch_magnitude(k, beta, h))
 
 
 def lambda0(k, beta, h, sign):
@@ -71,16 +64,12 @@ def resonance_residual(beta, h):
     )
 
 
-def resonance_residual_dbeta(beta, h):
-    return -branch_magnitude_dbeta(1, beta, h) - branch_magnitude_dbeta(2, beta, h)
-
-
-def solve_beta_star(h, tol=1e-12, bracket=(0.0, 3.0), max_iter=100):
-    """Resonant beta_star(h): bisection to a narrow bracket, then Newton.
+def solve_beta_star(h, tol=1e-12, bracket=(0.0, 3.0)):
+    """Resonant beta_star(h), bracketed down to adjacent floats.
 
     F is strictly decreasing in beta, so any bracket with a sign change
-    contains the unique root. Raises SolverError with the last bracket on
-    failure to reach |F| <= tol within max_iter Newton steps.
+    contains the unique root. Raises SolverError with the final bracket if
+    the root leaves (0, 3) or its residual exceeds tol.
     """
     _check_depth(h)
     if tol <= 0.0:
@@ -90,31 +79,15 @@ def solve_beta_star(h, tol=1e-12, bracket=(0.0, 3.0), max_iter=100):
     fhi = resonance_residual(hi, h)
     if flo < 0.0 or fhi > 0.0:
         raise SolverError(f"bracket {bracket} does not straddle the root", bracket)
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if resonance_residual(mid, h) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bracketed_root(lambda b: resonance_residual(b, h),
+                            lo, hi, flo, fhi, 0.0)
     beta = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        f = resonance_residual(beta, h)
-        if abs(f) <= tol:
-            if not 0.0 < beta < 3.0:
-                raise SolverError(f"root {beta} escaped (0, 3)", (lo, hi))
-            return beta
-        step = f / resonance_residual_dbeta(beta, h)
-        beta_new = beta - step
-        if not lo <= beta_new <= hi:
-            beta_new = 0.5 * (lo + hi)  # fall back to bisection inside bracket
-        if resonance_residual(beta_new, h) > 0.0:
-            lo = beta_new
-        else:
-            hi = beta_new
-        beta = beta_new
-    raise SolverError(
-        f"no convergence to |F| <= {tol} after {max_iter} iterations", (lo, hi)
-    )
+    if not 0.0 < beta < 3.0:
+        raise SolverError(f"root {beta} escaped (0, 3)", (lo, hi))
+    f = resonance_residual(beta, h)
+    if abs(f) > tol:
+        raise SolverError(f"residual {f:.3e} at the root exceeds {tol}", (lo, hi))
+    return beta
 
 
 @dataclass(frozen=True)
@@ -192,15 +165,7 @@ def spectrum_gap(ctx, K=12):
 
 
 def beta_star_large_depth_limit(tol=1e-14):
-    """Root of 3 - (1+b)^(1/4) - (4+b)^(1/4) = 0, by bisection on [0, 3]."""
-    lo, hi = 0.0, 3.0
+    """Root of 3 - (1+b)^(1/4) - (4+b)^(1/4) = 0 on [0, 3]."""
     f = lambda b: 3.0 - (1.0 + b) ** 0.25 - (4.0 + b) ** 0.25
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
+    lo, hi = bracketed_root(f, 0.0, 3.0, f(0.0), f(3.0), tol)
     return 0.5 * (lo + hi)

@@ -11,12 +11,12 @@ ellipse of semi-axes O(eps^3) as theta crosses (-kappa1, kappa1).
 """
 
 import cmath
-import math
 from dataclasses import dataclass
 
 from .dispersion import build_context
 from .kato import assemble_matrix_coeffs, b30_coefficient
 from .stokes import build_tables
+from .util import bracketed_root
 
 
 class DegenerateIsolaError(RuntimeError):
@@ -186,8 +186,8 @@ def default_h_grid(h_min=0.1, h_max=10.0, points=200):
     return grid
 
 
-def find_h_crit(bracket=(0.2, 0.3), tol=1e-5, max_iter=200):
-    """Bisection for the depth where b30 changes sign."""
+def find_h_crit(bracket=(0.2, 0.3), tol=1e-5):
+    """The depth where b30 changes sign, bracketed to at most tol."""
 
     def b30_at(h):
         ctx = build_context(h)
@@ -197,24 +197,10 @@ def find_h_crit(bracket=(0.2, 0.3), tol=1e-5, max_iter=200):
     if not 0.0 < lo < hi:
         raise BracketError(f"bad bracket {bracket}")
     flo, fhi = b30_at(lo), b30_at(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
+    if flo * fhi > 0.0:
         raise BracketError(
             f"b30 does not change sign on {bracket}: "
             f"b30({lo}) = {flo:.4e}, b30({hi}) = {fhi:.4e}"
         )
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        fmid = b30_at(mid)
-        if fmid == 0.0:
-            return mid
-        if math.copysign(1.0, fmid) == math.copysign(1.0, flo):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
+    lo, hi = bracketed_root(b30_at, lo, hi, flo, fhi, tol)
     return 0.5 * (lo + hi)

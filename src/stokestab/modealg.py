@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 
+from .stokes import profile_series
 from .util import Jet
 from . import dno
 
@@ -70,17 +71,17 @@ class RowProvider:
     """Order-j multiplier rows and their delta-Taylor coefficients at beta*.
 
     Orders 0 and 1 are differentiated exactly through jet arithmetic of the
-    closed forms; orders 2 and 3 fall back to Richardson-refined central
-    differences of the cascade (only the first derivative is ever consumed
-    by the third-order expansions, but higher ones are available).
+    closed forms; orders 2 and 3 give their first Taylor coefficient from
+    Richardson-refined central differences of the cascade (the reduction
+    stops at total order 3, so only (j, l) = (2, 1) is ever asked for).
     """
 
-    def __init__(self, ctx, tables, fd_step=None):
+    def __init__(self, ctx, tables):
         self.ctx = ctx
         self.tables = tables
         self.beta = ctx.beta_star
         self.h = ctx.h
-        self.step = fd_step if fd_step is not None else max(1e-4, 1e-4 * self.beta)
+        self.step = max(1e-4, 1e-4 * self.beta)
         self._cache = {}
 
     def taylor(self, j, ell, k):
@@ -102,52 +103,30 @@ class RowProvider:
         return out
 
     def _fd_taylor(self, j, ell, k):
+        if ell != 1:
+            raise ValueError("cascade rows have only their first transverse "
+                             f"Taylor coefficient, got l={ell}")
         t = self.step
         rows = {m: dno.cascade_row(j, k, self.beta + m * t, self.h, self.tables)
-                for m in (-2, -1, 0, 1, 2)}
+                for m in (-2, -1, 1, 2)}
         out = {}
         for s in dno.shifts(j):
             f = {m: rows[m][s] for m in rows}
-            if ell == 1:
-                refined = (8 * (f[1] - f[-1]) - (f[2] - f[-2])) / (12 * t)
-                plain = (f[1] - f[-1]) / (2 * t)
-                val, est = refined, abs(refined - plain)
-            elif ell == 2:
-                refined = (16 * (f[1] + f[-1]) - (f[2] + f[-2]) - 30 * f[0]) \
-                    / (12 * t * t)
-                plain = (f[1] - 2 * f[0] + f[-1]) / (t * t)
-                val, est = refined / 2.0, abs(refined - plain) / 2.0
-            elif ell == 3:
-                refined = (f[2] - 2 * f[1] + 2 * f[-1] - f[-2]) / (2 * t ** 3)
-                val, est = refined / 6.0, abs(refined) * 1e-8 / 6.0
-            else:
-                raise ValueError("transverse Taylor order must be 1..3")
+            refined = (8 * (f[1] - f[-1]) - (f[2] - f[-2])) / (12 * t)
+            plain = (f[1] - f[-1]) / (2 * t)
+            est = abs(refined - plain)
             if est > 1e-6:
                 warnings.warn(
                     f"finite-difference Taylor coefficient (j={j}, l={ell}, "
                     f"k={k}, shift={s}) estimated error {est:.2e}",
                     RuntimeWarning,
                 )
-            out[s] = val
+            out[s] = refined
         return out
 
 
 # ----------------------------------------------------------------------
 # Hamiltonian expansion blocks
-
-def _cosine_content(j, tables):
-    """[(m, r_m, p_m)] cosine amplitudes of the order-j corner coefficients."""
-    t = tables
-    if j == 0:
-        return [(0, 1.0, t.c0)]
-    if j == 1:
-        return [(1, t.r11, t.p11)]
-    if j == 2:
-        return [(0, t.r20, t.p20), (2, t.r22, t.p22)]
-    if j == 3:
-        return [(1, t.r31, t.p31), (3, t.r33, t.p33)]
-    raise ValueError("amplitude orders are 0..3")
-
 
 def build_H(j, ell, tables, rows, columns):
     """The (eps^j, delta^ell) block of the self-adjoint operator.
@@ -159,11 +138,11 @@ def build_H(j, ell, tables, rows, columns):
     K = DEFAULT_CUTOFF
     amp = {}
     if ell == 0:
-        for m, r_m, p_m in _cosine_content(j, tables):
-            if m == 0:
-                amp[0] = (r_m, p_m)
-            else:
-                amp[m] = amp[-m] = (0.5 * r_m, 0.5 * p_m)
+        r = profile_series(tables, "r").order_coefficients(j)
+        p = profile_series(tables, "p").order_coefficients(j)
+        for m in r:
+            half = 1.0 if m == 0 else 0.5    # cos(mx) = (e^imx + e^-imx)/2
+            amp[m] = amp[-m] = (half * r[m], half * p[m])
     offsets = sorted(set(amp) | set(dno.shifts(j)))
     H = np.zeros((2 * (2 * K + 1),) * 2, dtype=complex)
     for q in columns:

@@ -12,15 +12,15 @@ def run_cli(args):
 def test_runconfig_roundtrip(tmp_path):
     cfg = RunConfig(h=2.5, eps=0.02, K=24, outdir="out")
     path = tmp_path / "run.cfg"
-    cfg.to_file(path)
-    assert RunConfig.from_file(path) == cfg
+    path.write_text("h=2.5\neps=0.02\nK=24\noutdir=out\n")
+    assert RunConfig(**RunConfig.read(path)) == cfg
 
 
 def test_runconfig_rejects_unknown_key(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("h=1.0\nbogus=3\n")
     with pytest.raises(ValueError, match="unknown config key 'bogus'"):
-        RunConfig.from_file(path)
+        RunConfig.read(path)
 
 
 def test_runconfig_validation():

@@ -1,15 +1,16 @@
 import math
 
+import mpmath as mp
 import pytest
 
 from stokestab.dispersion import (
     DepthContext,
     SolverError,
     beta_star_large_depth_limit,
+    branch_magnitude,
     build_context,
     lambda0,
     resonance_residual,
-    resonance_residual_dbeta,
     solve_beta_star,
     spectrum_gap,
 )
@@ -141,12 +142,16 @@ def test_context_validate_rejects_mismatch():
         broken.validate()
 
 
-def test_newton_derivative_consistency():
-    beta, h = 0.8, 1.2
-    step = 1e-7
-    fd = (resonance_residual(beta + step, h)
-          - resonance_residual(beta - step, h)) / (2 * step)
-    assert abs(fd - resonance_residual_dbeta(beta, h)) < 1e-8
+def test_tau_matches_branch_slope():
+    """d gamma_j / d beta = tau_j / (2 gamma_j), the slope behind a01, c01."""
+    step = 1e-6
+    for h in (0.1, 1.2, 10.0):
+        ctx = build_context(h)
+        for j, tau, gamma in ((1, ctx.tau1, ctx.gamma1),
+                              (2, ctx.tau2, ctx.gamma2)):
+            fd = (branch_magnitude(j, ctx.beta_star + step, h)
+                  - branch_magnitude(j, ctx.beta_star - step, h)) / (2 * step)
+            assert abs(fd - tau / (2.0 * gamma)) < 1e-8 * abs(fd), (h, j)
 
 
 def test_spectrum_gap_positive_and_cutoff_independent():
@@ -173,3 +178,20 @@ def test_spectrum_gap_matches_enumeration():
 def test_large_depth_limit_root():
     b = beta_star_large_depth_limit()
     assert abs(3.0 - (1.0 + b) ** 0.25 - (4.0 + b) ** 0.25) < 1e-12
+
+
+def _mpmath_beta_star(h):
+    with mp.workdps(40):
+        h = mp.mpf(h)
+        gamma = lambda k, b: (k * k + b) ** mp.mpf(0.25) \
+            * mp.sqrt(mp.tanh(h * mp.sqrt(k * k + b)))
+        F = lambda b: 3 * mp.sqrt(mp.tanh(h)) - gamma(1, b) - gamma(2, b)
+        return float(mp.findroot(F, (mp.mpf(0), mp.mpf(3)), solver="anderson"))
+
+
+@pytest.mark.parametrize("h", [0.076, 0.134, 0.25, 1.192])
+def test_beta_star_against_40_digit_root(h):
+    """A stop at |F| <= 1e-12 is not enough: at h = 0.076 a point that
+    passes it can lie 4e-10 relative off the root."""
+    ref = _mpmath_beta_star(h)
+    assert abs(solve_beta_star(h) - ref) / ref < 1e-13

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from stokestab import isola
 from stokestab.isola import (
     BracketError,
     DegenerateIsolaError,
@@ -144,3 +145,26 @@ def test_find_h_crit_no_sign_change():
 def test_find_h_crit_interval_contract():
     hc = find_h_crit((0.24, 0.26), tol=1e-3)
     assert abs(hc - 0.2506) < 2e-3
+
+
+@pytest.mark.parametrize("bracket, most", [((0.2, 0.3), 12),
+                                           ((0.05, 100.0), 26)])
+def test_find_h_crit_evaluations(monkeypatch, bracket, most):
+    """Bisection takes 16 and 26 b30 evaluations on these brackets."""
+    evaluated = []
+    b30 = isola.b30_coefficient
+
+    def counted(ctx, tables):
+        evaluated.append((ctx.h, b30(ctx, tables)))
+        return evaluated[-1][1]
+
+    monkeypatch.setattr(isola, "b30_coefficient", counted)
+    hc = find_h_crit(bracket, tol=1e-5)
+    assert len(evaluated) <= most
+    # b30 falls through zero once, so the final bracket is the closest
+    # evaluated pair of opposite signs
+    lo = max(h for h, v in evaluated if v > 0.0)
+    hi = min(h for h, v in evaluated if v < 0.0)
+    assert 0.0 < hi - lo <= 1e-5
+    assert lo < hc < hi
+    assert 0.2505 <= hc <= 0.2508

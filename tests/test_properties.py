@@ -30,6 +30,7 @@ def test_reduction_structure_across_depths(h):
     assert d["imag_residue"] <= 1e-9 * scale, h
     assert d["antisym_residue"] <= 1e-10 * scale, h
     assert d["b_forbidden_orders"] <= 1e-9 * scale, h
+    assert d["resonance_defect"] < 1e-13, h
 
     a01 = -ctx.tau1 / (2.0 * ctx.gamma1)
     c01 = ctx.tau2 / (2.0 * ctx.gamma2)
