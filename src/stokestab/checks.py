@@ -41,7 +41,8 @@ def _dno_checks(h):
     beta = ctx.beta_star
     worst = 0.0
     for k in range(-4, 5):
-        row = dno.cascade_row(1, k, beta, h, t)
+        row = {s: dno.cascade_profiles(k + s, beta, h, t, 1)
+               .trace_derivative(1, k) for s in dno.shifts(1)}
         bm, bp = dno.r1_coeffs(k, beta, h)
         worst = max(worst, abs(row[-1] - bm), abs(row[1] - bp))
     yield "cascade order 1 matches closed form", worst < 1e-10

@@ -165,7 +165,7 @@ def write_svg(path, curves, xlabel="Re lambda", ylabel="Im lambda - center",
 def seed_check(args):
     """Run the invariant suites of the command's modules; 0 if all pass."""
     passed, failed, lines = checks.run_checks(args.suites,
-                                              h=getattr(args, "h", 1.0) or 1.0)
+                                              h=getattr(args, "h", 1.0))
     for line in lines:
         print(line)
     print(f"seed-check: {passed} passed, {failed} failed")
@@ -188,7 +188,9 @@ def beta_star_asymptote(h):
 
 
 def cmd_resonance(args):
-    if args.h_min is not None and args.h_max is not None:
+    if (args.h_min is None) != (args.h_max is None):
+        raise ValueError("a depth range needs both --h-min and --h-max")
+    if args.h_min is not None:
         grid = isola.default_h_grid(args.h_min, args.h_max, args.points)
         rows = [(h, solve_beta_star(h), beta_star_asymptote(h)) for h in grid]
         path = _out(args, "resonance.csv")
@@ -226,9 +228,8 @@ def cmd_dno_dump(args):
     beta = args.beta if args.beta is not None else ctx.beta_star
     rows = []
     for k in range(args.kmin, args.kmax + 1):
-        m = dno.multiplier_coeffs(k, beta, args.h, tables)
-        rows.append((k, m.A0, m.Bm1, m.Bp1, m.Cm2, m.C0, m.Cp2,
-                     m.Dm3, m.Dm1, m.Dp1, m.Dp3))
+        rows.append([k] + [dno.cascade_row(j, k, beta, args.h, tables)[s]
+                           for j in range(4) for s in dno.shifts(j)])
     path = _out(args, "dno.csv")
     write_csv(path, ["k", "A0", "Bm1", "Bp1", "Cm2", "C0", "Cp2",
                      "Dm3", "Dm1", "Dp1", "Dp3"], rows)

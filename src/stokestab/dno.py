@@ -22,7 +22,6 @@ recover the same multiplier rows through a second, unrelated path.
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,14 +34,6 @@ class CascadeError(RuntimeError):
 
 class ResolutionError(RuntimeError):
     """Strip solver could not reach the requested conditioning/accuracy."""
-
-
-class OracleAccuracyError(RuntimeError):
-    """Divided-difference noise floor above the requested tolerance."""
-
-    def __init__(self, message, achievable):
-        super().__init__(message)
-        self.achievable = achievable
 
 
 # ----------------------------------------------------------------------
@@ -405,40 +396,19 @@ def shifts(j):
 def cascade_row(j, k, beta, h, tables):
     """Order-j multiplier row at output wavenumber k: row[s] multiplies the
     input coefficient at wavenumber k + s (so row[-1] at j = 1 is the
-    printed B-1(k)). Cached trees make repeated calls cheap."""
+    printed B-1(k)).
+
+    The one place that decides where a row comes from: orders 0 and 1 are
+    the printed closed forms (a Jet beta gives their transverse Taylor
+    coefficients), orders 2 and 3 the cascade, whose cached trees make
+    repeated calls cheap.
+    """
     if j == 0:
         return {0: r0_coeff(k, beta, h)}
+    if j == 1:
+        return dict(zip(shifts(1), r1_coeffs(k, beta, h)))
     return {s: cascade_profiles(k + s, beta, h, tables, j).trace_derivative(j, k)
             for s in shifts(j)}
-
-
-@dataclass(frozen=True)
-class MultiplierCoeffs:
-    """One full multiplier stack at a single wavenumber."""
-
-    k: int
-    A0: float
-    Bm1: float
-    Bp1: float
-    Cm2: float
-    C0: float
-    Cp2: float
-    Dm3: float
-    Dm1: float
-    Dp1: float
-    Dp3: float
-
-
-def multiplier_coeffs(k, beta, h, tables):
-    """Closed forms for orders 0-1, cascade for orders 2-3."""
-    bm, bp = r1_coeffs(k, beta, h)
-    c = cascade_row(2, k, beta, h, tables)
-    d = cascade_row(3, k, beta, h, tables)
-    return MultiplierCoeffs(
-        k=k, A0=r0_coeff(k, beta, h), Bm1=bm, Bp1=bp,
-        Cm2=c[-2], C0=c[0], Cp2=c[2],
-        Dm3=d[-3], Dm1=d[-1], Dp1=d[1], Dp3=d[3],
-    )
 
 
 # ----------------------------------------------------------------------
@@ -571,30 +541,22 @@ class StripSolver:
         return out
 
 
-def elliptic_oracle_G(eps, beta, h, f_hat, tables, Nx=32, Nz=64):
-    """Apply the finite-amplitude operator to one scalar surface function.
-
-    f_hat maps integer modes to coefficients of exp(i k x). The mode window
-    covers the support of f padded to at least Nx modes total.
-    """
-    supp = [k for k, v in f_hat.items() if v]
-    if not supp:
-        return {}
-    lo, hi = min(supp), max(supp)
-    pad = max(4, (Nx - (hi - lo + 1) + 1) // 2)
-    modes = range(lo - pad, hi + pad + 1)
-    solver = StripSolver(eps, beta, h, tables, modes, Nz=Nz)
-    return solver.solve([f_hat])[0]
-
-
 def oracle_multiplier_table(k_outputs, beta, h, tables, e=1e-2, Nz=64, pad=10):
     """Multiplier rows for orders 0..3 via divided differences of the oracle.
 
     Five strip solves (amplitudes 0, +-e, +-2e) shared across every requested
-    output wavenumber. Returns ({(j, k, s): value}, {(j, k, s): noise}) where
-    noise is the parity-violation estimate of the achievable accuracy. The
-    order-3 single-shift entries lean on the printed closed form of the
-    order-1 row, which keeps the divided differences fourth-order accurate.
+    output wavenumber. Returns ({(j, k, s): value}, {(j, k, s): noise}).
+    Order 0 is the zero-amplitude sample. Every order j >= 1 at every shift
+    follows one rule: the Richardson refinement of
+
+        (same-parity part - exact order-(j-2) entry * x^(j-2)) / x^j,
+
+    the exact lower entries being the zero-amplitude sample (order 0) and the
+    printed closed form (order 1), which keeps the divided differences
+    fourth-order accurate. Where a lower entry exists it is subtracted at its
+    own scale, after dividing by x^(j-2), so the cancellation is not rounded
+    at a scale x^(j-2) larger. The noise is the opposite-parity part over e^j,
+    floored by the Richardson truncation and the amplified solve roundoff.
     """
     k_outputs = sorted(set(k_outputs))
     inputs = sorted({k + s for k in k_outputs
@@ -609,63 +571,27 @@ def oracle_multiplier_table(k_outputs, beta, h, tables, e=1e-2, Nz=64, pad=10):
             for k in k_outputs:
                 if k in sol:
                     resp[(amp, k0, k)] = sol[k].real
-    values, noise = {}, {}
-    e4 = e ** 4
 
     def r(amp, k, s):
         return resp[(amp, k + s, k)]
 
-    def floor_estimate(parity_violation, order, value):
-        # truncation of the Richardson pair is O(e^4); roundoff is the solve
-        # accuracy amplified by the divided-difference order
-        return max(parity_violation, e4 * (1.0 + abs(value)),
-                   1e-13 / e ** order)
-
+    values, noise = {}, {}
     for k in k_outputs:
-        values[(0, k, 0)] = r(0.0, k, 0)
+        exact = {0: {0: r(0.0, k, 0)}, 1: cascade_row(1, k, beta, h, tables)}
+        values[(0, k, 0)] = exact[0][0]
         noise[(0, k, 0)] = 1e-13
-        for s in (-1, 1):
-            godd = lambda x: (r(x, k, s) - r(-x, k, s)) / (2 * x)
-            v = (4 * godd(e) - godd(2 * e)) / 3
-            values[(1, k, s)] = v
-            pv = abs(r(-e, k, s) + r(e, k, s)) / (2 * e)
-            noise[(1, k, s)] = floor_estimate(pv, 1, v)
-            bm, bp = r1_coeffs(k, beta, h)
-            b_exact = bm if s == -1 else bp
-            gd = lambda x: (godd(x) - b_exact) / (x * x)
-            v3 = (4 * gd(e) - gd(2 * e)) / 3
-            values[(3, k, s)] = v3
-            noise[(3, k, s)] = floor_estimate(pv / (e * e), 3, v3)
-        for s in (-2, 0, 2):
-            base = r(0.0, k, s) if s == 0 else 0.0
-            gev = lambda x: ((r(x, k, s) + r(-x, k, s)) / 2 - base) / (x * x)
-            v = (4 * gev(e) - gev(2 * e)) / 3
-            values[(2, k, s)] = v
-            pv = abs(r(e, k, s) - r(-e, k, s)) / 2
-            noise[(2, k, s)] = floor_estimate(pv / (e * e), 2, v)
-        for s in (-3, 3):
-            g3 = lambda x: (r(x, k, s) - r(-x, k, s)) / (2 * x ** 3)
-            v = (4 * g3(e) - g3(2 * e)) / 3
-            values[(3, k, s)] = v
-            pv = abs(r(-e, k, s) + r(e, k, s)) / (2 * e ** 3)
-            noise[(3, k, s)] = floor_estimate(pv, 3, v)
+        for j in (1, 2, 3):
+            sign = (-1) ** j
+            for s in shifts(j):
+                lower = exact.get(j - 2, {})
+                m = j - 2 if s in lower else 0
+                g = lambda x: ((r(x, k, s) + sign * r(-x, k, s)) / 2 / x ** m
+                               - lower.get(s, 0.0)) / x ** (j - m)
+                v = (4 * g(e) - g(2 * e)) / 3
+                values[(j, k, s)] = v
+                # truncation of the Richardson pair is O(e^4); roundoff is
+                # the solve accuracy amplified by the divided-difference order
+                violation = abs(r(e, k, s) - sign * r(-e, k, s)) / 2 / e ** j
+                noise[(j, k, s)] = max(violation, e ** 4 * (1.0 + abs(v)),
+                                       1e-13 / e ** j)
     return values, noise
-
-
-def extract_Rj_from_oracle(j, k, beta, h, tables, e=1e-2, Nz=64, tol=None):
-    """Order-j multiplier row at wavenumber k, from the strip-solver path.
-
-    If tol is given and the parity-violation noise floor exceeds it, raises
-    OracleAccuracyError carrying the achievable accuracy per shift.
-    """
-    values, noise = oracle_multiplier_table([k], beta, h, tables, e=e, Nz=Nz)
-    row = {s: values[(j, k, s)] for s in shifts(j)} if j else {0: values[(0, k, 0)]}
-    floor = {s: noise[(j, k, s)] for s in row}
-    if tol is not None:
-        worst = max(floor.values())
-        if worst > tol:
-            raise OracleAccuracyError(
-                f"noise floor {worst:.2e} above requested tolerance {tol:.2e}",
-                achievable=floor,
-            )
-    return row

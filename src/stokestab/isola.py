@@ -122,6 +122,8 @@ def isola_curve(km, eps, n_samples=41):
     Returns (samples, geometry) where samples is a list of rows
     (theta, lambda_plus, lambda_minus).
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     geo = isola_geometry(km, eps)
     k1 = geo.kappa1
     samples = []

@@ -70,10 +70,11 @@ def base_eigenvectors(ctx, K=DEFAULT_CUTOFF):
 class RowProvider:
     """Order-j multiplier rows and their delta-Taylor coefficients at beta*.
 
-    Orders 0 and 1 are differentiated exactly through jet arithmetic of the
-    closed forms; orders 2 and 3 give their first Taylor coefficient from
-    Richardson-refined central differences of the cascade (the reduction
-    stops at total order 3, so only (j, l) = (2, 1) is ever asked for).
+    Every row comes from `dno.cascade_row`. Orders 0 and 1, closed forms,
+    are differentiated exactly by passing it a jet beta; orders 2 and 3 give
+    their first Taylor coefficient from Richardson-refined central
+    differences of the cascade (the reduction stops at total order 3, so
+    only (j, l) = (2, 1) is ever asked for).
     """
 
     def __init__(self, ctx, tables):
@@ -89,12 +90,10 @@ class RowProvider:
         key = (j, ell, k)
         if key in self._cache:
             return self._cache[key]
-        if j == 0:
-            jet = dno.r0_coeff(k, Jet.variable(self.beta), self.h)
-            out = {0: jet.coeff(ell)}
-        elif j == 1:
-            bm, bp = dno.r1_coeffs(k, Jet.variable(self.beta), self.h)
-            out = {-1: bm.coeff(ell), 1: bp.coeff(ell)}
+        if j <= 1:
+            jets = dno.cascade_row(j, k, Jet.variable(self.beta), self.h,
+                                   self.tables)
+            out = {s: jet.coeff(ell) for s, jet in jets.items()}
         elif ell == 0:
             out = dno.cascade_row(j, k, self.beta, self.h, self.tables)
         else:

@@ -38,19 +38,14 @@ def _cosine_bands(series, eps):
     return bands
 
 
-def build_operator(eps, beta, h, K=20, tables=None, g_source="series",
-                   Nz=64, oracle_pad=8):
+def build_operator(eps, beta, h, tables, K=20, g_source="series"):
     """Dense 2(2K+1) x 2(2K+1) truncation of the linearized operator.
 
     g_source chooses how the surface-operator block is filled: "series"
-    sums the four multiplier rows weighted by powers of eps; "oracle" applies
-    the finite-amplitude strip solver to every basis mode (slower, fully
-    independent of the cascade).
+    sums the multiplier rows of orders 0-3 weighted by powers of eps;
+    "oracle" applies the finite-amplitude strip solver to every basis mode
+    (slower, fully independent of the cascade).
     """
-    if tables is None:
-        from .dispersion import build_context
-        from .stokes import build_tables
-        tables = build_tables(build_context(h))
     if K < 16:
         raise ValueError("dense validation needs K >= 16")
     if abs(eps) > 0.05:
@@ -82,15 +77,14 @@ def build_operator(eps, beta, h, K=20, tables=None, g_source="series",
     if g_source == "series":
         for k in range(-K, K + 1):
             i = mode_slot(k, K)
-            M[i, i + 1] += dno.r0_coeff(k, beta, h)
-            for j in (1, 2, 3):
+            for j in range(4):
                 row = dno.cascade_row(j, k, beta, h, tables)
                 for s, val in row.items():
                     if abs(k + s) <= K:
                         M[i, mode_slot(k + s, K) + 1] += eps ** j * val
     elif g_source == "oracle":
-        modes = range(-K - oracle_pad, K + oracle_pad + 1)
-        solver = dno.StripSolver(eps, beta, h, tables, modes, Nz=Nz)
+        modes = range(-K - 8, K + 9)
+        solver = dno.StripSolver(eps, beta, h, tables, modes)
         cols = [{q: 1.0} for q in range(-K, K + 1)]
         sols = solver.solve(cols)
         for q, sol in zip(range(-K, K + 1), sols):
@@ -161,31 +155,27 @@ class IsolaComparison:
     ties: list
 
 
-def compare_isola(km, eps, n_theta=9, K=20, tables=None, theta_span=0.9,
-                  g_source="series"):
+def compare_isola(km, eps, tables, n_theta=9, K=20):
     """Distance between predicted and dense-operator eigenvalue pairs.
 
-    For each theta in a symmetric sweep inside (-kappa1, kappa1), the dense
-    operator is built at the detuned transverse parameter and its two
+    For each theta in a symmetric sweep over 90% of (-kappa1, kappa1), the
+    dense operator is built at the detuned transverse parameter and its two
     eigenvalues nearest the predicted isola center are matched to the
     third-order pair by nearest assignment; ties (both assignments equal to
     machine precision) are reported, not broken.
     """
     from .isola import kappa1 as kap1
-    if tables is None:
-        from .dispersion import build_context
-        from .stokes import build_tables
-        tables = build_tables(build_context(km.h))
+    if n_theta < 1:
+        raise ValueError(f"n_theta must be at least 1, got {n_theta}")
     k1 = kap1(km)
-    thetas = [(-theta_span + 2.0 * theta_span * i / (n_theta - 1)) * k1
+    thetas = [(-0.9 + 1.8 * i / (n_theta - 1)) * k1
               for i in range(n_theta)] if n_theta > 1 else [0.0]
     rows, ties = [], []
     max_distance = 0.0
     for theta in thetas:
         delta = delta_of_theta(km, eps, theta)
         pred_p, pred_m = lambda_pair_theta(km, eps, theta)
-        op = build_operator(eps, km.beta_star + delta, km.h, K=K,
-                            tables=tables, g_source=g_source)
+        op = build_operator(eps, km.beta_star + delta, km.h, tables, K=K)
         center = 0.5 * (pred_p + pred_m)
         radius = max(20.0 * abs(pred_p - center), 50.0 * abs(eps) ** 3)
         found = spectrum_near(op, center, radius)
@@ -222,9 +212,10 @@ def conjugate_pair_residual(op):
 # ----------------------------------------------------------------------
 # dense finite-parameter reduction (cross-check of the Taylor machinery)
 
-def _dense_projector(matrix, center, radius, nodes=128):
-    """Spectral projector -(1/2 pi i) contour integral of the dense resolvent."""
-    n = matrix.shape[0]
+def _dense_projector(matrix, center, radius):
+    """Spectral projector -(1/2 pi i) contour integral of the dense resolvent,
+    by the 128-node trapezoid rule on the circle."""
+    n, nodes = matrix.shape[0], 128
     eye = np.eye(n, dtype=complex)
     acc = np.zeros((n, n), dtype=complex)
     for q in range(nodes):
@@ -252,26 +243,22 @@ def _inverse_sqrt_one_minus(x, tol=1e-14, max_terms=80):
                        "the projector difference is too large")
 
 
-def direct_reduced_matrix(ctx, tables, eps, delta, K=20, nodes=128,
-                          radius=None, g_source="series"):
+def direct_reduced_matrix(ctx, tables, eps, delta):
     """Reduced 2x2 matrix at finite (eps, delta), entirely by dense algebra.
 
     Builds the truncated operator, takes the spectral projector by a dense
     contour integral, forms the similarity transformation from the actual
     projector pair, and evaluates the inner-product entries. No Taylor
     expansion enters anywhere, so this is the ground truth the coefficient
-    tables are checked against.
+    tables are checked against. K = 20 modes; the contour is the circle
+    of radius half the spectral gap about the collision.
     """
     from .dispersion import spectrum_gap
-    h = ctx.h
-    beta = ctx.beta_star + delta
-    if radius is None:
-        radius = 0.5 * spectrum_gap(ctx)
-    center = 1j * ctx.sigma
-    op = build_operator(eps, beta, h, K=K, tables=tables, g_source=g_source)
-    op0 = build_operator(0.0, ctx.beta_star, h, K=K, tables=tables)
-    P = _dense_projector(op.matrix, center, radius, nodes=nodes)
-    P0 = _dense_projector(op0.matrix, center, radius, nodes=nodes)
+    K, radius, center = 20, 0.5 * spectrum_gap(ctx), 1j * ctx.sigma
+    op = build_operator(eps, ctx.beta_star + delta, ctx.h, tables, K=K)
+    op0 = build_operator(0.0, ctx.beta_star, ctx.h, tables, K=K)
+    P = _dense_projector(op.matrix, center, radius)
+    P0 = _dense_projector(op0.matrix, center, radius)
     Q = P - P0
     Ksim = _inverse_sqrt_one_minus(Q @ Q) @ (P @ P0 + (np.eye(P.shape[0]) - P)
                                              @ (np.eye(P.shape[0]) - P0))
@@ -286,9 +273,9 @@ def direct_reduced_matrix(ctx, tables, eps, delta, K=20, nodes=128,
     ])
 
 
-def direct_entry_functions(ctx, tables, eps, delta, **kw):
+def direct_entry_functions(ctx, tables, eps, delta):
     """(A, B, C) at finite parameters from the dense reduction."""
-    L = direct_reduced_matrix(ctx, tables, eps, delta, **kw)
+    L = direct_reduced_matrix(ctx, tables, eps, delta)
     a = (L[0, 0] / 1j).real - ctx.sigma
     c = (L[1, 1] / 1j).real - ctx.sigma
     b = ((L[0, 1] - L[1, 0]) / 2j).real

@@ -156,7 +156,8 @@ def test_criterion_6_two_path_dno(pipeline):
             ctx = build_context(h)
             tables = build_tables(ctx)
         for k in range(-6, 7):
-            row = dno.cascade_row(1, k, ctx.beta_star, h, tables)
+            row = {s: dno.cascade_profiles(k + s, ctx.beta_star, h, tables, 1)
+                   .trace_derivative(1, k) for s in dno.shifts(1)}
             bm, bp = dno.r1_coeffs(k, ctx.beta_star, h)
             worst1 = max(worst1, abs(row[-1] - bm), abs(row[1] - bp))
     ok = worst23 < 1e-6 and worst1 < 1e-10

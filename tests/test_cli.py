@@ -188,11 +188,41 @@ def test_seed_check_pass(capsys):
 
 
 def test_seed_check_all_modules(capsys):
-    for cmd in (["coeffs", "--h", "1"], ["dno-dump", "--h", "1"],
-                ["isola", "--h", "1"]):
+    for cmd in (["resonance", "--h", "1"], ["coeffs", "--h", "1"],
+                ["dno-dump", "--h", "1"], ["isola", "--h", "1"], ["scan"],
+                ["validate", "--h", "1"], ["hcrit"]):
         assert run_cli(cmd + ["--seed-check"]) == 0
         out = capsys.readouterr().out
         assert " 0 failed" in out
+
+
+def test_seed_check_runs_at_the_given_depth(capsys):
+    """--seed-check takes the command's own --h: h = 0 is an error, as it
+    is without the switch, not a check at h = 1."""
+    assert run_cli(["coeffs", "--h", "0", "--seed-check"]) == 1
+    captured = capsys.readouterr()
+    assert "error: depth must be finite and positive" in captured.err
+    assert "seed-check:" not in captured.out
+
+
+@pytest.mark.parametrize("bound", [["--h-min", "0.5"], ["--h-max", "2.0"]])
+def test_resonance_range_needs_both_bounds(tmp_path, capsys, bound):
+    assert run_cli(["resonance", *bound, "--outdir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "error: a depth range needs both --h-min and --h-max" in \
+        captured.err
+    assert "beta_star" not in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, message", [
+    (["isola", "--samples", "0"], "n_samples must be at least 1, got 0"),
+    (["validate", "--thetas", "0"], "n_theta must be at least 1, got 0"),
+])
+def test_count_below_one_is_an_error(tmp_path, capsys, command, message):
+    assert run_cli(command + ["--outdir", str(tmp_path)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_error_exit_code(capsys):

@@ -7,6 +7,7 @@ import pytest
 from stokestab import dno
 from stokestab.dispersion import build_context
 from stokestab.stokes import build_tables
+from stokestab.util import Jet
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,8 @@ def test_cascade_reproduces_order_one(h):
     ctx = build_context(h)
     tables = build_tables(ctx)
     for k in range(-6, 7):
-        row = dno.cascade_row(1, k, ctx.beta_star, h, tables)
+        row = {s: dno.cascade_profiles(k + s, ctx.beta_star, h, tables, 1)
+               .trace_derivative(1, k) for s in dno.shifts(1)}
         bm, bp = dno.r1_coeffs(k, ctx.beta_star, h)
         assert abs(row[-1] - bm) < 1e-10
         assert abs(row[1] - bp) < 1e-10
@@ -60,8 +62,8 @@ def test_cascade_order_two_support(setup1):
 
 
 def test_tree_growth_order_is_invisible(setup1, monkeypatch):
-    """Rows read at a fresh beta in the order j = 3, 2, 1 equal, bit for
-    bit, the rows read in the order 1, 2, 3 (trees grown in steps) and the
+    """Cascade rows read at a fresh beta in the order j = 3, 2 equal, bit
+    for bit, the rows read in the order 2, 3 (trees grown in steps) and the
     rows of trees built to order 3 in one go."""
     ctx, tables = setup1
     beta, h, ks = 1.01 * ctx.beta_star, 1.0, range(-4, 5)
@@ -71,11 +73,11 @@ def test_tree_growth_order_is_invisible(setup1, monkeypatch):
         return {(j, k): dno.cascade_row(j, k, beta, h, tables)
                 for j in orders for k in ks}
 
-    upward = rows((1, 2, 3))
-    assert rows((3, 2, 1)) == upward
+    upward = rows((2, 3))
+    assert rows((3, 2)) == upward
     one_go = {(j, k): {s: dno.CascadeTree(k + s, beta, h, tables, 3)
                        .trace_derivative(j, k) for s in dno.shifts(j)}
-              for j in (1, 2, 3) for k in ks}
+              for j in (2, 3) for k in ks}
     assert one_go == upward
 
 
@@ -92,7 +94,7 @@ def test_tree_cache_keeps_few_levels(setup1, monkeypatch):
         assert len(dno._tree_cache) <= dno.CACHE_LEVELS
         if i == dno.CACHE_LEVELS:
             # touch the oldest level: the next eviction takes the second
-            dno.cascade_row(1, 1, betas[1], 1.0, tables)
+            dno.cascade_row(2, 1, betas[1], 1.0, tables)
             dno.cascade_row(2, 1, betas[i + 1], 1.0, tables)
             assert level(betas[1]) in dno._tree_cache
             assert level(betas[2]) not in dno._tree_cache
@@ -145,7 +147,8 @@ def test_secular_branch_engaged(setup1):
 
 def test_oracle_flat_multiplier(setup1):
     ctx, tables = setup1
-    out = dno.elliptic_oracle_G(0.0, ctx.beta_star, 1.0, {2: 1.0}, tables)
+    solver = dno.StripSolver(0.0, ctx.beta_star, 1.0, tables, range(-14, 19))
+    out = solver.solve([{2: 1.0}])[0]
     assert abs(out[2].real - dno.r0_coeff(2, ctx.beta_star, 1.0)) < 1e-9
     assert max(abs(v) for k, v in out.items() if k != 2) < 1e-12
 
@@ -155,11 +158,10 @@ def test_oracle_reflection_symmetry(setup1):
     ctx, tables = setup1
     f = {1: 0.3 + 0.2j, 2: -0.1 + 0.05j, -1: 0.07j}
     f_refl = {-k: np.conj(v) for k, v in f.items()}
-    out = dno.elliptic_oracle_G(0.02, ctx.beta_star, 1.0, f, tables)
-    out_refl = dno.elliptic_oracle_G(0.02, ctx.beta_star, 1.0, f_refl, tables)
+    solver = dno.StripSolver(0.02, ctx.beta_star, 1.0, tables, range(-16, 17))
+    out, out_refl = solver.solve([f, f_refl])
     for k, v in out.items():
-        if -k in out_refl:
-            assert abs(out_refl[-k] - np.conj(v)) < 1e-10
+        assert abs(out_refl[-k] - np.conj(v)) < 1e-10
 
 
 def test_oracle_self_adjoint(setup1):
@@ -183,7 +185,8 @@ def test_oracle_truncation_order(setup1):
     beta, h = ctx.beta_star, 1.0
 
     def max_defect(eps):
-        out = dno.elliptic_oracle_G(eps, beta, h, {1: 1.0}, tables)
+        solver = dno.StripSolver(eps, beta, h, tables, range(-15, 18))
+        out = solver.solve([{1: 1.0}])[0]
         worst = 0.0
         for k, v in out.items():
             series = 0.0
@@ -198,36 +201,51 @@ def test_oracle_truncation_order(setup1):
     assert d2 / d1 == pytest.approx(16.0, rel=0.35)
 
 
-def test_extraction_matches_closed_forms(setup1):
+@pytest.fixture(scope="module")
+def oracle_table(setup1):
+    """Oracle rows and noise floors at k = 2, h = 1."""
     ctx, tables = setup1
-    row0 = dno.extract_Rj_from_oracle(0, 2, ctx.beta_star, 1.0, tables)
-    assert abs(row0[0] - dno.r0_coeff(2, ctx.beta_star, 1.0)) < 1e-9
-    row1 = dno.extract_Rj_from_oracle(1, 2, ctx.beta_star, 1.0, tables)
+    return dno.oracle_multiplier_table([2], ctx.beta_star, 1.0, tables)
+
+
+def test_extraction_matches_closed_forms(setup1, oracle_table):
+    ctx, _ = setup1
+    values, _ = oracle_table
+    assert abs(values[(0, 2, 0)] - dno.r0_coeff(2, ctx.beta_star, 1.0)) < 1e-9
     bm, bp = dno.r1_coeffs(2, ctx.beta_star, 1.0)
-    assert abs(row1[-1] - bm) < 1e-7
-    assert abs(row1[1] - bp) < 1e-7
+    assert abs(values[(1, 2, -1)] - bm) < 1e-7
+    assert abs(values[(1, 2, 1)] - bp) < 1e-7
 
 
-def test_extraction_matches_cascade_order_three(setup1):
+def test_extraction_matches_cascade_order_three(setup1, oracle_table):
     ctx, tables = setup1
-    row = dno.extract_Rj_from_oracle(3, 2, ctx.beta_star, 1.0, tables)
+    values, _ = oracle_table
     cascade = dno.cascade_row(3, 2, ctx.beta_star, 1.0, tables)
-    assert abs(row[-3] - cascade[-3]) < 1e-6
+    assert abs(values[(3, 2, -3)] - cascade[-3]) < 1e-6
 
 
-def test_extraction_noise_gate(setup1):
+def test_extraction_noise_gate(oracle_table):
+    """Every entry carries a positive noise floor; the order-3 floors sit
+    above 1e-12, so a caller asking for that accuracy can see it is out of
+    reach."""
+    values, noise = oracle_table
+    assert noise.keys() == values.keys()
+    assert all(0.0 < v < 1e-6 for v in noise.values())
+    assert max(noise[(3, 2, s)] for s in dno.shifts(3)) > 1e-12
+
+
+def test_cascade_row_low_orders_are_closed_forms(setup1):
+    """cascade_row serves orders 0 and 1 from the printed closed forms, for
+    a float beta and for a jet beta alike."""
     ctx, tables = setup1
-    with pytest.raises(dno.OracleAccuracyError) as err:
-        dno.extract_Rj_from_oracle(3, 2, ctx.beta_star, 1.0, tables, tol=1e-12)
-    assert err.value.achievable
-
-
-def test_multiplier_coeffs_container(setup1):
-    ctx, tables = setup1
-    m = dno.multiplier_coeffs(1, ctx.beta_star, 1.0, tables)
-    assert m.A0 >= 0.0
-    bm, bp = dno.r1_coeffs(1, ctx.beta_star, 1.0)
-    assert m.Bm1 == bm and m.Bp1 == bp
+    beta = ctx.beta_star
+    assert dno.cascade_row(0, 1, beta, 1.0, tables) == {
+        0: dno.r0_coeff(1, beta, 1.0)}
+    bm, bp = dno.r1_coeffs(1, beta, 1.0)
+    assert dno.cascade_row(1, 1, beta, 1.0, tables) == {-1: bm, 1: bp}
+    jets = dno.cascade_row(1, 1, Jet.variable(beta), 1.0, tables)
+    bm, bp = dno.r1_coeffs(1, Jet.variable(beta), 1.0)
+    assert [jets[-1].coeff(1), jets[1].coeff(1)] == [bm.coeff(1), bp.coeff(1)]
 
 
 def test_resonant_secular_forcing_rejected():
