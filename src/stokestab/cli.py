@@ -223,6 +223,9 @@ def cmd_coeffs(args):
 
 
 def cmd_dno_dump(args):
+    if args.kmin > args.kmax:
+        raise ValueError(f"--kmin ({args.kmin}) is above --kmax ({args.kmax}):"
+                         " no wavenumbers to dump")
     ctx = build_context(args.h)
     tables = build_tables(ctx)
     beta = args.beta if args.beta is not None else ctx.beta_star

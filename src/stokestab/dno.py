@@ -401,14 +401,17 @@ def cascade_row(j, k, beta, h, tables):
     The one place that decides where a row comes from: orders 0 and 1 are
     the printed closed forms (a Jet beta gives their transverse Taylor
     coefficients), orders 2 and 3 the cascade, whose cached trees make
-    repeated calls cheap.
+    repeated calls cheap. The operator is self-adjoint and commutes with
+    x -> -x, so entry (k, k+s) equals entry (k+s, k) and entry (-k-s, -k):
+    the whole row is read from the one tree of the unit mode |k|.
     """
     if j == 0:
         return {0: r0_coeff(k, beta, h)}
     if j == 1:
         return dict(zip(shifts(1), r1_coeffs(k, beta, h)))
-    return {s: cascade_profiles(k + s, beta, h, tables, j).trace_derivative(j, k)
-            for s in shifts(j)}
+    tree = cascade_profiles(abs(k), beta, h, tables, j)
+    sign = -1 if k < 0 else 1
+    return {s: tree.trace_derivative(j, sign * (k + s)) for s in shifts(j)}
 
 
 # ----------------------------------------------------------------------

@@ -107,11 +107,16 @@ def lambda_pair_theta(km, eps, theta):
     This is the closed-form expansion (real part from the square root of the
     leading discriminant), exact on the predicted ellipse.
     """
+    rad = 4.0 * km.b30 ** 2 - (km.a01 - km.c01) ** 2 * theta * theta
+    return _pair(km, eps, theta, rad)
+
+
+def _pair(km, eps, theta, rad):
+    """The pair at theta whose leading discriminant is rad."""
     _check_trusted(eps)
     e3 = abs(eps) ** 3
     imag = (km.sigma + center_drift(km) * eps * eps
             + 0.5 * (km.a01 + km.c01) * theta * e3)
-    rad = 4.0 * km.b30 ** 2 - (km.a01 - km.c01) ** 2 * theta * theta
     root = 0.5 * cmath.sqrt(complex(rad)) * e3
     return 1j * imag + root, 1j * imag - root
 
@@ -120,16 +125,19 @@ def isola_curve(km, eps, n_samples=41):
     """Sampled eigenvalue pair along the isola plus its closed-form geometry.
 
     Returns (samples, geometry) where samples is a list of rows
-    (theta, lambda_plus, lambda_minus).
+    (theta, lambda_plus, lambda_minus). The samples are spaced evenly in
+    t = theta / kappa1 on [-1, 1], and the discriminant is taken as
+    4 b30^2 (1 - t)(1 + t): it is exactly 0 at the vertices t = +-1, where
+    the form in theta leaves its sign to roundoff.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     geo = isola_geometry(km, eps)
-    k1 = geo.kappa1
     samples = []
     for i in range(n_samples):
-        theta = -k1 + 2.0 * k1 * i / (n_samples - 1) if n_samples > 1 else 0.0
-        lp, lm = lambda_pair_theta(km, eps, theta)
+        t = -1.0 + 2.0 * i / (n_samples - 1) if n_samples > 1 else 0.0
+        theta = t * geo.kappa1
+        lp, lm = _pair(km, eps, theta, 4.0 * km.b30 ** 2 * (1.0 - t) * (1.0 + t))
         samples.append((theta, lp, lm))
     return samples, geo
 

@@ -167,6 +167,9 @@ def compare_isola(km, eps, tables, n_theta=9, K=20):
     from .isola import kappa1 as kap1
     if n_theta < 1:
         raise ValueError(f"n_theta must be at least 1, got {n_theta}")
+    if eps == 0.0:
+        raise ValueError("eps must be nonzero: at zero amplitude the isola "
+                         "is a single point and there is no pair to compare")
     k1 = kap1(km)
     thetas = [(-0.9 + 1.8 * i / (n_theta - 1)) * k1
               for i in range(n_theta)] if n_theta > 1 else [0.0]

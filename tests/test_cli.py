@@ -225,6 +225,27 @@ def test_count_below_one_is_an_error(tmp_path, capsys, command, message):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_dno_dump_empty_wavenumber_range(tmp_path, capsys):
+    assert run_cli(["dno-dump", "--kmin", "3", "--kmax", "1",
+                    "--outdir", str(tmp_path)]) == 1
+    assert "error: --kmin (3) is above --kmax (1)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_validate_zero_amplitude_is_an_error(tmp_path, capsys, monkeypatch):
+    """eps = 0 is rejected by name before any dense operator is built."""
+    from stokestab import validator
+
+    def no_fill(*args, **kwargs):
+        raise AssertionError("dense operator built at eps = 0")
+
+    monkeypatch.setattr(validator, "build_operator", no_fill)
+    assert run_cli(["validate", "--eps", "0", "--thetas", "1",
+                    "--outdir", str(tmp_path)]) == 1
+    assert "error: eps must be nonzero" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_error_exit_code(capsys):
     assert run_cli(["resonance", "--h", "-3"]) == 1
     assert "error:" in capsys.readouterr().err

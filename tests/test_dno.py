@@ -75,8 +75,9 @@ def test_tree_growth_order_is_invisible(setup1, monkeypatch):
 
     upward = rows((2, 3))
     assert rows((3, 2)) == upward
-    one_go = {(j, k): {s: dno.CascadeTree(k + s, beta, h, tables, 3)
-                       .trace_derivative(j, k) for s in dno.shifts(j)}
+    one_go = {(j, k): {s: dno.CascadeTree(abs(k), beta, h, tables, 3)
+                       .trace_derivative(j, (-1 if k < 0 else 1) * (k + s))
+                       for s in dno.shifts(j)}
               for j in (2, 3) for k in ks}
     assert one_go == upward
 
@@ -103,14 +104,24 @@ def test_tree_cache_keeps_few_levels(setup1, monkeypatch):
     assert dno.cascade_row(2, 1, betas[0], 1.0, tables) == first
 
 
-def test_cascade_mirror_symmetry(setup1):
-    ctx, tables = setup1
-    for j in (2, 3):
-        for k in range(-4, 5):
-            row = dno.cascade_row(j, k, ctx.beta_star, 1.0, tables)
-            mirror = dno.cascade_row(j, -k, ctx.beta_star, 1.0, tables)
-            for s in row:
-                assert abs(row[s] - mirror[-s]) < 1e-9
+def test_cascade_mirror_symmetry():
+    """Rows read from the tree of |k| by self-adjointness and reflection
+    equal the rows read from the trees of every input mode k + s, negative
+    ones included: within 1e-10 of the row scale for |k| <= 6, 1e-9 for
+    |k| <= 20."""
+    for h in (0.05, 1.0, 100.0):
+        ctx = build_context(h)
+        tables = build_tables(ctx)
+        beta = ctx.beta_star
+        for j in (2, 3):
+            for k in range(-20, 21):
+                row = dno.cascade_row(j, k, beta, h, tables)
+                ref = {s: dno.cascade_profiles(k + s, beta, h, tables, j)
+                       .trace_derivative(j, k) for s in dno.shifts(j)}
+                bound = (1e-10 if abs(k) <= 6 else 1e-9) * max(
+                    abs(v) for v in ref.values())
+                for s in ref:
+                    assert abs(row[s] - ref[s]) < bound, (h, j, k, s)
 
 
 def test_bvp_residual_and_boundaries(setup1):

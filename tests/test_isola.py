@@ -73,6 +73,19 @@ def test_isola_samples_on_ellipse(km1):
         2 * abs(km1.b30) / abs(km1.a01 - km1.c01), rel=1e-14)
 
 
+def test_isola_vertices_survive_one_ulp_of_b30(km1):
+    """The end samples theta = +-kappa1 are the ellipse's vertices, where
+    the discriminant vanishes; a last-bit change of b30 must not push them
+    off the ellipse."""
+    import dataclasses
+    for direction in (-math.inf, math.inf):
+        km = dataclasses.replace(km1, b30=math.nextafter(km1.b30, direction))
+        samples, geo = isola_curve(km, 0.01, n_samples=17)
+        for _, lp, lm in samples:
+            assert geo.ellipse_residual(lp) < 1e-9, direction
+            assert geo.ellipse_residual(lm) < 1e-9, direction
+
+
 def test_isola_mirror_branches(km1):
     samples, _ = isola_curve(km1, 0.01, n_samples=9)
     for _, lp, lm in samples:

@@ -229,10 +229,11 @@ def test_basis_corrections_are_taylor_coefficients(asm, ctx1, tables1,
 
 
 def test_cascade_trees_per_depth(monkeypatch):
-    """Only the multiplier rows some vector reaches are computed, from one
-    tree per unit mode and beta grown to the highest order asked: at a new
-    depth the b30 request builds 16 cascade trees, the full table 56 (40 of
-    them at the four finite-difference betas, which stop at order 2)."""
+    """Only the multiplier rows some vector reaches are computed, each row
+    from the one tree of its unit mode |k|, grown to the highest order
+    asked: at a new depth the b30 request builds 6 cascade trees, the full
+    table 26 (20 of them at the four finite-difference betas, which stop at
+    order 2), and a K = 20 dense fill at a new beta 21 (|k| = 0..20)."""
     built = []
 
     class Counted(dno.CascadeTree):
@@ -240,9 +241,12 @@ def test_cascade_trees_per_depth(monkeypatch):
             built.append(args)
             super().__init__(*args, **kwargs)
 
+    fill = lambda ctx, tables: build_operator(
+        0.01, 1.01 * ctx.beta_star, ctx.h, tables, K=20)
     monkeypatch.setattr(dno, "CascadeTree", Counted)
-    for h, run, trees in ((0.7311, b30_coefficient, 16),
-                          (0.7313, assemble_matrix_coeffs, 56)):
+    for h, run, trees in ((0.7311, b30_coefficient, 6),
+                          (0.7313, assemble_matrix_coeffs, 26),
+                          (0.7315, fill, 21)):
         ctx = build_context(h)
         built.clear()
         run(ctx, build_tables(ctx))
