@@ -137,8 +137,8 @@ def isola_curve(km, eps, n_samples=41):
     for i in range(n_samples):
         t = -1.0 + 2.0 * i / (n_samples - 1) if n_samples > 1 else 0.0
         theta = t * geo.kappa1
-        lp, lm = _pair(km, eps, theta, 4.0 * km.b30 ** 2 * (1.0 - t) * (1.0 + t))
-        samples.append((theta, lp, lm))
+        rad = 4.0 * km.b30 ** 2 * (1.0 - t) * (1.0 + t)
+        samples.append((theta, *_pair(km, eps, theta, rad)))
     return samples, geo
 
 
