@@ -88,10 +88,11 @@ def r1_coeffs_deep(k, beta):
 #
 # A term is the plain tuple (kind, rate, shift, amplitude, power, key), read
 # amplitude * z^power * kind(rate * z + shift) with rate >= 0 and power in
-# {0, 1}. key = (kind, power, round(rate, 10), round(shift, 10)) is the merge
-# key, computed once when the term is made: derivatives, scalings and
-# particular solutions keep a term's rate and shift, so they reuse its
-# rounded pair.
+# {0, 1}. key = (kind, power, round(rate * 1e10), round(shift * 1e10)) is the
+# merge key. It is quantized from the float rate and shift whenever a term is
+# made, never added up from the keys of the factors (sums of quantized keys
+# would keep roundoff-level terms apart that cancel). Derivatives and
+# particular solutions keep a term's rate and shift, so they reuse its key.
 
 COSH, SINH = "cosh", "sinh"
 _OTHER = {COSH: SINH, SINH: COSH}
@@ -104,7 +105,7 @@ def term(kind, rate, shift, amplitude, power=0):
         if kind == SINH:
             amplitude = -amplitude
     return (kind, rate, shift, amplitude, power,
-            (kind, power, round(rate, 10), round(shift, 10)))
+            (kind, power, round(rate * 1e10), round(shift * 1e10)))
 
 
 def _retyped(t, kind, amplitude, power):
@@ -137,18 +138,10 @@ def _log_sech(x):
     return math.log(2.0) - x - math.log1p(math.exp(-2.0 * x))
 
 
-def term_value_scaled(t, z, log_scale):
-    """amplitude * z^p * kind(rate z + shift) * exp(log_scale).
-
-    The deep-strip bottom evaluations pair intrinsically huge hyperbolic
-    values with an exp(-rho h)-type damping; fusing the two in log space
-    keeps every intermediate representable.
-    """
-    kind, rate, shift, amp, power, _ = t
-    m = amp * (z if power else 1.0)
+def _damped(kind, arg, m, log_scale):
+    """m * kind(arg) * exp(log_scale), fused in log space when |arg| > 34."""
     if m == 0.0:
         return 0.0
-    arg = rate * z + shift
     if abs(arg) <= 34.0:
         f = math.cosh(arg) if kind == COSH else math.sinh(arg)
         if log_scale > -700.0:
@@ -159,8 +152,26 @@ def term_value_scaled(t, z, log_scale):
     return sign * math.exp(expo) if expo > -700.0 else 0.0
 
 
-def profile_value_scaled(terms, z, log_scale):
-    return sum(term_value_scaled(t, z, log_scale) for t in terms)
+def derivative_value(terms, z, n, log_scale=0.0):
+    """The n-th z-derivative of a profile at z, times exp(log_scale).
+
+    d^n/dz^n [a z^p K(r z + s)] = a r^n z^p K^(n) + p n a r^(n-1) K^(n-1),
+    where K^(n) is K for even n and its partner for odd n. The deep-strip
+    bottom data pair intrinsically huge hyperbolic values with an
+    exp(-rho h)-type damping; fusing the two in log space keeps every
+    intermediate representable, and no derivative profile is built.
+    """
+    even = n % 2 == 0
+    total = 0.0
+    for kind, rate, shift, amp, power, _ in terms:
+        arg = rate * z + shift
+        other = _OTHER[kind]
+        total += _damped(kind if even else other, arg,
+                         amp * rate ** n * (z if power else 1.0), log_scale)
+        if power and n:
+            total += _damped(other if even else kind, arg,
+                             n * amp * rate ** (n - 1), log_scale)
+    return total
 
 
 def profile_derivative(terms):
@@ -180,30 +191,12 @@ def term_product(a, b):
     p = pa + pb
     if p > 1:
         raise CascadeError("product would exceed secular power 1")
+    # like kinds give cosh, unlike sinh; the difference term flips sign
+    # when b is a sinh
+    kind = COSH if ka == kb else SINH
     amp = 0.5 * aa * ab
-    rs, rd = ra + rb, ra - rb
-    ss, sd = sa + sb, sa - sb
-    if ka == COSH and kb == COSH:
-        return term(COSH, rs, ss, amp, p), term(COSH, rd, sd, amp, p)
-    if ka == SINH and kb == SINH:
-        return term(COSH, rs, ss, amp, p), term(COSH, rd, sd, -amp, p)
-    if ka == SINH and kb == COSH:
-        return term(SINH, rs, ss, amp, p), term(SINH, rd, sd, amp, p)
-    # cosh * sinh
-    return term(SINH, rs, ss, amp, p), term(SINH, rd, sd, -amp, p)
-
-
-def profile_product(fa, fb):
-    out = []
-    for a in fa:
-        for b in fb:
-            out.extend(term_product(a, b))
-    return merge_terms(out)
-
-
-def scale_profile(terms, factor):
-    return [(kind, rate, shift, amp * factor, power, key)
-            for kind, rate, shift, amp, power, key in terms]
+    return (term(kind, ra + rb, sa + sb, amp, p),
+            term(kind, ra - rb, sa - sb, -amp if kb == SINH else amp, p))
 
 
 def merge_terms(terms):
@@ -252,19 +245,18 @@ def particular_solution(forcing, rho):
 
 
 def solve_vertical_bvp(forcing, rho, h, neumann_profile=(), neumann_factor=0.0):
-    """Solve u'' - rho^2 u = forcing, u(0) = 0, u'(-h) = factor * profile(-h).
+    """Solve u'' - rho^2 u = forcing, u(0) = 0, u'(-h) = factor * profile''(-h).
 
-    The Neumann data arrives as an unevaluated profile: its bottom value and
-    the particular solution's bottom derivative are both damped by sech(rho h)
-    in the homogeneous solve, and evaluating them pre-damped (in log space)
-    keeps the deep-strip regime (rho * h in the hundreds) overflow-free.
+    The bottom data (the Neumann profile's second derivative and the
+    particular solution's first) are damped by sech(rho h) in the
+    homogeneous solve; evaluating them pre-damped, in log space, keeps the
+    deep-strip regime (rho * h in the hundreds) overflow-free.
     """
     up = particular_solution(forcing, rho)
     a_hom = -profile_value(up, 0.0)
-    dup = profile_derivative(up)
     ls = _log_sech(rho * h)
-    bottom = (neumann_factor * profile_value_scaled(neumann_profile, -h, ls)
-              - profile_value_scaled(dup, -h, ls))
+    bottom = (neumann_factor * derivative_value(neumann_profile, -h, 2, ls)
+              - derivative_value(up, -h, 1, ls))
     b_hom = bottom / rho + a_hom * math.tanh(rho * h)
     sol = up + [term(COSH, rho, 0.0, a_hom), term(SINH, rho, 0.0, b_hom)]
     return merge_terms(sol)
@@ -305,9 +297,12 @@ class CascadeTree:
             raise ValueError(f"beta must be positive, got {beta}")
         self.k0, self.beta, self.h, self.jmax = k0, beta, h, 0
         self.h2 = tables.h2
-        # (order i, harmonic m, z-profile), the cos(m x) halving applied
-        self._pieces = [(i, m, zp if m == 0 else scale_profile(zp, 0.5))
-                        for (i, m), zp in jacobian_z_profiles(tables, h).items()]
+        # (order i, harmonic m, z-profile times beta and the cos(m x) halving)
+        self._pieces = [
+            (i, m, [(kind, rate, shift, amp * beta * (0.5 if m else 1.0), p, key)
+                    for kind, rate, shift, amp, p, key in zp])
+            for (i, m), zp in jacobian_z_profiles(tables, h).items()]
+        self._traces = {}
         rho0 = math.sqrt(k0 * k0 + beta)
         self.profiles = {(0, k0): [term(COSH, rho0, 0.0, 1.0),
                                    term(SINH, rho0, 0.0, math.tanh(h * rho0))]}
@@ -327,41 +322,42 @@ class CascadeTree:
             self.jmax = j
 
     def _problem(self, j, k):
-        """Forcing and bottom Neumann profile of the order-j problem at k."""
-        forcing = []
+        """Forcing of the order-j problem at k, merged once, and the
+        order-(j-2) profile whose second derivative gives its bottom data."""
+        products = []
         for i, m, zp in self._pieces:
             if i > j:
                 continue
             for kk in ((k,) if m == 0 else (k - m, k + m)):
-                src = self.profiles.get((j - i, kk))
-                if src:
-                    forcing.extend(profile_product(zp, src))
-        forcing = merge_terms(scale_profile(forcing, self.beta))
-        neumann_profile = ()
-        if j >= 2:
-            prev = self.profiles.get((j - 2, k))
-            if prev:
-                neumann_profile = profile_derivative(profile_derivative(prev))
-        return forcing, neumann_profile
+                src = self.profiles.get((j - i, kk), ())
+                for a in zp:
+                    for b in src:
+                        products.extend(term_product(a, b))
+        return merge_terms(products), self.profiles.get((j - 2, k), ())
 
     def trace_derivative(self, j, k):
-        """d/dz of the order-j profile at the surface z = 0."""
-        prof = self.profiles.get((j, k))
-        if prof is None:
-            return 0.0
-        return profile_value(profile_derivative(prof), 0.0)
+        """d/dz of the order-j profile at z = 0, cached. The merged derivative
+        profile is evaluated: per-term derivatives summed at z = 0 would round
+        each large value before the terms of one key cancel."""
+        if (j, k) not in self._traces and (j, k) in self.profiles:
+            self._traces[(j, k)] = profile_value(
+                profile_derivative(self.profiles[(j, k)]), 0.0)
+        return self._traces.get((j, k), 0.0)
 
     def neumann_value(self, j, k):
         """Evaluated bottom Neumann data (finite only at moderate depths)."""
-        return self.h2 * profile_value(self._problem(j, k)[1], -self.h)
+        return self.h2 * derivative_value(
+            self.profiles.get((j - 2, k), ()), -self.h, 2)
 
     def residual(self, j, k, z):
-        """Pointwise defect of the order-j problem at height z."""
-        u = self.profiles[(j, k)]
-        d2 = profile_derivative(profile_derivative(u))
-        forcing = self._problem(j, k)[0]
-        return (profile_value(d2, z) - (k * k + self.beta) * profile_value(u, z)
-                - profile_value(forcing, z))
+        """Pointwise defect of the order-j problem at height z, relative to
+        the summed magnitudes of its terms there (its roundoff scale)."""
+        u, rho2 = self.profiles[(j, k)], k * k + self.beta
+        values = [term_value(t, z)
+                  for t in profile_derivative(profile_derivative(u))]
+        values += [-rho2 * term_value(t, z) for t in u]
+        values += [-term_value(t, z) for t in self._problem(j, k)[0]]
+        return abs(sum(values)) / (sum(map(abs, values)) or 1.0)
 
 
 # Process-wide tree cache: one level per (beta, h, tables), each mapping k0

@@ -196,6 +196,18 @@ def test_seed_check_all_modules(capsys):
         assert " 0 failed" in out
 
 
+@pytest.mark.parametrize("h", ["0.05", "3", "100"])
+@pytest.mark.parametrize("command", ["resonance", "coeffs", "dno-dump",
+                                     "isola", "validate"])
+def test_seed_check_at_range_ends_and_deep(capsys, command, h):
+    """Every command that takes --h passes its seed checks at the shallow
+    end of the validated range, at h = 3 and at its deep end."""
+    assert run_cli([command, "--h", h, "--seed-check"]) == 0
+    summary = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("seed-check:")]
+    assert len(summary) == 1 and summary[0].endswith(" 0 failed")
+
+
 def test_seed_check_runs_at_the_given_depth(capsys):
     """--seed-check takes the command's own --h: h = 0 is an error, as it
     is without the switch, not a check at h = 1."""

@@ -133,11 +133,89 @@ def test_bvp_residual_and_boundaries(setup1):
         if j == 0:
             continue
         for z in zs:
-            assert abs(tree.residual(j, k, z)) < 1e-9, (j, k, z)
+            assert tree.residual(j, k, z) < 1e-12, (j, k, z)
         assert abs(dno.profile_value(prof, 0.0)) < 1e-10, (j, k)
         dprof = dno.profile_derivative(prof)
         assert abs(dno.profile_value(dprof, -h)
                    - tree.neumann_value(j, k)) < 1e-10, (j, k)
+
+
+def test_tree_caches_surface_traces(setup1, monkeypatch):
+    """A trace read twice is the same float, and its derivative profile is
+    built once."""
+    ctx, tables = setup1
+    tree = dno.CascadeTree(1, 1.02 * ctx.beta_star, 1.0, tables)
+    built = []
+    derivative = dno.profile_derivative
+    monkeypatch.setattr(dno, "profile_derivative",
+                        lambda terms: built.append(1) or derivative(terms))
+    first = tree.trace_derivative(3, -2)
+    assert tree.trace_derivative(3, -2) == first and math.isfinite(first)
+    assert len(built) == 1
+
+
+def test_fill_keeps_the_cached_term_count(setup1, monkeypatch):
+    """One K = 20 fill at h = 2 caches 3339 terms over its 21 trees with
+    the keys round(x, 10) and a merge per product; the keys quantized as
+    round(x * 1e10) and one merge per forcing stay within 2% of that."""
+    from stokestab import validator
+    monkeypatch.setattr(dno, "_tree_cache", OrderedDict())
+    ctx = build_context(2.0)
+    validator.build_operator(0.01, ctx.beta_star, 2.0, K=20,
+                             tables=build_tables(ctx))
+    trees = [tree for level in dno._tree_cache.values()
+             for tree in level.values()]
+    terms = sum(len(p) for tree in trees for p in tree.profiles.values())
+    assert len(trees) == 21
+    assert abs(terms - 3339) <= 0.02 * 3339
+
+
+def test_products_equal_by_construction_share_a_key():
+    """Equal rates built from different sums get one key, so their terms
+    merge. cosh(0.1 z) cosh(0.2 z) cosh(0.3 z) taken in two orders has the
+    rates (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3), which differ in the last
+    bit. And rates of 0.4 key quanta above 1 and 2 sum to 0.8 quanta above
+    3: keys added from the factors' keys would round that part away, while
+    the key of the rate itself keeps it."""
+    cosh = lambda r: dno.term(dno.COSH, r, 2 * r, 1.0)
+    a, b, c = cosh(0.1), cosh(0.2), cosh(0.3)
+    pairs = [(dno.term_product(dno.term_product(a, b)[0], c)[0],
+              dno.term_product(a, dno.term_product(b, c)[0])[0]),
+             (dno.term_product(cosh(1 + 4e-11), cosh(2 + 4e-11))[0],
+              dno.term_product(cosh(3 + 8e-11), cosh(0.0))[0])]
+    assert pairs[0][0][1] != pairs[0][1][1]
+    for left, right in pairs:
+        assert left[5] == right[5]
+        merged = dno.merge_terms([left, right])
+        assert len(merged) == 1 and merged[0][3] == left[3] + right[3]
+    assert pairs[1][0][5][2] == round(3e10) + 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_derivative_value_matches_profile_derivative(n):
+    """The point evaluator equals the derivative profile evaluated at z,
+    for power 0 and power 1 terms of both kinds, on both sides of its
+    log-space switch at |arg| = 34 and, damped by sech(rho h) with
+    rho h = 300, at the bottom of a deep strip."""
+    rho, h = 3.0, 100.0
+    prof = [dno.term(dno.COSH, rho, 0.0, 0.7), dno.term(dno.SINH, rho, 0.0, -1.3),
+            dno.term(dno.COSH, 2.0, 1.5, 0.4, power=1),
+            dno.term(dno.SINH, 6.0, -0.5, 0.9, power=1)]
+    d = prof
+    for _ in range(n):
+        d = dno.profile_derivative(d)
+    for z in (0.0, -0.3, -2.0, -9.0, -20.0):
+        ref = dno.profile_value(d, z)
+        scale = sum(abs(dno.term_value(t, z)) for t in d)
+        assert abs(dno.derivative_value(prof, z, n) - ref) < 1e-14 * scale
+    ls = dno._log_sech(rho * h)
+    deep = prof[:2] + [dno.term(dno.SINH, rho, 0.0, 0.2, power=1)]
+    d = deep
+    for _ in range(n):
+        d = dno.profile_derivative(d)
+    ref = dno.profile_value(d, -h) * math.exp(ls)
+    scale = sum(abs(dno.term_value(t, -h)) for t in d) * math.exp(ls)
+    assert abs(dno.derivative_value(deep, -h, n, ls) - ref) < 1e-12 * scale
 
 
 def test_deep_strip_cascade_is_finite():
