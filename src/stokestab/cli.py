@@ -229,9 +229,12 @@ def cmd_dno_dump(args):
     ctx = build_context(args.h)
     tables = build_tables(ctx)
     beta = args.beta if args.beta is not None else ctx.beta_star
+    ks = range(args.kmin, args.kmax + 1)
+    tree = dno.cascade_profiles(sorted({abs(k) for k in ks}), (beta,), args.h,
+                                tables)
     rows = []
-    for k in range(args.kmin, args.kmax + 1):
-        rows.append([k] + [dno.cascade_row(j, k, beta, args.h, tables)[s]
+    for k in ks:
+        rows.append([k] + [dno.cascade_row(j, k, beta, args.h, tables, tree)[s]
                            for j in range(4) for s in dno.shifts(j)])
     path = _out(args, "dno.csv")
     write_csv(path, ["k", "A0", "Bm1", "Bp1", "Cm2", "C0", "Cp2",

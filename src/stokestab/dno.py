@@ -14,14 +14,16 @@ order; the solutions stay inside a small closed algebra of terms
 
     amplitude * z^p * cosh|sinh(rate * z + shift),   p in {0, 1},
 
-so the solve is exact up to roundoff. An independent strip solver
+so the solve is exact up to roundoff. Which terms arise depends on the unit
+mode alone: each cascade is compiled once into index arrays and replayed in
+numpy for a whole batch of betas. An independent strip solver
 (Fourier modes in x, integral-reformulated Chebyshev collocation in z)
 computes the full operator at finite amplitude; divided differences of it
 recover the same multiplier rows through a second, unrelated path.
 """
 
 import math
-from collections import OrderedDict
+import numbers
 
 import numpy as np
 
@@ -73,341 +75,333 @@ def r1_coeffs(k, beta, h):
     return bm, bp
 
 
-def r1_coeffs_deep(k, beta):
-    """Infinite-depth limits of the order-1 pair (for limit checks)."""
-    um = math.sqrt(beta + (k - 1) ** 2)
-    u0 = math.sqrt(beta + k * k)
-    up = math.sqrt(beta + (k + 1) ** 2)
-    bm = 0.5 * (beta - (k - 1) * u0 - um * u0 + k * k + k * um - k)
-    bp = 0.5 * (beta + (k + 1) * u0 - u0 * up + k * k - k * up + k)
-    return bm, bp
-
-
 # ----------------------------------------------------------------------
-# the hyperbolic term algebra
+# the hyperbolic term algebra, compiled
 #
-# A term is the plain tuple (kind, rate, shift, amplitude, power, key), read
-# amplitude * z^power * kind(rate * z + shift) with rate >= 0 and power in
-# {0, 1}. key = (kind, power, round(rate * 1e10), round(shift * 1e10)) is the
-# merge key. It is quantized from the float rate and shift whenever a term is
-# made, never added up from the keys of the factors (sums of quantized keys
-# would keep roundoff-level terms apart that cancel). Derivatives and
-# particular solutions keep a term's rate and shift, so they reuse its key.
+# A term is amplitude * z^power * K(rate * z + shift), K = cosh or sinh and
+# power in {0, 1}. The Jacobian pieces have integer rates and shifts that are
+# integer multiples of h; the solve at wavenumber q adds the homogeneous rate
+# rho_q = sqrt(q^2 + beta), and pieces only ever multiply profiles. So every
+# rate is n + c * rho_q (integers n, q and c in {-1, 0, 1}) and every shift
+# s * h, and the merge key (kind, power, n, c, q, s) is exact: it holds no
+# float, beta or depth. A key is canonical when the first nonzero of (n, c, s)
+# is positive (cosh is even, sinh odd); its rate may still be negative at
+# some beta, which every evaluator allows.
 
-COSH, SINH = "cosh", "sinh"
-_OTHER = {COSH: SINH, SINH: COSH}
+SINH, COSH = 0, 1
+LOG2 = math.log(2.0)
 
-
-def term(kind, rate, shift, amplitude, power=0):
-    """Build a term, flipping sign conventions so the rate is nonnegative."""
-    if rate < 0.0:
-        rate, shift = -rate, -shift
-        if kind == SINH:
-            amplitude = -amplitude
-    return (kind, rate, shift, amplitude, power,
-            (kind, power, round(rate * 1e10), round(shift * 1e10)))
+# J - 1 = sum_i eps^i sum_m Z[i][m](z) cos(m x): one (i, m, kind, rate,
+# shift / h) row per term of Z[i][m], amplitudes from `jacobian_amplitudes`
+PIECES = ((1, 1, COSH, 1, 1), (2, 0, COSH, 2, 2), (2, 2, COSH, 2, 2),
+          (2, 2, COSH, 0, 0), (3, 1, SINH, 1, 0), (3, 1, COSH, 3, 3),
+          (3, 1, COSH, 1, 1), (3, 3, COSH, 1, 1), (3, 3, COSH, 3, 3))
 
 
-def _retyped(t, kind, amplitude, power):
-    """A term with t's rate and shift but a new kind, amplitude and power."""
-    key = t[5]
-    return (kind, t[1], t[2], amplitude, power, (kind, power, key[2], key[3]))
-
-
-def term_value(t, z):
-    kind, rate, shift, amp, power, _ = t
-    m = amp * (z if power else 1.0)
-    if m == 0.0:
-        return 0.0
-    arg = rate * z + shift
-    if abs(arg) <= 700.0:
-        f = math.cosh(arg) if kind == COSH else math.sinh(arg)
-        return m * f
-    # asymptotic branch: cosh/sinh(arg) ~ sign * exp(|arg|)/2; the amplitudes
-    # produced by the cascade compensate, so the exponent below is moderate
-    sign = 1.0 if (kind == COSH or arg > 0.0) else -1.0
-    return sign * math.copysign(1.0, m) * math.exp(abs(arg) + math.log(abs(m)) - math.log(2.0))
-
-
-def profile_value(terms, z):
-    return sum(term_value(t, z) for t in terms)
-
-
-def _log_sech(x):
-    """log(sech(x)) for x >= 0, exact for arbitrarily large x."""
-    return math.log(2.0) - x - math.log1p(math.exp(-2.0 * x))
-
-
-def _damped(kind, arg, m, log_scale):
-    """m * kind(arg) * exp(log_scale), fused in log space when |arg| > 34."""
-    if m == 0.0:
-        return 0.0
-    if abs(arg) <= 34.0:
-        f = math.cosh(arg) if kind == COSH else math.sinh(arg)
-        if log_scale > -700.0:
-            return m * f * math.exp(log_scale)
-        return 0.0  # true value below the underflow floor
-    sign = (1.0 if kind == COSH or arg > 0.0 else -1.0) * math.copysign(1.0, m)
-    expo = abs(arg) + math.log(abs(m)) - math.log(2.0) + log_scale
-    return sign * math.exp(expo) if expo > -700.0 else 0.0
-
-
-def derivative_value(terms, z, n, log_scale=0.0):
-    """The n-th z-derivative of a profile at z, times exp(log_scale).
-
-    d^n/dz^n [a z^p K(r z + s)] = a r^n z^p K^(n) + p n a r^(n-1) K^(n-1),
-    where K^(n) is K for even n and its partner for odd n. The deep-strip
-    bottom data pair intrinsically huge hyperbolic values with an
-    exp(-rho h)-type damping; fusing the two in log space keeps every
-    intermediate representable, and no derivative profile is built.
-    """
-    even = n % 2 == 0
-    total = 0.0
-    for kind, rate, shift, amp, power, _ in terms:
-        arg = rate * z + shift
-        other = _OTHER[kind]
-        total += _damped(kind if even else other, arg,
-                         amp * rate ** n * (z if power else 1.0), log_scale)
-        if power and n:
-            total += _damped(other if even else kind, arg,
-                             n * amp * rate ** (n - 1), log_scale)
-    return total
-
-
-def profile_derivative(terms):
-    out = []
-    for t in terms:
-        kind, rate, _, amp, power, _ = t
-        out.append(_retyped(t, _OTHER[kind], amp * rate, power))
-        if power:
-            out.append(_retyped(t, kind, amp, 0))
-    return merge_terms(out)
-
-
-def term_product(a, b):
-    """Product of two terms via the hyperbolic product-to-sum identities."""
-    ka, ra, sa, aa, pa, _ = a
-    kb, rb, sb, ab, pb, _ = b
-    p = pa + pb
-    if p > 1:
-        raise CascadeError("product would exceed secular power 1")
-    # like kinds give cosh, unlike sinh; the difference term flips sign
-    # when b is a sinh
-    kind = COSH if ka == kb else SINH
-    amp = 0.5 * aa * ab
-    return (term(kind, ra + rb, sa + sb, amp, p),
-            term(kind, ra - rb, sa - sb, -amp if kb == SINH else amp, p))
-
-
-def merge_terms(terms):
-    """Sum the amplitudes of terms with one merge key; drop zero sums.
-
-    Each merged term keeps the first term's rate and shift, and the terms
-    come out in the order their keys first appear.
-    """
-    acc = {}
-    for t in terms:
-        key = t[5]
-        old = acc.get(key)
-        acc[key] = t if old is None else (
-            old[0], old[1], old[2], old[3] + t[3], old[4], key)
-    return [t for t in acc.values() if t[3] != 0.0]
-
-
-def particular_solution(forcing, rho):
-    """Particular solution terms of u'' - rho^2 u = forcing.
-
-    Forcing rates resonant with rho (the homogeneous rate) get the secular
-    z * cosh/sinh branch; the threshold also captures near-resonances born
-    from floating-point shift arithmetic, where the generic denominator
-    would amplify cancellation.
-    """
-    rho2 = rho * rho
-    out = []
-    for t in forcing:
-        kind, rate, _, amp, power, _ = t
-        den = rate * rate - rho2
-        scale = max(1.0, rho2, rate * rate)
-        other = _OTHER[kind]
-        if abs(den) <= 1e-10 * scale:
-            if power:
-                raise CascadeError(
-                    f"resonant secular forcing at rate {rate} vs rho {rho}: "
-                    "would require z^2 terms"
-                )
-            out.append(_retyped(t, other, amp / (2.0 * rate), 1))
-        else:
-            out.append(_retyped(t, kind, amp / den, power))
-            if power:
-                out.append(_retyped(t, other,
-                                    -2.0 * rate * amp / (den * den), 0))
-    return merge_terms(out)
-
-
-def solve_vertical_bvp(forcing, rho, h, neumann_profile=(), neumann_factor=0.0):
-    """Solve u'' - rho^2 u = forcing, u(0) = 0, u'(-h) = factor * profile''(-h).
-
-    The bottom data (the Neumann profile's second derivative and the
-    particular solution's first) are damped by sech(rho h) in the
-    homogeneous solve; evaluating them pre-damped, in log space, keeps the
-    deep-strip regime (rho * h in the hundreds) overflow-free.
-    """
-    up = particular_solution(forcing, rho)
-    a_hom = -profile_value(up, 0.0)
-    ls = _log_sech(rho * h)
-    bottom = (neumann_factor * derivative_value(neumann_profile, -h, 2, ls)
-              - derivative_value(up, -h, 1, ls))
-    b_hom = bottom / rho + a_hom * math.tanh(rho * h)
-    sol = up + [term(COSH, rho, 0.0, a_hom), term(SINH, rho, 0.0, b_hom)]
-    return merge_terms(sol)
-
-
-# ----------------------------------------------------------------------
-# the order-by-order cascade
-
-def jacobian_z_profiles(tables, h):
-    """z-profiles Z[i][m] with J - 1 = sum_i eps^i sum_m Z[i][m](z) cos(m x)."""
+def jacobian_amplitudes(tables, h):
     t = tables
     ch, c2h, c3h = math.cosh(h), math.cosh(2 * h), math.cosh(3 * h)
-    z11 = t.zeta11
-    return {
-        (1, 1): [term(COSH, 1.0, h, 2.0 * z11 / ch)],
-        (2, 0): [term(COSH, 2.0, 2 * h, z11 * z11 / (2 * ch * ch))],
-        (2, 2): [term(COSH, 2.0, 2 * h, 4.0 * t.zeta22 / c2h),
-                 term(COSH, 0.0, 0.0, z11 * z11 / (2 * ch * ch))],
-        (3, 1): [term(SINH, 1.0, 0.0, 2.0 * t.h2 * z11 / (ch * ch)),
-                 term(COSH, 3.0, 3 * h, 2.0 * z11 * t.zeta22 / (ch * c2h)),
-                 term(COSH, 1.0, h, 2.0 * t.zeta31 / ch)],
-        (3, 3): [term(COSH, 1.0, h, 2.0 * z11 * t.zeta22 / (ch * c2h)),
-                 term(COSH, 3.0, 3 * h, 6.0 * t.zeta33 / c3h)],
-    }
+    z11, z22 = t.zeta11, t.zeta22
+    return np.array([
+        2.0 * z11 / ch, z11 * z11 / (2 * ch * ch), 4.0 * z22 / c2h,
+        z11 * z11 / (2 * ch * ch), 2.0 * t.h2 * z11 / (ch * ch),
+        2.0 * z11 * z22 / (ch * c2h), 2.0 * t.zeta31 / ch,
+        2.0 * z11 * z22 / (ch * c2h), 6.0 * t.zeta33 / c3h])
+
+
+def hyperbolic(kind, arg, m, log_scale=0.0, switch=700.0):
+    """m * K(arg) * exp(log_scale) elementwise, K = cosh where kind is COSH.
+
+    Past |arg| = switch the product is fused in log space: the deep strip
+    pairs huge hyperbolic values with tiny amplitudes or damping factors.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        near = m * np.where(kind, np.cosh(arg), np.sinh(arg)) * np.exp(log_scale)
+        far = (np.where(kind | (arg > 0.0), 1.0, -1.0) * np.sign(m)
+               * np.exp(np.abs(arg) + np.log(np.abs(m)) - LOG2 + log_scale))
+    return np.where(np.abs(arg) <= switch, near, far)
+
+
+def derivative_terms(kind, power, rate, shift, amp, z, n, log_scale=0.0,
+                     switch=700.0):
+    """Each term's part of the n-th z-derivative of a profile at z.
+
+    d^n/dz^n [a z^p K(r z + s)] = a r^n z^p K^(n) + p n a r^(n-1) K^(n-1),
+    where K^(n) is K for even n and its partner for odd n.
+    """
+    arg = rate * z + shift
+    even = kind if n % 2 == 0 else 1 - kind
+    out = hyperbolic(even, arg, amp * rate ** n * np.where(power, z, 1.0),
+                     log_scale, switch)
+    if n:
+        out = out + hyperbolic(1 - even, arg, n * amp * rate ** (n - 1) * power,
+                               log_scale, switch)
+    return out
+
+
+def term_products(piece, key):
+    """piece * term by the product-to-sum identities: the canonical keys of
+    the two terms, each with the sign of its amplitude sign * a * b / 2
+    (None for a term sinh(0))."""
+    _, _, ka, na, sa = piece
+    kb, p, nb, cb, qb, sb = key
+    kind = COSH if ka == kb else SINH
+    out = []
+    for n, c, s, sign in ((na + nb, cb, sa + sb, 1.0),
+                          (na - nb, -cb, sa - sb, -1.0 if kb == SINH else 1.0)):
+        first = n or c or s
+        if first < 0:
+            n, c, s, sign = -n, -c, -s, sign if kind == COSH else -sign
+        out.append(((kind, p, n, c, qb if c else 0, s), sign)
+                   if first or kind == COSH else None)
+    return out
+
+
+def particular_keys(key, q):
+    """The particular solution of u'' - rho_q^2 u = (term of `key`), as
+    (key, rule) pairs. With den = rate^2 - rho_q^2 the amplitudes are a / den
+    (rule 0), -2 rate a / den^2 (rule 1) and a / (2 rate) (rule 2). The
+    forcing is resonant exactly when its rate is rho_q itself; then the
+    secular z * K' term solves it."""
+    kind, power, n, c, kq, s = key
+    if (n, c, kq) == (0, 1, q):
+        if power:
+            raise CascadeError(f"resonant secular forcing at rho_{q}: "
+                               "would require z^2 terms")
+        return [((1 - kind, 1, n, c, kq, s), 2)]
+    return [(key, 0)] + [((1 - kind, 0, n, c, kq, s), 1)] * power
+
+
+class Plan:
+    """The cascades of the unit modes k0s up to order jmax, compiled once.
+
+    keys holds the (kind, power, n, c, q, s) columns of every profile term
+    (slot), profiles[(k0, j, k)] a profile's slots and problems[(k0, j, k)]
+    its position among the order-j problems and its forcing terms' range.
+    orders[j - 1] holds order j's index arrays: products (piece pa, slot pb)
+    added with sign csign into forcing term cf (key fkey); particular
+    solution terms uu from forcing uf by rule utype, written to slot udest
+    of problem uprob; each problem's |k| (pq), homogeneous slots (hc, hs)
+    and Neumann profile slots ns; and its surface trace, slots ts (times
+    their rate where ttype is 1) merged into groups tg (kind gkind, shift gs).
+    """
+
+    def __init__(self, k0s, jmax):
+        self.jmax, self.qmax = jmax, max(map(abs, k0s)) + jmax
+        self.n0 = 2 * len(k0s)      # order-0 slots: cosh, sinh per unit mode
+        keys = [(kind, 0, 0, 1, abs(k0), 0) for k0 in k0s for kind in (COSH, SINH)]
+        profiles = {(k0, 0, k0): [2 * t, 2 * t + 1] for t, k0 in enumerate(k0s)}
+        self.problems, self.orders = {}, []
+        for j in range(1, jmax + 1):
+            products, forcing = {}, {(k0, k): {} for k0 in k0s
+                                     for k in range(k0 - j, k0 + j + 1, 2)}
+            for k0 in k0s:
+                for a, piece in enumerate(PIECES):
+                    i, m = piece[:2]
+                    for kk in range(k0 - j + i, k0 + j - i + 1, 2):
+                        for b in profiles[(k0, j - i, kk)]:
+                            u = products.setdefault((a, b), len(products))
+                            for term in term_products(piece, keys[b]):
+                                for k in ((kk - m, kk + m) if m else (kk,)) if term else ():
+                                    forcing[(k0, k)].setdefault(
+                                        term[0], []).append((u, term[1]))
+            o = {name: [] for name in "cu csign cf fkey uf utype uu udest uprob pq "
+                 "hc hs ns nprob ts ttype tg gkind gs gprob".split()}
+            o["pa"], o["pb"] = zip(*products)
+            for pos, ((k0, k), terms) in enumerate(forcing.items()):
+                q, first, up = abs(k), len(o["fkey"]), {}
+                for key, contribs in terms.items():
+                    for u, sign in contribs:
+                        o["cu"].append(u), o["csign"].append(sign)
+                        o["cf"].append(len(o["fkey"]))
+                    for ukey, rule in particular_keys(key, q):
+                        up.setdefault(ukey, []).append((len(o["fkey"]), rule))
+                    o["fkey"].append(key)
+                self.problems[(k0, j, k)] = pos, first, len(o["fkey"])
+                slot = {}
+                for ukey, contribs in up.items():
+                    slot[ukey] = len(keys)
+                    keys.append(ukey)
+                    for f, rule in contribs:
+                        o["uf"].append(f), o["utype"].append(rule)
+                        o["uu"].append(len(o["udest"]))
+                    o["udest"].append(slot[ukey]), o["uprob"].append(pos)
+                for kind, name in ((COSH, "hc"), (SINH, "hs")):
+                    hom = (kind, 0, 0, 1, q, 0)
+                    if hom not in slot:
+                        slot[hom] = len(keys)
+                        keys.append(hom)
+                    o[name].append(slot[hom])
+                o["pq"].append(q)
+                profiles[(k0, j, k)] = list(slot.values())
+                for s in profiles.get((k0, j - 2, k), ()):
+                    o["ns"].append(s), o["nprob"].append(pos)
+                # d/dz at z = 0: a power-0 term gives rate * a K'(s), a
+                # power-1 term a K(s); equal (kind, rate, shift) merge first
+                groups = {}
+                for s in slot.values():
+                    kind, power, *rest = keys[s]
+                    groups.setdefault((kind if power else 1 - kind, *rest),
+                                      []).append((s, 1 - power))
+                for (kind, *_, shift), contribs in groups.items():
+                    for s, rule in contribs:
+                        o["ts"].append(s), o["ttype"].append(rule)
+                        o["tg"].append(len(o["gs"]))
+                    o["gkind"].append(kind), o["gs"].append(shift)
+                    o["gprob"].append(pos)
+            o = {name: np.array(v, np.intp).T for name, v in o.items()}
+            # where each run of equal (sorted) target indices begins
+            for name, ids in (("cstart", "cf"), ("ustart", "uu"), ("astart", "uprob"),
+                              ("nstart", "nprob"), ("gstart", "tg"), ("pstart", "gprob")):
+                o[name] = np.flatnonzero(np.diff(o[ids], prepend=-1))
+            o["nfirst"] = o["nprob"][o["nstart"]]
+            o["t1"], o["t2"] = (np.flatnonzero(o["utype"] == r) for r in (1, 2))
+            o["trs"] = np.flatnonzero(o["ttype"])
+            self.orders.append(o)
+        self.keys = np.array(keys, np.intp).T
+        self.profiles = {key: np.array(v) for key, v in profiles.items()}
+
+
+# compiled plans, filled on first use: one per request (unit modes, order)
+_plans = {}
 
 
 class CascadeTree:
-    """The vertical profiles reachable from a unit Dirichlet mode k0.
+    """The vertical profiles of a plan's unit modes at a batch of betas.
 
-    profiles[(j, k)] holds the order-j profile at wavenumber k for every
-    order j <= jmax. `grow` solves higher orders on request; an order's
-    problem reads only lower orders, so a tree grown in steps equals one
-    built in one go.
+    The plan is replayed one order at a time, every tree and beta at once:
+    amps[b, slot] is the amplitude of a profile term at betas[b] and
+    traces[j][b, i] the surface derivative of the i-th order-j profile.
     """
 
-    def __init__(self, k0, beta, h, tables, jmax=3):
-        if beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {beta}")
-        self.k0, self.beta, self.h, self.jmax = k0, beta, h, 0
-        self.h2 = tables.h2
-        # (order i, harmonic m, z-profile times beta and the cos(m x) halving)
-        self._pieces = [
-            (i, m, [(kind, rate, shift, amp * beta * (0.5 if m else 1.0), p, key)
-                    for kind, rate, shift, amp, p, key in zp])
-            for (i, m), zp in jacobian_z_profiles(tables, h).items()]
-        self._traces = {}
-        rho0 = math.sqrt(k0 * k0 + beta)
-        self.profiles = {(0, k0): [term(COSH, rho0, 0.0, 1.0),
-                                   term(SINH, rho0, 0.0, math.tanh(h * rho0))]}
-        self.grow(jmax)
+    def __init__(self, plan, betas, h, tables):
+        self.plan, self.h = plan, h
+        self.index = {beta: b for b, beta in enumerate(betas)}
+        self.beta = beta = np.array(betas, dtype=float)[:, None]
+        self.rho = rho = np.sqrt(np.arange(plan.qmax + 1) ** 2 + beta)
+        kind, power, n, c, q, s = plan.keys
+        self.rates = rates = n + c * rho[:, q]
+        self.amps = amps = np.zeros_like(rates)
+        amps[:, :plan.n0:2] = 1.0
+        amps[:, 1:plan.n0:2] = np.tanh(h * rates[:, 1:plan.n0:2])
+        # the cos(m x) halving and the product-to-sum 1/2 are exact scalings
+        halves = np.array([0.25 if p[1] else 0.5 for p in PIECES])
+        pieces = jacobian_amplitudes(tables, h) * beta * halves
+        self.traces, self.forcing = {}, {}
+        for j, o in enumerate(plan.orders, start=1):
+            prod = pieces[:, o["pa"]] * amps[:, o["pb"]]
+            F = self.forcing[j] = np.add.reduceat(
+                prod[:, o["cu"]] * o["csign"], o["cstart"], axis=1)
+            # particular solutions, merged per term
+            _, _, fn, fc, fq, _ = o["fkey"]
+            rate = (fn + fc * rho[:, fq])[:, o["uf"]]
+            rk = rho[:, o["pq"]]
+            den = rate * rate - (rk * rk)[:, o["uprob"][o["uu"]]]
+            a = F[:, o["uf"]]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vals = a / den
+            t1, t2 = o["t1"], o["t2"]
+            vals[:, t1] = -2.0 * rate[:, t1] * a[:, t1] / (den[:, t1] * den[:, t1])
+            vals[:, t2] = a[:, t2] / (2.0 * rate[:, t2])
+            up = np.add.reduceat(vals, o["ustart"], axis=1)
+            # homogeneous solve: u(0) = 0, u'(-h) = h2 u''_{j-2}(-h); the
+            # bottom data are damped by sech(rho h) in log space
+            x = rk * h
+            ls = LOG2 - x - np.log1p(np.exp(-2.0 * x))
+            us = o["udest"]
+            terms = (kind[us], power[us], rates[:, us], s[us] * h, up)
+            a_hom = -np.add.reduceat(derivative_terms(*terms, 0.0, 0),
+                                     o["astart"], axis=1)
+            bottom = -np.add.reduceat(derivative_terms(
+                *terms, -h, 1, ls[:, o["uprob"]], 34.0), o["astart"], axis=1)
+            if o["ns"].size:
+                ns = o["ns"]
+                neumann = np.zeros_like(bottom)
+                neumann[:, o["nfirst"]] = np.add.reduceat(derivative_terms(
+                    kind[ns], power[ns], rates[:, ns], s[ns] * h, amps[:, ns],
+                    -h, 2, ls[:, o["nprob"]], 34.0), o["nstart"], axis=1)
+                bottom += tables.h2 * neumann
+            amps[:, us] = up
+            amps[:, o["hc"]] += a_hom
+            amps[:, o["hs"]] += bottom / rk + a_hom * np.tanh(x)
+            # surface traces of the merged derivative profiles
+            tv = amps[:, o["ts"]]
+            tv[:, o["trs"]] *= rates[:, o["ts"][o["trs"]]]
+            g = np.add.reduceat(tv, o["gstart"], axis=1)
+            self.traces[j] = np.add.reduceat(
+                hyperbolic(o["gkind"], o["gs"] * h, g), o["pstart"], axis=1)
 
-    def grow(self, jmax):
-        """Solve every order above the current top up to jmax."""
-        for j in range(self.jmax + 1, jmax + 1):
-            for k in range(self.k0 - j, self.k0 + j + 1, 2):
-                forcing, neumann_profile = self._problem(j, k)
-                rho = math.sqrt(k * k + self.beta)
-                try:
-                    self.profiles[(j, k)] = solve_vertical_bvp(
-                        forcing, rho, self.h, neumann_profile, self.h2)
-                except CascadeError as exc:
-                    raise CascadeError(f"order {j}, wavenumber {k}: {exc}") from exc
-            self.jmax = j
+    def trace(self, k0, j, k):
+        """d/dz of the order-j profile of unit mode k0 at k, at z = 0."""
+        return self.traces[j][:, self.plan.problems[(k0, j, k)][0]]
 
-    def _problem(self, j, k):
-        """Forcing of the order-j problem at k, merged once, and the
-        order-(j-2) profile whose second derivative gives its bottom data."""
-        products = []
-        for i, m, zp in self._pieces:
-            if i > j:
-                continue
-            for kk in ((k,) if m == 0 else (k - m, k + m)):
-                src = self.profiles.get((j - i, kk), ())
-                for a in zp:
-                    for b in src:
-                        products.extend(term_product(a, b))
-        return merge_terms(products), self.profiles.get((j - 2, k), ())
+    def row(self, j, k, beta):
+        """The order-j row at output wavenumber k (see `cascade_row`), read
+        from the profiles of unit mode |k| at wavenumbers sign(k) (k + s)."""
+        first = self.plan.problems[(abs(k), j, abs(k) - j)][0]
+        vals = self.traces[j][self.index[beta], first:first + j + 1].tolist()
+        return dict(zip(shifts(j), vals if k >= 0 else vals[::-1]))
 
-    def trace_derivative(self, j, k):
-        """d/dz of the order-j profile at z = 0, cached. The merged derivative
-        profile is evaluated: per-term derivatives summed at z = 0 would round
-        each large value before the terms of one key cancel."""
-        if (j, k) not in self._traces and (j, k) in self.profiles:
-            self._traces[(j, k)] = profile_value(
-                profile_derivative(self.profiles[(j, k)]), 0.0)
-        return self._traces.get((j, k), 0.0)
+    def terms(self, k0, j, k, z, n=0):
+        """Each term's part of the n-th z-derivative of the order-j profile
+        of unit mode k0 at k, at height z, per beta."""
+        slots = self.plan.profiles[(k0, j, k)]
+        kind, power, *_, s = self.plan.keys[:, slots]
+        return derivative_terms(kind, power, self.rates[:, slots], s * self.h,
+                                self.amps[:, slots], z, n)
 
-    def neumann_value(self, j, k):
-        """Evaluated bottom Neumann data (finite only at moderate depths)."""
-        return self.h2 * derivative_value(
-            self.profiles.get((j - 2, k), ()), -self.h, 2)
-
-    def residual(self, j, k, z):
-        """Pointwise defect of the order-j problem at height z, relative to
-        the summed magnitudes of its terms there (its roundoff scale)."""
-        u, rho2 = self.profiles[(j, k)], k * k + self.beta
-        values = [term_value(t, z)
-                  for t in profile_derivative(profile_derivative(u))]
-        values += [-rho2 * term_value(t, z) for t in u]
-        values += [-term_value(t, z) for t in self._problem(j, k)[0]]
-        return abs(sum(values)) / (sum(map(abs, values)) or 1.0)
+    def residual(self, k0, j, k, z):
+        """Pointwise defect of the order-j problem of unit mode k0 at k, at
+        height z, relative to the summed magnitudes of its terms there (its
+        roundoff scale), per beta."""
+        _, lo, hi = self.plan.problems[(k0, j, k)]
+        kind, power, n, c, q, s = self.plan.orders[j - 1]["fkey"][:, lo:hi]
+        forcing = derivative_terms(kind, power, n + c * self.rho[:, q],
+                                   s * self.h, self.forcing[j][:, lo:hi], z, 0)
+        values = np.hstack([self.terms(k0, j, k, z, 2), -forcing,
+                            -(k * k + self.beta) * self.terms(k0, j, k, z)])
+        return abs(values.sum(axis=1)) / np.abs(values).sum(axis=1)
 
 
-# Process-wide tree cache: one level per (beta, h, tables), each mapping k0
-# to its tree. Past CACHE_LEVELS levels the least recently used one goes; a
-# full Taylor table uses five (beta* and four finite-difference betas).
-CACHE_LEVELS = 8
-_tree_cache = OrderedDict()
-
-
-def cascade_profiles(k0, beta, h, tables, jmax=3):
-    """The tree of the unit mode k0, solved at least to order jmax."""
-    key = (beta, h, tables.c0)
-    level = _tree_cache.get(key)
-    if level is None:
-        level = _tree_cache[key] = {}
-        if len(_tree_cache) > CACHE_LEVELS:
-            _tree_cache.popitem(last=False)
-    else:
-        _tree_cache.move_to_end(key)
-    tree = level.get(k0)
-    if tree is None:
-        tree = level[k0] = CascadeTree(k0, beta, h, tables, jmax)
-    else:
-        tree.grow(jmax)
-    return tree
+def cascade_profiles(k0s, betas, h, tables, jmax=3):
+    """The profiles of the unit modes k0s up to order jmax at every beta of
+    `betas`: one replay of their plan, compiled on first use."""
+    for name, x in [("h", h)] + [("beta", beta) for beta in betas]:
+        if isinstance(x, Jet):
+            raise ValueError(f"cascade rows of order {jmax} need a float "
+                             f"{name}; a Jet reaches only orders 0 and 1")
+        if not (isinstance(x, numbers.Real) and math.isfinite(x) and x > 0):
+            raise ValueError(f"{name} must be a finite number > 0, got {x!r}")
+    key = (tuple(dict.fromkeys(k0s)), jmax)
+    if key not in _plans:
+        _plans[key] = Plan(*key)
+    return CascadeTree(_plans[key], betas, h, tables)
 
 
 def shifts(j):
     return tuple(range(-j, j + 1, 2))
 
 
-def cascade_row(j, k, beta, h, tables):
+def cascade_row(j, k, beta, h, tables, tree=None):
     """Order-j multiplier row at output wavenumber k: row[s] multiplies the
     input coefficient at wavenumber k + s (so row[-1] at j = 1 is the
     printed B-1(k)).
 
     The one place that decides where a row comes from: orders 0 and 1 are
     the printed closed forms (a Jet beta gives their transverse Taylor
-    coefficients), orders 2 and 3 the cascade, whose cached trees make
-    repeated calls cheap. The operator is self-adjoint and commutes with
-    x -> -x, so entry (k, k+s) equals entry (k+s, k) and entry (-k-s, -k):
-    the whole row is read from the one tree of the unit mode |k|.
+    coefficients), orders 2 and 3 the cascade, read from `tree` (a replay
+    holding unit mode |k| at beta) or from a replay of its own. The operator
+    is self-adjoint and commutes with x -> -x, so entry (k, k+s) equals entry
+    (k+s, k) and entry (-k-s, -k): the whole row is read from the one tree of
+    the unit mode |k|.
     """
     if j == 0:
         return {0: r0_coeff(k, beta, h)}
     if j == 1:
         return dict(zip(shifts(1), r1_coeffs(k, beta, h)))
-    tree = cascade_profiles(abs(k), beta, h, tables, j)
-    sign = -1 if k < 0 else 1
-    return {s: tree.trace_derivative(j, sign * (k + s)) for s in shifts(j)}
+    if tree is None:
+        tree = cascade_profiles((abs(k),), (beta,), h, tables, j)
+    return tree.row(j, k, beta)
 
 
 # ----------------------------------------------------------------------
@@ -463,25 +457,20 @@ class StripSolver:
         self.I1_top = I1[0, :]
         self.K2 = I2 - np.ones((Nz + 1, 1)) @ I2[0:1, :]
 
-        zprof = jacobian_z_profiles(tables, h)
-        w = {}
-        for mu in (-3, -2, -1, 0, 1, 2, 3):
-            vals = np.zeros(Nz + 1)
-            for i in range(1, 4):
-                prof = zprof.get((i, abs(mu)))
-                if prof is None:
-                    continue
-                fac = eps ** i * (1.0 if mu == 0 else 0.5)
-                vals += fac * np.array([profile_value(prof, zz) for zz in self.z])
-            w[mu] = vals
+        w = {mu: np.zeros(Nz + 1) for mu in range(-3, 4)}
+        for (i, m, kind, n, s), a in zip(PIECES, jacobian_amplitudes(tables, h)):
+            vals = eps ** i * (0.5 if m else 1.0) * hyperbolic(
+                kind, n * self.z + s * h, a)
+            w[m] += vals
+            if m:
+                w[-m] += vals
         self.w = w
 
         m = len(self.modes)
         nz1 = Nz + 1
         A = np.zeros((m * nz1, m * nz1))
         eye = np.eye(nz1)
-        index = {k: i for i, k in enumerate(self.modes)}
-        self.index = index
+        self.index = index = {k: i for i, k in enumerate(self.modes)}
         for k in self.modes:
             i = index[k]
             rho2 = k * k + beta
@@ -495,8 +484,7 @@ class StripSolver:
                     beta * wv[:, None] * self.K2
                 )
         self.matrix = A
-        cond_probe = np.linalg.norm(A, 1)
-        if not np.isfinite(cond_probe):
+        if not np.isfinite(np.linalg.norm(A, 1)):
             raise ResolutionError("strip system assembled non-finite entries; "
                                   "increase Nz or reduce the mode window")
 
@@ -522,10 +510,7 @@ class StripSolver:
                         rhs += self.beta * wv * c
                 B[i * nz1:(i + 1) * nz1, col] = rhs
         try:
-            if np.any(B.imag):
-                U = np.linalg.solve(self.matrix, B)
-            else:
-                U = np.linalg.solve(self.matrix, B.real)
+            U = np.linalg.solve(self.matrix, B if np.any(B.imag) else B.real)
         except np.linalg.LinAlgError as exc:
             raise ResolutionError(
                 f"strip solve failed ({exc}); try a larger Nz"

@@ -84,6 +84,14 @@ class RowProvider:
         self.h = ctx.h
         self.step = max(1e-4, 1e-4 * self.beta)
         self._cache = {}
+        self._trees = {}
+
+    def _tree(self, betas, jmax):
+        """Replay of unit modes 0..5 (vectors live on -5..4) at `betas`."""
+        if (betas, jmax) not in self._trees:
+            self._trees[(betas, jmax)] = dno.cascade_profiles(
+                range(DEFAULT_CUTOFF + 1), betas, self.h, self.tables, jmax)
+        return self._trees[(betas, jmax)]
 
     def taylor(self, j, ell, k):
         """dict offset -> ell-th Taylor coefficient of the order-j row at k."""
@@ -95,7 +103,8 @@ class RowProvider:
                                    self.tables)
             out = {s: jet.coeff(ell) for s, jet in jets.items()}
         elif ell == 0:
-            out = dno.cascade_row(j, k, self.beta, self.h, self.tables)
+            out = dno.cascade_row(j, k, self.beta, self.h, self.tables,
+                                  self._tree((self.beta,), 3))
         else:
             out = self._fd_taylor(j, ell, k)
         self._cache[key] = out
@@ -106,8 +115,10 @@ class RowProvider:
             raise ValueError("cascade rows have only their first transverse "
                              f"Taylor coefficient, got l={ell}")
         t = self.step
-        rows = {m: dno.cascade_row(j, k, self.beta + m * t, self.h, self.tables)
-                for m in (-2, -1, 1, 2)}
+        betas = {m: self.beta + m * t for m in (-2, -1, 1, 2)}
+        tree = self._tree(tuple(betas.values()), j)
+        rows = {m: dno.cascade_row(j, k, beta, self.h, self.tables, tree)
+                for m, beta in betas.items()}
         out = {}
         for s in dno.shifts(j):
             f = {m: rows[m][s] for m in rows}

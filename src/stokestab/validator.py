@@ -38,11 +38,12 @@ def _cosine_bands(series, eps):
     return bands
 
 
-def build_operator(eps, beta, h, tables, K=20, g_source="series"):
+def build_operator(eps, beta, h, tables, K=20, g_source="series", tree=None):
     """Dense 2(2K+1) x 2(2K+1) truncation of the linearized operator.
 
     g_source chooses how the surface-operator block is filled: "series"
-    sums the multiplier rows of orders 0-3 weighted by powers of eps;
+    sums the multiplier rows of orders 0-3 (from `tree`, a cascade replay of
+    the unit modes 0..K at beta, if given) weighted by powers of eps;
     "oracle" applies the finite-amplitude strip solver to every basis mode
     (slower, fully independent of the cascade).
     """
@@ -75,10 +76,11 @@ def build_operator(eps, beta, h, tables, K=20, g_source="series"):
                 M[i + 1, mode_slot(q, K)] -= fac * rm
 
     if g_source == "series":
+        tree = tree or dno.cascade_profiles(range(K + 1), (beta,), h, tables)
         for k in range(-K, K + 1):
             i = mode_slot(k, K)
             for j in range(4):
-                row = dno.cascade_row(j, k, beta, h, tables)
+                row = dno.cascade_row(j, k, beta, h, tables, tree)
                 for s, val in row.items():
                     if abs(k + s) <= K:
                         M[i, mode_slot(k + s, K) + 1] += eps ** j * val
@@ -173,12 +175,13 @@ def compare_isola(km, eps, tables, n_theta=9, K=20):
     k1 = kap1(km)
     thetas = [(-0.9 + 1.8 * i / (n_theta - 1)) * k1
               for i in range(n_theta)] if n_theta > 1 else [0.0]
+    betas = [km.beta_star + delta_of_theta(km, eps, theta) for theta in thetas]
+    tree = dno.cascade_profiles(range(K + 1), betas, km.h, tables)
     rows, ties = [], []
     max_distance = 0.0
-    for theta in thetas:
-        delta = delta_of_theta(km, eps, theta)
+    for theta, beta in zip(thetas, betas):
         pred_p, pred_m = lambda_pair_theta(km, eps, theta)
-        op = build_operator(eps, km.beta_star + delta, km.h, tables, K=K)
+        op = build_operator(eps, beta, km.h, tables, K=K, tree=tree)
         center = 0.5 * (pred_p + pred_m)
         radius = max(20.0 * abs(pred_p - center), 50.0 * abs(eps) ** 3)
         found = spectrum_near(op, center, radius)

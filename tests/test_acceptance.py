@@ -155,11 +155,12 @@ def test_criterion_6_two_path_dno(pipeline):
         if ctx is None:
             ctx = build_context(h)
             tables = build_tables(ctx)
+        tree = dno.cascade_profiles(range(-7, 8), (ctx.beta_star,), h,
+                                    tables, 1)
         for k in range(-6, 7):
-            row = {s: dno.cascade_profiles(k + s, ctx.beta_star, h, tables, 1)
-                   .trace_derivative(1, k) for s in dno.shifts(1)}
             bm, bp = dno.r1_coeffs(k, ctx.beta_star, h)
-            worst1 = max(worst1, abs(row[-1] - bm), abs(row[1] - bp))
+            worst1 = max(worst1, abs(tree.trace(k - 1, 1, k)[0] - bm),
+                         abs(tree.trace(k + 1, 1, k)[0] - bp))
     ok = worst23 < 1e-6 and worst1 < 1e-10
     report(6, ok, f"oracle vs cascade (orders 2-3) {worst23:.2e} (<1e-6); "
                   f"cascade vs printed order-1 forms {worst1:.2e} (<1e-10)")

@@ -8,18 +8,18 @@ change fails here as well.
 
 from pathlib import Path
 
-from stokestab import dno, kato
+from stokestab import kato
 from stokestab.dispersion import build_context
 from stokestab.stokes import build_tables
 
 
 def test_traced_coeffs_item(monkeypatch):
+    """The tracer's `dno.CascadeTree` spans now count cascade replays."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
                                     / "perfbench"))
     import tracing
 
     def table():
-        dno._tree_cache.clear()
         ctx = build_context(1.37)
         return kato.assemble_matrix_coeffs(ctx, build_tables(ctx)).as_dict()
 
@@ -28,5 +28,6 @@ def test_traced_coeffs_item(monkeypatch):
     with tracer.installed():
         traced = table()
     assert traced == untraced
-    # beta* and four finite-difference betas: 6 + 4 * 5 trees
-    assert sum(1 for span in tracer.spans if span[0] == "dno.CascadeTree") == 26
+    # one replay at beta*, one at the four finite-difference betas
+    assert sum(1 for span in tracer.spans if span[0] == "dno.CascadeTree") == 2
+    assert tracer.counts["dno.cascade_profiles"] == 2

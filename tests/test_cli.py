@@ -244,6 +244,17 @@ def test_dno_dump_empty_wavenumber_range(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf", "0"])
+def test_dno_dump_bad_beta_is_an_error(tmp_path, capsys, beta):
+    """A transverse parameter that is not finite and positive is a named
+    error, not a traceback and not rows."""
+    assert run_cli(["dno-dump", "--h", "1", "--beta", beta,
+                    "--outdir", str(tmp_path)]) == 1
+    assert (f"error: beta must be a finite number > 0, got {float(beta)!r}"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_validate_zero_amplitude_is_an_error(tmp_path, capsys, monkeypatch):
     """eps = 0 is rejected by name before any dense operator is built."""
     from stokestab import validator

@@ -1,8 +1,13 @@
 import math
-from collections import OrderedDict
+import os
+import subprocess
+import sys
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from stokestab import dno
 from stokestab.dispersion import build_context
@@ -35,10 +40,15 @@ def test_r1_self_adjoint_pairing(ctx1):
 
 
 def test_r1_deep_limits():
+    """The order-1 pair tends to its infinite-depth closed forms."""
     beta = 1.7
     for k in range(-4, 5):
         bm, bp = dno.r1_coeffs(k, beta, 50.0)
-        dm, dp = dno.r1_coeffs_deep(k, beta)
+        um = math.sqrt(beta + (k - 1) ** 2)
+        u0 = math.sqrt(beta + k * k)
+        up = math.sqrt(beta + (k + 1) ** 2)
+        dm = 0.5 * (beta - (k - 1) * u0 - um * u0 + k * k + k * um - k)
+        dp = 0.5 * (beta + (k + 1) * u0 - u0 * up + k * k - k * up + k)
         assert abs(bm - dm) < 1e-8
         assert abs(bp - dp) < 1e-8
 
@@ -47,12 +57,11 @@ def test_r1_deep_limits():
 def test_cascade_reproduces_order_one(h):
     ctx = build_context(h)
     tables = build_tables(ctx)
+    tree = dno.cascade_profiles(range(-7, 8), (ctx.beta_star,), h, tables, 1)
     for k in range(-6, 7):
-        row = {s: dno.cascade_profiles(k + s, ctx.beta_star, h, tables, 1)
-               .trace_derivative(1, k) for s in dno.shifts(1)}
         bm, bp = dno.r1_coeffs(k, ctx.beta_star, h)
-        assert abs(row[-1] - bm) < 1e-10
-        assert abs(row[1] - bp) < 1e-10
+        assert abs(tree.trace(k - 1, 1, k)[0] - bm) < 1e-10
+        assert abs(tree.trace(k + 1, 1, k)[0] - bp) < 1e-10
 
 
 def test_cascade_order_two_support(setup1):
@@ -61,47 +70,21 @@ def test_cascade_order_two_support(setup1):
     assert sorted(row) == [-2, 0, 2]
 
 
-def test_tree_growth_order_is_invisible(setup1, monkeypatch):
-    """Cascade rows read at a fresh beta in the order j = 3, 2 equal, bit
-    for bit, the rows read in the order 2, 3 (trees grown in steps) and the
-    rows of trees built to order 3 in one go."""
+def test_tree_growth_order_is_invisible(setup1):
+    """A row does not depend on what else its replay holds: rows read from
+    one replay of the unit modes 0..4 at three betas, to order 3, equal bit
+    for bit the rows of a replay of mode |k| alone at one beta, and the
+    order-2 rows of a replay that stops at order 2."""
     ctx, tables = setup1
-    beta, h, ks = 1.01 * ctx.beta_star, 1.0, range(-4, 5)
-
-    def rows(orders):
-        monkeypatch.setattr(dno, "_tree_cache", OrderedDict())
-        return {(j, k): dno.cascade_row(j, k, beta, h, tables)
-                for j in orders for k in ks}
-
-    upward = rows((2, 3))
-    assert rows((3, 2)) == upward
-    one_go = {(j, k): {s: dno.CascadeTree(abs(k), beta, h, tables, 3)
-                       .trace_derivative(j, (-1 if k < 0 else 1) * (k + s))
-                       for s in dno.shifts(j)}
-              for j in (2, 3) for k in ks}
-    assert one_go == upward
-
-
-def test_tree_cache_keeps_few_levels(setup1, monkeypatch):
-    """The cache holds at most CACHE_LEVELS (beta, h, tables) levels and
-    drops the least recently used; an evicted row is rebuilt unchanged."""
-    ctx, tables = setup1
-    monkeypatch.setattr(dno, "_tree_cache", OrderedDict())
-    betas = [ctx.beta_star * (1.0 + 0.01 * i) for i in range(20)]
-    level = lambda beta: (beta, 1.0, tables.c0)
-    first = dno.cascade_row(2, 1, betas[0], 1.0, tables)
-    for i, beta in enumerate(betas[1:], start=1):
-        dno.cascade_row(2, 1, beta, 1.0, tables)
-        assert len(dno._tree_cache) <= dno.CACHE_LEVELS
-        if i == dno.CACHE_LEVELS:
-            # touch the oldest level: the next eviction takes the second
-            dno.cascade_row(2, 1, betas[1], 1.0, tables)
-            dno.cascade_row(2, 1, betas[i + 1], 1.0, tables)
-            assert level(betas[1]) in dno._tree_cache
-            assert level(betas[2]) not in dno._tree_cache
-    assert len(dno._tree_cache) == dno.CACHE_LEVELS
-    assert level(betas[0]) not in dno._tree_cache
-    assert dno.cascade_row(2, 1, betas[0], 1.0, tables) == first
+    betas, h = [r * ctx.beta_star for r in (0.9, 1.01, 1.3)], 1.0
+    batch = dno.cascade_profiles(range(5), betas, h, tables)
+    for beta in betas:
+        for k in range(-4, 5):
+            for j in (2, 3):
+                alone = dno.cascade_row(j, k, beta, h, tables)
+                assert dno.cascade_row(j, k, beta, h, tables, batch) == alone
+            two = dno.cascade_profiles((abs(k),), (beta,), h, tables, 2)
+            assert two.row(2, k, beta) == batch.row(2, k, beta)
 
 
 def test_cascade_mirror_symmetry():
@@ -113,11 +96,11 @@ def test_cascade_mirror_symmetry():
         ctx = build_context(h)
         tables = build_tables(ctx)
         beta = ctx.beta_star
+        tree = dno.cascade_profiles(range(-23, 24), (beta,), h, tables)
         for j in (2, 3):
             for k in range(-20, 21):
-                row = dno.cascade_row(j, k, beta, h, tables)
-                ref = {s: dno.cascade_profiles(k + s, beta, h, tables, j)
-                       .trace_derivative(j, k) for s in dno.shifts(j)}
+                row = dno.cascade_row(j, k, beta, h, tables, tree)
+                ref = {s: tree.trace(k + s, j, k)[0] for s in dno.shifts(j)}
                 bound = (1e-10 if abs(k) <= 6 else 1e-9) * max(
                     abs(v) for v in ref.values())
                 for s in ref:
@@ -125,97 +108,117 @@ def test_cascade_mirror_symmetry():
 
 
 def test_bvp_residual_and_boundaries(setup1):
+    """Every replayed profile of unit mode 1 solves its vertical problem
+    pointwise (1e-12 relative), vanishes at the surface and meets its
+    bottom Neumann data h2 * u''_{j-2}(-h)."""
     ctx, tables = setup1
     h = 1.0
-    tree = dno.cascade_profiles(1, ctx.beta_star, h, tables)
+    tree = dno.cascade_profiles((1,), (ctx.beta_star,), h, tables)
+    profiles = tree.plan.profiles
+    value = lambda j, k, z, n: tree.terms(1, j, k, z, n).sum()
     zs = np.linspace(-h, 0.0, 100)
-    for (j, k), prof in tree.profiles.items():
+    for _, j, k in profiles:
         if j == 0:
             continue
         for z in zs:
-            assert tree.residual(j, k, z) < 1e-12, (j, k, z)
-        assert abs(dno.profile_value(prof, 0.0)) < 1e-10, (j, k)
-        dprof = dno.profile_derivative(prof)
-        assert abs(dno.profile_value(dprof, -h)
-                   - tree.neumann_value(j, k)) < 1e-10, (j, k)
+            assert tree.residual(1, j, k, z)[0] < 1e-12, (j, k, z)
+        assert abs(value(j, k, 0.0, 0)) < 1e-10, (j, k)
+        neumann = (tables.h2 * value(j - 2, k, -h, 2)
+                   if (1, j - 2, k) in profiles else 0.0)
+        assert abs(value(j, k, -h, 1) - neumann) < 1e-10, (j, k)
 
 
-def test_tree_caches_surface_traces(setup1, monkeypatch):
-    """A trace read twice is the same float, and its derivative profile is
-    built once."""
-    ctx, tables = setup1
-    tree = dno.CascadeTree(1, 1.02 * ctx.beta_star, 1.0, tables)
-    built = []
-    derivative = dno.profile_derivative
-    monkeypatch.setattr(dno, "profile_derivative",
-                        lambda terms: built.append(1) or derivative(terms))
-    first = tree.trace_derivative(3, -2)
-    assert tree.trace_derivative(3, -2) == first and math.isfinite(first)
-    assert len(built) == 1
+def test_fill_keeps_the_cached_term_count():
+    """The plans of a K = 20 fill (unit modes 0..20) hold 3382 terms; the
+    float-keyed trees cached 3339 of them at h = 2 with the keys
+    round(x, 10) and 3370 with round(x * 1e10). Exact keys merge what the
+    float keys merged, and no term is dropped for an amplitude that
+    cancels to zero at one beta."""
+    plan = dno.Plan(tuple(range(21)), 3)
+    assert plan.keys.shape[1] == 3382
+    assert abs(plan.keys.shape[1] - 3339) <= 0.02 * 3339
 
 
-def test_fill_keeps_the_cached_term_count(setup1, monkeypatch):
-    """One K = 20 fill at h = 2 caches 3339 terms over its 21 trees with
-    the keys round(x, 10) and a merge per product; the keys quantized as
-    round(x * 1e10) and one merge per forcing stay within 2% of that."""
-    from stokestab import validator
-    monkeypatch.setattr(dno, "_tree_cache", OrderedDict())
-    ctx = build_context(2.0)
-    validator.build_operator(0.01, ctx.beta_star, 2.0, K=20,
-                             tables=build_tables(ctx))
-    trees = [tree for level in dno._tree_cache.values()
-             for tree in level.values()]
-    terms = sum(len(p) for tree in trees for p in tree.profiles.values())
-    assert len(trees) == 21
-    assert abs(terms - 3339) <= 0.02 * 3339
+def test_equal_rates_from_different_sums_share_a_key():
+    """Integer keys of equal rates are equal by construction, whatever sums
+    built them: 2 + rho_3 at shift 2h from piece rate 1 times 1 + rho_3,
+    from piece rate 2 times rho_3, from piece rate 3 minus (1 - rho_3), and
+    from the sign flip of 1 - (3 + rho_3). And no compiled profile holds
+    two terms with one key."""
+    piece = {n: (0, 0, dno.COSH, n, n) for n in (1, 2, 3)}
+    cosh = lambda n, c, s: (dno.COSH, 0, n, c, 3, s)
+    key = (dno.COSH, 0, 2, 1, 3, 2)
+    assert dno.term_products(piece[1], cosh(1, 1, 1))[0] == (key, 1.0)
+    assert dno.term_products(piece[2], cosh(0, 1, 0))[0] == (key, 1.0)
+    assert dno.term_products(piece[3], cosh(1, -1, 1))[1] == (key, 1.0)
+    assert dno.term_products(piece[1], cosh(3, 1, 3))[1] == (key, 1.0)
+    for k0 in (0, 1, 3, 20):
+        plan = dno.Plan((k0,), 3)
+        for slots in plan.profiles.values():
+            keys = {tuple(plan.keys[:, s]) for s in slots}
+            assert len(keys) == len(slots)
 
 
-def test_products_equal_by_construction_share_a_key():
-    """Equal rates built from different sums get one key, so their terms
-    merge. cosh(0.1 z) cosh(0.2 z) cosh(0.3 z) taken in two orders has the
-    rates (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3), which differ in the last
-    bit. And rates of 0.4 key quanta above 1 and 2 sum to 0.8 quanta above
-    3: keys added from the factors' keys would round that part away, while
-    the key of the rate itself keeps it."""
-    cosh = lambda r: dno.term(dno.COSH, r, 2 * r, 1.0)
-    a, b, c = cosh(0.1), cosh(0.2), cosh(0.3)
-    pairs = [(dno.term_product(dno.term_product(a, b)[0], c)[0],
-              dno.term_product(a, dno.term_product(b, c)[0])[0]),
-             (dno.term_product(cosh(1 + 4e-11), cosh(2 + 4e-11))[0],
-              dno.term_product(cosh(3 + 8e-11), cosh(0.0))[0])]
-    assert pairs[0][0][1] != pairs[0][1][1]
-    for left, right in pairs:
-        assert left[5] == right[5]
-        merged = dno.merge_terms([left, right])
-        assert len(merged) == 1 and merged[0][3] == left[3] + right[3]
-    assert pairs[1][0][5][2] == round(3e10) + 1
+def test_plan_forms_each_product_once():
+    """Problems k' - m and k' + m of one order both take piece (i, m) times
+    profile (j - i, k'); the plan forms each such product once and adds it
+    to both. Over the unit modes 0..20 that is 2222 products where the
+    term-at-a-time trees formed 4146."""
+    total = 0
+    for k0 in range(21):
+        for o in dno.Plan((k0,), 3).orders:
+            pairs = set(zip(o["pa"].tolist(), o["pb"].tolist()))
+            assert len(pairs) == o["pa"].size
+            # each product feeds one or two problems with two terms each
+            assert o["cu"].size <= 4 * o["pa"].size
+            total += o["pa"].size
+    assert total == 2222
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_derivative_value_matches_profile_derivative(n):
-    """The point evaluator equals the derivative profile evaluated at z,
-    for power 0 and power 1 terms of both kinds, on both sides of its
-    log-space switch at |arg| = 34 and, damped by sech(rho h) with
-    rho h = 300, at the bottom of a deep strip."""
+    """The point evaluator equals the derivative profile, built by
+    d/dz [a z^p K(r z + s)] = a r z^p K' + p a K and evaluated at z, for
+    power 0 and power 1 terms of both kinds, on both sides of its log-space
+    switch at |arg| = 34 and, damped by sech(rho h) with rho h = 300, at the
+    bottom of a deep strip."""
+    def derivative_profile(terms):
+        out = []
+        for kind, power, rate, shift, amp in terms:
+            out.append((1 - kind, power, rate, shift, amp * rate))
+            if power:
+                out.append((kind, 0, rate, shift, amp))
+        return out
+
+    def value(terms, z):
+        return [amp * (z if power else 1.0)
+                * (math.cosh if kind else math.sinh)(rate * z + shift)
+                for kind, power, rate, shift, amp in terms]
+
+    def point(terms, z, ls=0.0):
+        cols = [np.array(c) for c in zip(*terms)]
+        return dno.derivative_terms(*cols, z, n, ls, 34.0).sum()
+
     rho, h = 3.0, 100.0
-    prof = [dno.term(dno.COSH, rho, 0.0, 0.7), dno.term(dno.SINH, rho, 0.0, -1.3),
-            dno.term(dno.COSH, 2.0, 1.5, 0.4, power=1),
-            dno.term(dno.SINH, 6.0, -0.5, 0.9, power=1)]
+    C, S = dno.COSH, dno.SINH
+    prof = [(C, 0, rho, 0.0, 0.7), (S, 0, rho, 0.0, -1.3),
+            (C, 1, 2.0, 1.5, 0.4), (S, 1, 6.0, -0.5, 0.9)]
     d = prof
     for _ in range(n):
-        d = dno.profile_derivative(d)
+        d = derivative_profile(d)
     for z in (0.0, -0.3, -2.0, -9.0, -20.0):
-        ref = dno.profile_value(d, z)
-        scale = sum(abs(dno.term_value(t, z)) for t in d)
-        assert abs(dno.derivative_value(prof, z, n) - ref) < 1e-14 * scale
-    ls = dno._log_sech(rho * h)
-    deep = prof[:2] + [dno.term(dno.SINH, rho, 0.0, 0.2, power=1)]
+        ref = value(d, z)
+        assert abs(point(prof, z) - sum(ref)) < 1e-14 * sum(map(abs, ref))
+    x = rho * h
+    ls = math.log(2.0) - x - math.log1p(math.exp(-2.0 * x))
+    deep = prof[:2] + [(S, 1, rho, 0.0, 0.2)]
     d = deep
     for _ in range(n):
-        d = dno.profile_derivative(d)
-    ref = dno.profile_value(d, -h) * math.exp(ls)
-    scale = sum(abs(dno.term_value(t, -h)) for t in d) * math.exp(ls)
-    assert abs(dno.derivative_value(deep, -h, n, ls) - ref) < 1e-12 * scale
+        d = derivative_profile(d)
+    # exact: cosh/sinh(-x) sech(x) = (+-1 + e^{-2x}) / (1 + e^{-2x}) = +-1
+    ref = [amp * (-h if power else 1.0) * (1.0 if kind else -1.0)
+           for kind, power, rate, shift, amp in d]
+    assert abs(point(deep, -h, ls) - sum(ref)) < 1e-12 * sum(map(abs, ref))
 
 
 def test_deep_strip_cascade_is_finite():
@@ -226,12 +229,140 @@ def test_deep_strip_cascade_is_finite():
         assert all(math.isfinite(v) for v in row.values())
 
 
-def test_secular_branch_engaged(setup1):
+def test_secular_branch_engaged():
     """The return-path forcing is exactly resonant, so order >= 2 profiles
     must carry z-weighted terms."""
-    ctx, tables = setup1
-    tree = dno.cascade_profiles(0, ctx.beta_star, 1.0, tables)
-    assert any(power == 1 for _, _, _, _, power, _ in tree.profiles[(2, 0)])
+    plan = dno.Plan((0,), 2)
+    assert any(plan.keys[1, plan.profiles[(0, 2, 0)]] == 1)
+
+
+def test_replay_rejects_bad_input(setup1):
+    """beta and h must be finite and positive, and a Jet beta has rows only
+    at orders 0 and 1: each is a named ValueError, raised before any plan
+    is replayed."""
+    _, tables = setup1
+    for beta, h in ((math.inf, 1.0), (math.nan, 1.0), (0.0, 1.0),
+                    (1.0, -1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="must be a finite number > 0"):
+            dno.cascade_row(2, 1, beta, h, tables)
+    with pytest.raises(ValueError, match="a Jet reaches only orders 0 and 1"):
+        dno.cascade_row(2, 1, Jet.variable(1.0), 1.0, tables)
+
+
+def test_no_plan_before_the_first_order_two_row():
+    """Importing the package and solving the resonance compile no plan; the
+    first order-2 row compiles the plan of its unit mode alone."""
+    code = "\n".join((
+        "import stokestab",
+        "from stokestab import dno",
+        "from stokestab.dispersion import build_context",
+        "from stokestab.stokes import build_tables",
+        "ctx = build_context(1.0)",
+        "assert not dno._plans",
+        "tables = build_tables(ctx)",
+        "dno.cascade_row(1, 3, ctx.beta_star, 1.0, tables)",
+        "assert not dno._plans",
+        "dno.cascade_row(2, -3, ctx.beta_star, 1.0, tables)",
+        "assert list(dno._plans) == [((3,), 2)], dno._plans",
+    ))
+    src = str(Path(dno.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def _mp_row(j, k, beta, h, tables):
+    """The order-j row at k from the tree of |k|, in 50-digit arithmetic:
+    the same term algebra with every amplitude an mpmath number."""
+    mp.dps = 50
+    beta, h = mpf(beta), mpf(h)
+    rho = lambda q: mp.sqrt(q * q + beta)
+    t = tables
+    ch, c2h, c3h = mp.cosh(h), mp.cosh(2 * h), mp.cosh(3 * h)
+    z11, z22, z31, z33, h2 = map(mpf, (t.zeta11, t.zeta22, t.zeta31,
+                                       t.zeta33, t.h2))
+    amps = [2 * z11 / ch, z11 ** 2 / (2 * ch ** 2), 4 * z22 / c2h,
+            z11 ** 2 / (2 * ch ** 2), 2 * h2 * z11 / ch ** 2,
+            2 * z11 * z22 / (ch * c2h), 2 * z31 / ch,
+            2 * z11 * z22 / (ch * c2h), 6 * z33 / c3h]
+    hyp = lambda kind, x: mp.cosh(x) if kind else mp.sinh(x)
+
+    def value(u, z, n):
+        total = mpf(0)
+        for (kind, p, m, c, q, s), a in u.items():
+            r = m + c * rho(q)
+            even = kind if n % 2 == 0 else 1 - kind
+            total += a * r ** n * (z if p else 1) * hyp(even, r * z + s * h)
+            if p and n:
+                total += n * a * r ** (n - 1) * hyp(1 - even, r * z + s * h)
+        return total
+
+    k0 = abs(k)
+    prof = {(0, k0): {(1, 0, 0, 1, k0, 0): mpf(1),
+                      (0, 0, 0, 1, k0, 0): mp.tanh(h * rho(k0))}}
+    for jj in range(1, j + 1):
+        for kk in range(k0 - jj, k0 + jj + 1, 2):
+            forcing = defaultdict(mpf)
+            for (i, m, ka, na, sa), a in zip(dno.PIECES, amps):
+                a = a * beta / (2 if m else 1)
+                for src in ((kk - m, kk + m) if m else (kk,)):
+                    for (kb, p, nb, cb, qb, sb), b in prof.get((jj - i, src),
+                                                               {}).items():
+                        for n, c, s, sign in ((na + nb, cb, sa + sb, 1),
+                                              (na - nb, -cb, sa - sb,
+                                               -1 if kb == 0 else 1)):
+                            kind, amp = int(ka == kb), sign * a * b / 2
+                            if (n or c or s) < 0:
+                                n, c, s = -n, -c, -s
+                                amp = amp if kind else -amp
+                            if n or c or s or kind:
+                                forcing[(kind, p, n, c, qb if c else 0, s)] += amp
+            q, u = abs(kk), defaultdict(mpf)
+            for key, f in forcing.items():
+                kind, p, n, c, kq, s = key
+                r = n + c * rho(kq)
+                if (n, c, kq) == (0, 1, q):
+                    u[(1 - kind, 1, n, c, kq, s)] += f / (2 * r)
+                    continue
+                den = r * r - rho(q) ** 2
+                u[key] += f / den
+                if p:
+                    u[(1 - kind, 0, n, c, kq, s)] -= 2 * r * f / den ** 2
+            a_hom = -value(u, 0, 0)
+            bottom = (h2 * value(prof.get((jj - 2, kk), {}), -h, 2)
+                      - value(u, -h, 1))
+            x = rho(q) * h
+            u[(1, 0, 0, 1, q, 0)] += a_hom
+            u[(0, 0, 0, 1, q, 0)] += (bottom / (rho(q) * mp.cosh(x))
+                                      + a_hom * mp.tanh(x))
+            prof[(jj, kk)] = u
+    sign = -1 if k < 0 else 1
+    return {s: float(value(prof[(j, sign * (k + s))], 0, 1))
+            for s in dno.shifts(j)}
+
+
+@pytest.mark.parametrize("h, j, k, bound", [
+    (0.05, 2, 20, 1e-11), (0.05, 3, 20, 1e-10),
+    (1.0, 2, 3, 1e-13), (1.0, 3, 3, 1e-13)])
+def test_replay_against_mpmath_rows(h, j, k, bound):
+    """Rows k and -k against the same algebra in 50-digit arithmetic, each
+    difference relative to the row's largest entry. Measured: at h = 0.05,
+    |k| = 20 the replay is 1.0e-12 (j = 2) and 3.4e-11 (j = 3) off, the
+    float-keyed trees it replaced 1.5e-12 and 2.5e-10, so the replay is the
+    nearer there; at h = 1, |k| = 3 both sit at roundoff, the replay 9.1e-15
+    and 2.3e-14 off, the trees 1.5e-14 and 2.1e-14."""
+    ctx = build_context(h)
+    tables = build_tables(ctx)
+    tree = dno.cascade_profiles((k,), (ctx.beta_star,), h, tables)
+    worst = 0.0
+    for kk in (k, -k):
+        exact = _mp_row(j, kk, ctx.beta_star, h, tables)
+        row = dno.cascade_row(j, kk, ctx.beta_star, h, tables, tree)
+        scale = max(map(abs, exact.values()))
+        worst = max(worst, max(abs(row[s] - exact[s]) for s in exact) / scale)
+    assert worst < bound
+    if (h, j) == (0.05, 3):
+        assert worst < 2.5e-10 / 2     # nearer than the float-keyed trees
 
 
 def test_oracle_flat_multiplier(setup1):
@@ -338,6 +469,8 @@ def test_cascade_row_low_orders_are_closed_forms(setup1):
 
 
 def test_resonant_secular_forcing_rejected():
+    """z cosh(rho_2 z) forcing at wavenumber 2 would need a z^2 term."""
     with pytest.raises(dno.CascadeError):
-        dno.particular_solution(
-            [dno.term(dno.COSH, 2.0, 0.0, 1.0, power=1)], 2.0)
+        dno.particular_keys((dno.COSH, 1, 0, 1, 2, 0), 2)
+    assert dno.particular_keys((dno.COSH, 0, 0, 1, 2, 0), 2) == [
+        ((dno.SINH, 1, 0, 1, 2, 0), 2)]

@@ -20,7 +20,8 @@ from stokestab.modealg import (DEFAULT_CUTOFF, apply_J, base_eigenvectors,
                                mode_slot, mode_vector, symplectic_pairing)
 from stokestab.stokes import build_tables
 from stokestab.validator import (_dense_projector, _inverse_sqrt_one_minus,
-                                 build_operator, direct_entry_functions)
+                                 build_operator, compare_isola,
+                                 direct_entry_functions)
 
 
 @pytest.fixture(scope="module")
@@ -229,11 +230,11 @@ def test_basis_corrections_are_taylor_coefficients(asm, ctx1, tables1,
 
 
 def test_cascade_trees_per_depth(monkeypatch):
-    """Only the multiplier rows some vector reaches are computed, each row
-    from the one tree of its unit mode |k|, grown to the highest order
-    asked: at a new depth the b30 request builds 6 cascade trees, the full
-    table 26 (20 of them at the four finite-difference betas, which stop at
-    order 2), and a K = 20 dense fill at a new beta 21 (|k| = 0..20)."""
+    """Each caller asks for all the cascade rows it needs in one replay: at
+    a new depth the b30 request replays once (unit modes 0..5 at beta*), the
+    full table twice (beta*, and the four finite-difference betas together),
+    a K = 20 dense fill at a new beta once, and a compare_isola amplitude
+    once for all its nine detunings."""
     built = []
 
     class Counted(dno.CascadeTree):
@@ -243,14 +244,17 @@ def test_cascade_trees_per_depth(monkeypatch):
 
     fill = lambda ctx, tables: build_operator(
         0.01, 1.01 * ctx.beta_star, ctx.h, tables, K=20)
+    isola = lambda ctx, tables: compare_isola(
+        assemble_matrix_coeffs(ctx, tables), 0.01, tables)
     monkeypatch.setattr(dno, "CascadeTree", Counted)
-    for h, run, trees in ((0.7311, b30_coefficient, 6),
-                          (0.7313, assemble_matrix_coeffs, 26),
-                          (0.7315, fill, 21)):
+    for h, run, replays in ((0.7311, b30_coefficient, 1),
+                            (0.7313, assemble_matrix_coeffs, 2),
+                            (0.7315, fill, 1), (1.3717, isola, 2 + 1)):
         ctx = build_context(h)
         built.clear()
         run(ctx, build_tables(ctx))
-        assert len(built) == trees, h
+        assert len(built) == replays, h
+    assert [len(args[1]) for args in built] == [1, 4, 9]
 
 
 def test_detuning_slopes_closed_form(km1, ctx1):
