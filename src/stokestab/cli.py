@@ -215,7 +215,7 @@ def cmd_coeffs(args):
     payload.update(tables.as_dict())
     if not args.no_kato:
         km = kato.assemble_matrix_coeffs(ctx, tables)
-        payload.update(km.as_dict())
+        payload.update(km.as_dict(), diagnostics=km.diagnostics)
     path = _out(args, "coeffs.json")
     write_json(path, payload)
     print(path)

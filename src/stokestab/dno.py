@@ -335,12 +335,18 @@ class CascadeTree:
         """d/dz of the order-j profile of unit mode k0 at k, at z = 0."""
         return self.traces[j][:, self.plan.problems[(k0, j, k)][0]]
 
+    def rows(self, j, ks, beta):
+        """The order-j rows at output wavenumbers ks (see `cascade_row`), one
+        line each, column i at shift shifts(j)[i]: row k is read from the
+        profiles of unit mode |k| at wavenumbers sign(k) (k + s)."""
+        col = np.arange(j + 1)
+        cols = [self.plan.problems[(abs(k), j, abs(k) - j)][0]
+                + (col if k >= 0 else col[::-1]) for k in ks]
+        return self.traces[j][self.index[beta], cols]
+
     def row(self, j, k, beta):
-        """The order-j row at output wavenumber k (see `cascade_row`), read
-        from the profiles of unit mode |k| at wavenumbers sign(k) (k + s)."""
-        first = self.plan.problems[(abs(k), j, abs(k) - j)][0]
-        vals = self.traces[j][self.index[beta], first:first + j + 1].tolist()
-        return dict(zip(shifts(j), vals if k >= 0 else vals[::-1]))
+        """The order-j row at output wavenumber k, as {shift: value}."""
+        return dict(zip(shifts(j), self.rows(j, (k,), beta)[0].tolist()))
 
     def terms(self, k0, j, k, z, n=0):
         """Each term's part of the n-th z-derivative of the order-j profile

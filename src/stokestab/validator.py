@@ -17,25 +17,66 @@ import numpy as np
 from . import dno
 from .dispersion import lambda0
 from .isola import delta_of_theta, lambda_pair_theta
-from .modealg import apply_J, base_eigenvectors, inner, mode_slot
+from .modealg import apply_J, base_eigenvectors, inner
 from .stokes import profile_series
 
 
 @dataclass
 class TruncatedOperator:
-    matrix: np.ndarray
+    """The dense truncation in real form. With D = diag(1, i) on each mode's
+    (eta, psi) pair, the p d/dx blocks of the complex operator M are
+    imaginary and its G and r blocks real, so `real` holds the real matrix
+    R = -i D^-1 M D and `matrix` forms M = i D R D^-1 on demand."""
+    real: np.ndarray
     K: int
     eps: float
     beta: float
     h: float
 
+    @property
+    def matrix(self):
+        d = np.tile([1.0, 1j], self.real.shape[0] // 2)
+        return self.real * (1j * np.outer(d, 1.0 / d))
 
-def _cosine_bands(series, eps):
-    """mode -> coefficient bands of a cosine series evaluated at eps."""
-    bands = {}
+
+def _band_matrix(series, eps, dist):
+    """The convolution matrix of a cosine series evaluated at eps: entry
+    (k, q) is the coefficient of cos(m x) at m = |k - q| = dist, halved for
+    m > 0 (each cosine couples k to k - m and k + m)."""
+    bands = np.zeros(dist.shape[0])
     for (order, m), amp in series.coefficients.items():
-        bands[m] = bands.get(m, 0.0) + amp * eps ** order
-    return bands
+        bands[m] += amp * eps ** order
+    bands[1:] *= 0.5
+    return bands[dist]
+
+
+def _series_block(eps, beta, h, tables, K, tree):
+    """G = sum_j eps^j (order-j multiplier rows), cut to modes |k| <= K."""
+    ks = range(-K, K + 1)
+    tree = tree or dno.cascade_profiles(range(K + 1), (beta,), h, tables)
+    rows = ([[dno.r0_coeff(k, beta, h)] for k in ks],
+            [dno.r1_coeffs(k, beta, h) for k in ks],
+            tree.rows(2, ks, beta), tree.rows(3, ks, beta))
+    # row k's entry at k + s sits in column k + K + 3 + s; the three padding
+    # columns each side take the shifts that leave |k| <= K
+    G = np.zeros((len(ks), len(ks) + 6))
+    at = np.arange(len(ks))[:, None]
+    for j, vals in enumerate(rows):
+        G[at, at + 3 + dno.shifts(j)] += eps ** j * np.asarray(vals)
+    return G[:, 3:-3]
+
+
+def _oracle_block(eps, beta, h, tables, K):
+    """G[k, q]: the strip solver's trace at k of the unit mode q."""
+    ks = range(-K, K + 1)
+    solver = dno.StripSolver(eps, beta, h, tables, range(-K - 8, K + 9))
+    sols = solver.solve([{q: 1.0} for q in ks])
+    G = np.array([[sol[k] for sol in sols] for k in ks])
+    if np.any(G.imag):
+        raise RuntimeError(
+            "oracle surface operator has a nonzero imaginary part (largest "
+            f"{np.max(np.abs(G.imag)):.3e}); the real operator cannot hold it")
+    return G.real
 
 
 def build_operator(eps, beta, h, tables, K=20, g_source="series", tree=None):
@@ -51,63 +92,36 @@ def build_operator(eps, beta, h, tables, K=20, g_source="series", tree=None):
         raise ValueError("dense validation needs K >= 16")
     if abs(eps) > 0.05:
         raise ValueError("operator truncation is trusted only for |eps| <= 0.05")
-    n = 2 * (2 * K + 1)
-    M = np.zeros((n, n), dtype=complex)
-
-    p_bands = _cosine_bands(profile_series(tables, "p"), eps)
-    r_bands = _cosine_bands(profile_series(tables, "r"), eps)
-
-    for k in range(-K, K + 1):
-        i = mode_slot(k, K)
-        for m, pm in p_bands.items():
-            fac = 1.0 if m == 0 else 0.5
-            for q in ({k} if m == 0 else {k - m, k + m}):
-                if abs(q) > K:
-                    continue
-                # d/dx(p .) on the first row, p d/dx on the second
-                c = mode_slot(q, K)
-                M[i, c] += 1j * k * fac * pm
-                M[i + 1, c + 1] += 1j * q * fac * pm
-        for m, rm in r_bands.items():
-            fac = 1.0 if m == 0 else 0.5
-            for q in ({k} if m == 0 else {k - m, k + m}):
-                if abs(q) > K:
-                    continue
-                M[i + 1, mode_slot(q, K)] -= fac * rm
-
     if g_source == "series":
-        tree = tree or dno.cascade_profiles(range(K + 1), (beta,), h, tables)
-        for k in range(-K, K + 1):
-            i = mode_slot(k, K)
-            for j in range(4):
-                row = dno.cascade_row(j, k, beta, h, tables, tree)
-                for s, val in row.items():
-                    if abs(k + s) <= K:
-                        M[i, mode_slot(k + s, K) + 1] += eps ** j * val
+        G = _series_block(eps, beta, h, tables, K, tree)
     elif g_source == "oracle":
-        modes = range(-K - 8, K + 9)
-        solver = dno.StripSolver(eps, beta, h, tables, modes)
-        cols = [{q: 1.0} for q in range(-K, K + 1)]
-        sols = solver.solve(cols)
-        for q, sol in zip(range(-K, K + 1), sols):
-            for k in range(-K, K + 1):
-                M[mode_slot(k, K), mode_slot(q, K) + 1] += sol[k]
+        G = _oracle_block(eps, beta, h, tables, K)
     else:
         raise ValueError(f"unknown g_source {g_source!r}")
-    return TruncatedOperator(matrix=M, K=K, eps=eps, beta=beta, h=h)
+    ks = np.arange(-K, K + 1)
+    dist = abs(ks[:, None] - ks)
+    p = _band_matrix(profile_series(tables, "p"), eps, dist)
+    # d/dx(p .) on the eta row, p d/dx on the psi row, r coupling psi to eta
+    R = np.empty((2 * len(ks), 2 * len(ks)))
+    R[0::2, 0::2] = ks[:, None] * p
+    R[0::2, 1::2] = G
+    R[1::2, 0::2] = _band_matrix(profile_series(tables, "r"), eps, dist)
+    R[1::2, 1::2] = p * ks
+    return TruncatedOperator(real=R, K=K, eps=eps, beta=beta, h=h)
 
 
 def spectrum(op):
-    return np.linalg.eigvals(op.matrix)
+    """Eigenvalues of the complex operator, from the real solve of R."""
+    return 1j * np.linalg.eigvals(op.real)
 
 
 def spectrum_near(op, center, radius):
     """Eigenvalues inside the disc, sorted by distance to its center.
 
-    The order among eigenvalues at equal distance is not specified: the
-    Hamiltonian pair +-re + i*im about a center on the imaginary axis is
-    equidistant, so which member comes first is decided by roundoff.
-    """
+    The real solve returns exact conjugate pairs, so the Hamiltonian pair
+    +-re + i*im is exactly equidistant from a center on the imaginary axis
+    and keeps LAPACK's fixed order (negative real part first), not an order
+    decided by roundoff."""
     lams = spectrum(op)
     inside = [lam for lam in lams if abs(lam - center) <= radius]
     return sorted(inside, key=lambda lam: abs(lam - center))
@@ -134,17 +148,10 @@ def eigenspace_near(op, center, count=2):
 def eigenspace_match_residual(op, ctx):
     """How far the two near-collision eigenvectors sit from span{U1, U2}."""
     lams, vecs = eigenspace_near(op, 1j * ctx.sigma, count=2)
-    u1, u2 = base_eigenvectors(ctx, K=op.K)
-    basis = np.stack([u1, u2], axis=1)
-    qmat, _ = np.linalg.qr(basis)
-    worst_res = 0.0
-    worst_gap = 0.0
-    for i in range(2):
-        v = vecs[:, i] / np.linalg.norm(vecs[:, i])
-        res = np.linalg.norm(v - qmat @ (qmat.conj().T @ v))
-        worst_res = max(worst_res, res)
-        worst_gap = max(worst_gap, abs(lams[i] - 1j * ctx.sigma))
-    return worst_gap, worst_res
+    qmat, _ = np.linalg.qr(np.stack(base_eigenvectors(ctx, K=op.K), axis=1))
+    v = vecs / np.linalg.norm(vecs, axis=0)
+    res = np.linalg.norm(v - qmat @ (qmat.conj().T @ v), axis=0)
+    return float(np.max(np.abs(lams - 1j * ctx.sigma))), float(np.max(res))
 
 
 @dataclass
@@ -207,12 +214,10 @@ def compare_isola(km, eps, tables, n_theta=9, K=20):
 
 
 def conjugate_pair_residual(op):
-    """Spectrum symmetry under lam -> -conj(lam) (Hamiltonian reality)."""
-    lams = spectrum(op)
-    worst = 0.0
-    for lam in lams:
-        worst = max(worst, min(abs(-np.conj(lam) - mu) for mu in lams))
-    return worst
+    """Spectrum symmetry under lam -> -conj(lam) (Hamiltonian reality), from
+    the complex solve: on the real solve it would hold by construction."""
+    lams = np.linalg.eigvals(op.matrix)
+    return float(np.abs(-lams.conj()[:, None] - lams).min(axis=1).max())
 
 
 # ----------------------------------------------------------------------

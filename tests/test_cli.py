@@ -117,6 +117,14 @@ def test_coeffs_json_keys(tmp_path, capsys):
                 "c2", "eta20", "zeta11", "p11", "q20", "r33", "h2"):
         assert key in payload
     assert payload["q20"] == 1.0
+    # the health figures of the reduction, not computed and then dropped
+    diag = payload["diagnostics"]
+    assert sorted(diag) == ["a_forbidden_orders", "antisym_residue",
+                            "b_forbidden_orders", "coefficient_scale",
+                            "imag_residue", "resonance_defect"]
+    assert all(0.0 <= v < 1e-9 for k, v in diag.items()
+               if k != "coefficient_scale")
+    assert diag["coefficient_scale"] >= 1.0
 
 
 def test_isola_outputs(tmp_path, capsys):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from stokestab import dno
+from stokestab.dispersion import build_context
 from stokestab.isola import delta_of_theta, kappa1
+from stokestab.modealg import mode_slot
+from stokestab.stokes import build_tables, profile_series
 from stokestab.validator import (
     build_operator,
     compare_isola,
@@ -11,6 +15,92 @@ from stokestab.validator import (
     spectrum,
     spectrum_near,
 )
+
+
+@pytest.fixture(scope="module")
+def depths():
+    """(context, tables) at the ends and the middle of the validated range."""
+    return {h: (ctx, build_tables(ctx)) for h in (0.05, 1.0, 100.0)
+            for ctx in [build_context(h)]}
+
+
+def _loop_assembly(eps, beta, h, tables, K, g_source):
+    """Reference: the complex operator filled entry by entry, one mode, band
+    and multiplier row at a time (the assembly the real form replaced)."""
+    M = np.zeros((2 * (2 * K + 1),) * 2, dtype=complex)
+    for name in "pr":
+        bands = {}
+        for (order, m), amp in profile_series(tables, name).coefficients.items():
+            bands[m] = bands.get(m, 0.0) + amp * eps ** order
+        for k in range(-K, K + 1):
+            i = mode_slot(k, K)
+            for m, pm in bands.items():
+                fac = 1.0 if m == 0 else 0.5
+                for q in ({k} if m == 0 else {k - m, k + m}):
+                    if abs(q) > K:
+                        continue
+                    c = mode_slot(q, K)
+                    if name == "p":
+                        # d/dx(p .) on the first row, p d/dx on the second
+                        M[i, c] += 1j * k * fac * pm
+                        M[i + 1, c + 1] += 1j * q * fac * pm
+                    else:
+                        M[i + 1, c] -= fac * pm
+    if g_source == "series":
+        for k in range(-K, K + 1):
+            i = mode_slot(k, K)
+            for j in range(4):
+                row = dno.cascade_row(j, k, beta, h, tables)
+                for s, val in row.items():
+                    if abs(k + s) <= K:
+                        M[i, mode_slot(k + s, K) + 1] += eps ** j * val
+    else:
+        solver = dno.StripSolver(eps, beta, h, tables, range(-K - 8, K + 9))
+        sols = solver.solve([{q: 1.0} for q in range(-K, K + 1)])
+        for q, sol in zip(range(-K, K + 1), sols):
+            for k in range(-K, K + 1):
+                M[mode_slot(k, K), mode_slot(q, K) + 1] += sol[k]
+    return M
+
+
+@pytest.mark.parametrize("g_source", ["series", "oracle"])
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+@pytest.mark.parametrize("h", [0.05, 1.0, 100.0])
+def test_real_form_is_the_loop_assembly(depths, h, eps, g_source):
+    """i D R D^-1 equals the entry-by-entry complex fill exactly."""
+    ctx, tables = depths[h]
+    beta = ctx.beta_star * 1.001
+    op = build_operator(eps, beta, h, tables, K=16, g_source=g_source)
+    assert op.real.dtype == np.float64
+    ref = _loop_assembly(eps, beta, h, tables, 16, g_source)
+    assert np.array_equal(op.matrix, ref)
+
+
+def _nearest(a, b):
+    """Largest distance from a member of a to the nearest member of b."""
+    return np.abs(a[:, None] - b).min(axis=1).max()
+
+
+@pytest.mark.parametrize("h, tol", [(0.05, 5e-11), (1.0, 1e-12), (2.13, 1e-12),
+                                    (4.0, 1e-12)])
+def test_real_spectrum_matches_complex_solve(h, tol):
+    """The real solve of R gives the complex solve's eigenvalues of M,
+    matched nearest-neighbour both ways, and exact pairs lam, -conj(lam)."""
+    ctx = build_context(h)
+    op = build_operator(0.01, ctx.beta_star * 1.001, h, build_tables(ctx))
+    lams, ref = spectrum(op), np.linalg.eigvals(op.matrix)
+    assert max(_nearest(lams, ref), _nearest(ref, lams)) < tol
+    assert set(lams.tolist()) == set((-lams.conj()).tolist())
+
+
+def test_oracle_block_must_be_real(ctx1, tables1, monkeypatch):
+    """A strip solution with an imaginary part is an error, not a cast."""
+    solve = dno.StripSolver.solve
+    monkeypatch.setattr(dno.StripSolver, "solve", lambda self, cols: [
+        {k: v + 1e-20j for k, v in sol.items()} for sol in solve(self, cols)])
+    with pytest.raises(RuntimeError, match="nonzero imaginary part"):
+        build_operator(0.01, ctx1.beta_star, 1.0, tables1, K=16,
+                       g_source="oracle")
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +139,9 @@ def test_resolution_independence(ctx1, tables1, km1):
         op = build_operator(0.01, beta, 1.0, K=K, tables=tables1)
         near[K] = spectrum_near(op, 1j * ctx1.sigma, 0.05)[:2]
         assert len(near[K]) == 2
-    # +-re + i*im are equidistant from i*sigma, so their order is roundoff.
+    # The real solve returns exact conjugate pairs: +-re + i*im are exactly
+    # equidistant from i*sigma, and each list keeps LAPACK's fixed pair
+    # order. The match below does not rely on that order.
     (a0, a1), (b0, b1) = near[16], near[24]
     d_direct = max(abs(a0 - b0), abs(a1 - b1))
     d_swapped = max(abs(a0 - b1), abs(a1 - b0))
