@@ -337,12 +337,12 @@ class CascadeTree:
 
     def rows(self, j, ks, beta):
         """The order-j rows at output wavenumbers ks (see `cascade_row`), one
-        line each, column i at shift shifts(j)[i]: row k is read from the
+        array each, entry i at shift shifts(j)[i]: row k is read from the
         profiles of unit mode |k| at wavenumbers sign(k) (k + s)."""
-        col = np.arange(j + 1)
-        cols = [self.plan.problems[(abs(k), j, abs(k) - j)][0]
-                + (col if k >= 0 else col[::-1]) for k in ks]
-        return self.traces[j][self.index[beta], cols]
+        line = self.traces[j][self.index[beta]]
+        firsts = [self.plan.problems[(abs(k), j, abs(k) - j)][0] for k in ks]
+        return [line[f:f + j + 1][::1 if k >= 0 else -1]
+                for f, k in zip(firsts, ks)]
 
     def row(self, j, k, beta):
         """The order-j row at output wavenumber k, as {shift: value}."""

@@ -47,10 +47,11 @@ def _loop_assembly(eps, beta, h, tables, K, g_source):
                     else:
                         M[i + 1, c] -= fac * pm
     if g_source == "series":
+        tree = dno.cascade_profiles(range(K + 1), (beta,), h, tables)
         for k in range(-K, K + 1):
             i = mode_slot(k, K)
             for j in range(4):
-                row = dno.cascade_row(j, k, beta, h, tables)
+                row = dno.cascade_row(j, k, beta, h, tables, tree)
                 for s, val in row.items():
                     if abs(k + s) <= K:
                         M[i, mode_slot(k + s, K) + 1] += eps ** j * val
