@@ -266,17 +266,17 @@ def direct_reduced_matrix(ctx, tables, eps, delta):
     """
     from .dispersion import spectrum_gap
     K, radius, center = 20, 0.5 * spectrum_gap(ctx), 1j * ctx.sigma
-    op = build_operator(eps, ctx.beta_star + delta, ctx.h, tables, K=K)
-    op0 = build_operator(0.0, ctx.beta_star, ctx.h, tables, K=K)
-    P = _dense_projector(op.matrix, center, radius)
-    P0 = _dense_projector(op0.matrix, center, radius)
+    M = build_operator(eps, ctx.beta_star + delta, ctx.h, tables, K=K).matrix
+    M0 = build_operator(0.0, ctx.beta_star, ctx.h, tables, K=K).matrix
+    P = _dense_projector(M, center, radius)
+    P0 = _dense_projector(M0, center, radius)
     Q = P - P0
     Ksim = _inverse_sqrt_one_minus(Q @ Q) @ (P @ P0 + (np.eye(P.shape[0]) - P)
                                              @ (np.eye(P.shape[0]) - P0))
     u1, u2 = base_eigenvectors(ctx, K=K)
     v = [Ksim @ u1 / math.sqrt(ctx.gamma1), Ksim @ u2 / math.sqrt(ctx.gamma2)]
     # self-adjoint part H = J^T L = -J L, paired as (H a, b)
-    ip = lambda a, b: inner(-apply_J(op.matrix @ a), b)
+    ip = lambda a, b: inner(-apply_J(M @ a), b)
     w = 1j / (4.0 * math.pi)
     return np.array([
         [-w * ip(v[0], v[0]), w * ip(v[0], v[1])],
