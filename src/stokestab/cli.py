@@ -232,10 +232,11 @@ def cmd_dno_dump(args):
     ks = range(args.kmin, args.kmax + 1)
     tree = dno.cascade_profiles(sorted({abs(k) for k in ks}), (beta,), args.h,
                                 tables)
-    rows = []
-    for k in ks:
-        rows.append([k] + [dno.cascade_row(j, k, beta, args.h, tables, tree)[s]
-                           for j in range(4) for s in dno.shifts(j)])
+    rows = [[k] for k in ks]
+    for j in range(4):
+        for out, row in zip(rows, dno.multiplier_rows(j, ks, beta, args.h,
+                                                      tables, tree)):
+            out.extend(row)
     path = _out(args, "dno.csv")
     write_csv(path, ["k", "A0", "Bm1", "Bp1", "Cm2", "C0", "Cp2",
                      "Dm3", "Dm1", "Dp1", "Dp3"], rows)

@@ -336,17 +336,13 @@ class CascadeTree:
         return self.traces[j][:, self.plan.problems[(k0, j, k)][0]]
 
     def rows(self, j, ks, beta):
-        """The order-j rows at output wavenumbers ks (see `cascade_row`), one
-        array each, entry i at shift shifts(j)[i]: row k is read from the
+        """The order-j rows at output wavenumbers ks (see `multiplier_rows`),
+        one array each, entry i at shift shifts(j)[i]: row k is read from the
         profiles of unit mode |k| at wavenumbers sign(k) (k + s)."""
         line = self.traces[j][self.index[beta]]
         firsts = [self.plan.problems[(abs(k), j, abs(k) - j)][0] for k in ks]
         return [line[f:f + j + 1][::1 if k >= 0 else -1]
                 for f, k in zip(firsts, ks)]
-
-    def row(self, j, k, beta):
-        """The order-j row at output wavenumber k, as {shift: value}."""
-        return dict(zip(shifts(j), self.rows(j, (k,), beta)[0].tolist()))
 
     def terms(self, k0, j, k, z, n=0):
         """Each term's part of the n-th z-derivative of the order-j profile
@@ -388,26 +384,35 @@ def shifts(j):
     return tuple(range(-j, j + 1, 2))
 
 
-def cascade_row(j, k, beta, h, tables, tree=None):
-    """Order-j multiplier row at output wavenumber k: row[s] multiplies the
-    input coefficient at wavenumber k + s (so row[-1] at j = 1 is the
+def multiplier_rows(j, ks, beta, h, tables, tree=None):
+    """Order-j multiplier rows at the output wavenumbers ks, one sequence
+    each, entry i at shift shifts(j)[i]: it multiplies the input coefficient
+    at wavenumber k + shifts(j)[i] (so row k's entry 0 at j = 1 is the
     printed B-1(k)).
 
     The one place that decides where a row comes from: orders 0 and 1 are
     the printed closed forms (a Jet beta gives their transverse Taylor
     coefficients), orders 2 and 3 the cascade, read from `tree` (a replay
-    holding unit mode |k| at beta) or from a replay of its own. The operator
-    is self-adjoint and commutes with x -> -x, so entry (k, k+s) equals entry
-    (k+s, k) and entry (-k-s, -k): the whole row is read from the one tree of
-    the unit mode |k|.
+    holding the unit modes |k| at beta) or from a replay of its own. The
+    operator is self-adjoint and commutes with x -> -x, so entry (k, k+s)
+    equals entry (k+s, k) and entry (-k-s, -k): the whole row is read from
+    the one tree of the unit mode |k|.
     """
     if j == 0:
-        return {0: r0_coeff(k, beta, h)}
+        return [(r0_coeff(k, beta, h),) for k in ks]
     if j == 1:
-        return dict(zip(shifts(1), r1_coeffs(k, beta, h)))
+        return [r1_coeffs(k, beta, h) for k in ks]
     if tree is None:
-        tree = cascade_profiles((abs(k),), (beta,), h, tables, j)
-    return tree.row(j, k, beta)
+        tree = cascade_profiles(sorted({abs(k) for k in ks}), (beta,), h,
+                                tables, j)
+    return tree.rows(j, ks, beta)
+
+
+def cascade_row(j, k, beta, h, tables, tree=None):
+    """The order-j row at output wavenumber k as {shift: value}: the one-k
+    view of `multiplier_rows`."""
+    return dict(zip(shifts(j), multiplier_rows(j, (k,), beta, h, tables,
+                                               tree)[0]))
 
 
 # ----------------------------------------------------------------------

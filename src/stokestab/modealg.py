@@ -24,7 +24,6 @@ from . import dno
 # reduction stops at order 3, so every vector lives on modes -5..4: K = 5
 # holds them all (and is the least cutoff at which `spectrum_gap` is exact)
 DEFAULT_CUTOFF = 5
-BASE_MODES = (1, -2)
 
 
 def mode_slot(k, K=DEFAULT_CUTOFF):
@@ -68,13 +67,14 @@ def base_eigenvectors(ctx, K=DEFAULT_CUTOFF):
 # Fourier-multiplier rows and their transverse Taylor coefficients
 
 class RowProvider:
-    """Order-j multiplier rows and their delta-Taylor coefficients at beta*.
+    """Order-j multiplier rows of modes -5..5 and their delta-Taylor
+    coefficients at beta*.
 
-    Every row comes from `dno.cascade_row`. Orders 0 and 1, closed forms,
-    are differentiated exactly by passing it a jet beta; orders 2 and 3 give
-    their first Taylor coefficient from Richardson-refined central
-    differences of the cascade (the reduction stops at total order 3, so
-    only (j, l) = (2, 1) is ever asked for).
+    Every row comes from `dno.multiplier_rows`. Orders 0 and 1, closed forms,
+    are differentiated exactly by passing it a jet beta, once per order;
+    orders 2 and 3 give their first Taylor coefficient from Richardson-refined
+    central differences of the cascade (the reduction stops at total order 3,
+    so only (j, l) = (2, 1) is ever asked for).
     """
 
     def __init__(self, ctx, tables):
@@ -83,7 +83,8 @@ class RowProvider:
         self.beta = ctx.beta_star
         self.h = ctx.h
         self.step = max(1e-4, 1e-4 * self.beta)
-        self._cache = {}
+        self.ks = range(-DEFAULT_CUTOFF, DEFAULT_CUTOFF + 1)
+        self._jets = {}
         self._trees = {}
 
     def _tree(self, betas, jmax):
@@ -93,82 +94,108 @@ class RowProvider:
                 range(DEFAULT_CUTOFF + 1), betas, self.h, self.tables, jmax)
         return self._trees[(betas, jmax)]
 
-    def taylor(self, j, ell, k):
-        """dict offset -> ell-th Taylor coefficient of the order-j row at k."""
-        key = (j, ell, k)
-        if key in self._cache:
-            return self._cache[key]
+    def taylor(self, j, ell):
+        """The ell-th Taylor coefficients of the order-j rows of modes -5..5,
+        one sequence per mode, laid out as `dno.multiplier_rows`."""
         if j <= 1:
-            jets = dno.cascade_row(j, k, Jet.variable(self.beta), self.h,
-                                   self.tables)
-            out = {s: jet.coeff(ell) for s, jet in jets.items()}
-        elif ell == 0:
-            out = dno.cascade_row(j, k, self.beta, self.h, self.tables,
-                                  self._tree((self.beta,), 3))
-        else:
-            out = self._fd_taylor(j, ell, k)
-        self._cache[key] = out
-        return out
+            if j not in self._jets:
+                self._jets[j] = dno.multiplier_rows(
+                    j, self.ks, Jet.variable(self.beta), self.h, self.tables)
+            return [[jet.coeff(ell) for jet in row] for row in self._jets[j]]
+        if ell == 0:
+            return dno.multiplier_rows(j, self.ks, self.beta, self.h,
+                                       self.tables, self._tree((self.beta,), 3))
+        return self._fd_taylor(j, ell)
 
-    def _fd_taylor(self, j, ell, k):
+    def _fd_taylor(self, j, ell):
         if ell != 1:
             raise ValueError("cascade rows have only their first transverse "
                              f"Taylor coefficient, got l={ell}")
         t = self.step
         betas = {m: self.beta + m * t for m in (-2, -1, 1, 2)}
         tree = self._tree(tuple(betas.values()), j)
-        rows = {m: dno.cascade_row(j, k, beta, self.h, self.tables, tree)
-                for m, beta in betas.items()}
-        out = {}
-        for s in dno.shifts(j):
-            f = {m: rows[m][s] for m in rows}
-            refined = (8 * (f[1] - f[-1]) - (f[2] - f[-2])) / (12 * t)
-            plain = (f[1] - f[-1]) / (2 * t)
-            est = abs(refined - plain)
-            if est > 1e-6:
-                warnings.warn(
-                    f"finite-difference Taylor coefficient (j={j}, l={ell}, "
-                    f"k={k}, shift={s}) estimated error {est:.2e}",
-                    RuntimeWarning,
-                )
-            out[s] = refined
-        return out
+        f = {m: np.array(dno.multiplier_rows(j, self.ks, beta, self.h,
+                                             self.tables, tree))
+             for m, beta in betas.items()}
+        refined = (8 * (f[1] - f[-1]) - (f[2] - f[-2])) / (12 * t)
+        est = abs(refined - (f[1] - f[-1]) / (2 * t))
+        i, s = np.unravel_index(np.argmax(est), est.shape)
+        if est[i, s] > 1e-6:
+            warnings.warn(
+                f"finite-difference Taylor coefficient (j={j}, l={ell}, "
+                f"k={self.ks[i]}, shift={dno.shifts(j)[s]}) estimated error "
+                f"{est[i, s]:.2e}", RuntimeWarning)
+        return refined
+
+
+# ----------------------------------------------------------------------
+# the dense operator, filled from arrays: the expansion blocks here and the
+# finite-amplitude truncation in `validator`
+
+def convolution(amps, K):
+    """Convolution matrix on modes -K..K of the cosine series given as
+    (m, amplitude) pairs, equal m summed: entry (k, q) holds the amplitude
+    at m = |k - q|, halved for m > 0 (each cos(m x) couples k to k - m and
+    k + m)."""
+    bands = np.zeros(2 * K + 1)
+    for m, amp in amps:
+        bands[m] += amp
+    bands[1:] *= 0.5
+    ks = np.arange(-K, K + 1)
+    return bands[abs(ks[:, None] - ks)]
+
+
+def banded(j, rows, K):
+    """The order-j multiplier rows of modes -K..K (laid out as
+    `dno.multiplier_rows`) as a matrix: row k's entry at shift s sits in
+    column k + s, dropped where |k + s| > K."""
+    n = 2 * K + 1
+    # the three padding columns each side take the shifts that leave -K..K
+    G = np.zeros((n, n + 6))
+    at = np.arange(n)[:, None]
+    G[at, at + 3 + dno.shifts(j)] = rows
+    return G[:, 3:-3]
+
+
+def real_form(p, r, G):
+    """The real R of the operator M = i D R D^-1 (D = diag(1, i) on each
+    mode's (eta, psi) pair), from the convolution matrices p and r and the
+    surface-operator block G on modes -K..K: d/dx(p .) on the eta row,
+    p d/dx on the psi row, r coupling psi to eta. In M the p d/dx blocks
+    are imaginary and the G and r blocks real."""
+    ks = np.arange(len(G)) - len(G) // 2
+    R = np.empty((2 * len(ks),) * 2)
+    R[0::2, 0::2] = ks[:, None] * p
+    R[0::2, 1::2] = G
+    R[1::2, 0::2] = r
+    R[1::2, 1::2] = p * ks
+    return R
+
+
+def complex_form(R):
+    """M = i D R D^-1 from its real form R."""
+    d = np.tile([1.0, 1j], R.shape[0] // 2)
+    return R * (1j * np.outer(d, 1.0 / d))
 
 
 # ----------------------------------------------------------------------
 # Hamiltonian expansion blocks
 
-def build_H(j, ell, tables, rows, columns):
+def build_H(j, ell, tables, rows):
     """The (eps^j, delta^ell) block of the self-adjoint operator.
 
-    Only the columns of the input modes in `columns` are filled; the rest
-    stay zero. For ell >= 1 only the lower-right multiplier survives (the
-    corner coefficients do not depend on the transverse parameter).
+    It is the order-j fill of the dense operator M, made self-adjoint by an
+    exact row swap and sign, H = -J M: each mode's negated psi row becomes
+    its first row and its eta row the second. For ell >= 1 only the
+    multiplier rows survive (the corner coefficients do not depend on the
+    transverse parameter).
     """
     K = DEFAULT_CUTOFF
-    amp = {}
-    if ell == 0:
-        r = profile_series(tables, "r").order_coefficients(j)
-        p = profile_series(tables, "p").order_coefficients(j)
-        for m in r:
-            half = 1.0 if m == 0 else 0.5    # cos(mx) = (e^imx + e^-imx)/2
-            amp[m] = amp[-m] = (half * r[m], half * p[m])
-    offsets = sorted(set(amp) | set(dno.shifts(j)))
-    H = np.zeros((2 * (2 * K + 1),) * 2, dtype=complex)
-    for q in columns:
-        for o in offsets:
-            k = q - o
-            if abs(k) > K:
-                continue
-            r, c = mode_slot(k), mode_slot(q)
-            if o in amp:
-                r_m, p_m = amp[o]
-                H[r, c] = r_m
-                H[r, c + 1] = -p_m * 1j * q     # -p cos(mx) d/dx
-                H[r + 1, c] = p_m * 1j * k      # d/dx (p cos(mx) . )
-            row = rows.taylor(j, ell, k)
-            if o in row:
-                H[r + 1, c + 1] += row[o]
+    p, r = (convolution(profile_series(tables, name).order_coefficients(j)
+                        .items() if ell == 0 else (), K) for name in "pr")
+    M = complex_form(real_form(p, r, banded(j, rows.taylor(j, ell), K)))
+    H = np.empty_like(M)
+    H[0::2], H[1::2] = -M[1::2], M[0::2]
     return H
 
 
@@ -179,20 +206,8 @@ def orders_below(orders):
 
 
 def operator_family(ctx, tables, orders):
-    """The H[j, l] blocks that the Taylor orders `orders` reach.
-
-    A vector of total order t lives within t of the base modes {1, -2}, and
-    H[j, l] only meets vectors of total order <= T - (j + l), T the highest
-    requested order: only those input columns are filled, so no multiplier
-    row (and no cascade tree) is computed that no vector reaches. The
-    blocks share one row provider.
-    """
+    """The H[j, l] blocks at and below the Taylor orders `orders`, sharing
+    one row provider."""
     rows = RowProvider(ctx, tables)
-    top = max(m + n for m, n in orders)
-    fam = {}
-    for j, ell in orders_below(orders):
-        reach = top - j - ell
-        columns = [q for q in range(-DEFAULT_CUTOFF, DEFAULT_CUTOFF + 1)
-                   if min(abs(q - b) for b in BASE_MODES) <= reach]
-        fam[(j, ell)] = build_H(j, ell, tables, rows, columns)
-    return fam
+    return {(j, ell): build_H(j, ell, tables, rows)
+            for j, ell in orders_below(orders)}

@@ -17,7 +17,8 @@ import numpy as np
 from . import dno
 from .dispersion import lambda0
 from .isola import delta_of_theta, lambda_pair_theta
-from .modealg import apply_J, base_eigenvectors, inner
+from .modealg import (apply_J, banded, base_eigenvectors, complex_form,
+                      convolution, inner, real_form)
 from .stokes import profile_series
 
 
@@ -35,35 +36,7 @@ class TruncatedOperator:
 
     @property
     def matrix(self):
-        d = np.tile([1.0, 1j], self.real.shape[0] // 2)
-        return self.real * (1j * np.outer(d, 1.0 / d))
-
-
-def _band_matrix(series, eps, dist):
-    """The convolution matrix of a cosine series evaluated at eps: entry
-    (k, q) is the coefficient of cos(m x) at m = |k - q| = dist, halved for
-    m > 0 (each cosine couples k to k - m and k + m)."""
-    bands = np.zeros(dist.shape[0])
-    for (order, m), amp in series.coefficients.items():
-        bands[m] += amp * eps ** order
-    bands[1:] *= 0.5
-    return bands[dist]
-
-
-def _series_block(eps, beta, h, tables, K, tree):
-    """G = sum_j eps^j (order-j multiplier rows), cut to modes |k| <= K."""
-    ks = range(-K, K + 1)
-    tree = tree or dno.cascade_profiles(range(K + 1), (beta,), h, tables)
-    rows = ([[dno.r0_coeff(k, beta, h)] for k in ks],
-            [dno.r1_coeffs(k, beta, h) for k in ks],
-            tree.rows(2, ks, beta), tree.rows(3, ks, beta))
-    # row k's entry at k + s sits in column k + K + 3 + s; the three padding
-    # columns each side take the shifts that leave |k| <= K
-    G = np.zeros((len(ks), len(ks) + 6))
-    at = np.arange(len(ks))[:, None]
-    for j, vals in enumerate(rows):
-        G[at, at + 3 + dno.shifts(j)] += eps ** j * np.asarray(vals)
-    return G[:, 3:-3]
+        return complex_form(self.real)
 
 
 def _oracle_block(eps, beta, h, tables, K):
@@ -93,21 +66,18 @@ def build_operator(eps, beta, h, tables, K=20, g_source="series", tree=None):
     if abs(eps) > 0.05:
         raise ValueError("operator truncation is trusted only for |eps| <= 0.05")
     if g_source == "series":
-        G = _series_block(eps, beta, h, tables, K, tree)
+        tree = tree or dno.cascade_profiles(range(K + 1), (beta,), h, tables)
+        G = sum(eps ** j * banded(j, dno.multiplier_rows(
+            j, range(-K, K + 1), beta, h, tables, tree), K) for j in range(4))
     elif g_source == "oracle":
         G = _oracle_block(eps, beta, h, tables, K)
     else:
         raise ValueError(f"unknown g_source {g_source!r}")
-    ks = np.arange(-K, K + 1)
-    dist = abs(ks[:, None] - ks)
-    p = _band_matrix(profile_series(tables, "p"), eps, dist)
-    # d/dx(p .) on the eta row, p d/dx on the psi row, r coupling psi to eta
-    R = np.empty((2 * len(ks), 2 * len(ks)))
-    R[0::2, 0::2] = ks[:, None] * p
-    R[0::2, 1::2] = G
-    R[1::2, 0::2] = _band_matrix(profile_series(tables, "r"), eps, dist)
-    R[1::2, 1::2] = p * ks
-    return TruncatedOperator(real=R, K=K, eps=eps, beta=beta, h=h)
+    p, r = (convolution([(m, amp * eps ** order) for (order, m), amp
+                         in profile_series(tables, name).coefficients.items()],
+                        K) for name in "pr")
+    return TruncatedOperator(real=real_form(p, r, G), K=K, eps=eps, beta=beta,
+                             h=h)
 
 
 def spectrum(op):

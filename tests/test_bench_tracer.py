@@ -1,24 +1,35 @@
-"""The benchmark's outside tracer, run on one library call.
+"""The benchmark's outside tracer, run on library calls.
 
 `perfbench/tracing.py` patches names of the library by attribute; a source
 change that renames or removes one of them breaks `perfbench/run.py
---trace 1`. This test imports the tracer as the benchmark does, so such a
-change fails here as well.
+--trace 1`. These tests import the tracer as the benchmark does, so such a
+change fails here as well, and they pin the span counts the benchmark's
+per-layer figures are read from.
 """
 
 from pathlib import Path
 
-from stokestab import kato
+import pytest
+
+from stokestab import isola, kato, validator
 from stokestab.dispersion import build_context
 from stokestab.stokes import build_tables
 
 
-def test_traced_coeffs_item(monkeypatch):
-    """The tracer's `dno.CascadeTree` spans now count cascade replays."""
+@pytest.fixture
+def tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
                                     / "perfbench"))
     import tracing
+    return tracing
 
+
+def spans(tracer, name):
+    return sum(1 for span in tracer.spans if span[0] == name)
+
+
+def test_traced_coeffs_item(tracing):
+    """The tracer's `dno.CascadeTree` spans count cascade replays."""
     def table():
         ctx = build_context(1.37)
         return kato.assemble_matrix_coeffs(ctx, build_tables(ctx)).as_dict()
@@ -29,5 +40,29 @@ def test_traced_coeffs_item(monkeypatch):
         traced = table()
     assert traced == untraced
     # one replay at beta*, one at the four finite-difference betas
-    assert sum(1 for span in tracer.spans if span[0] == "dno.CascadeTree") == 2
+    assert spans(tracer, "dno.CascadeTree") == 2
     assert tracer.counts["dno.cascade_profiles"] == 2
+    assert spans(tracer, "modealg.fd_taylor") == 1
+
+
+def test_traced_b30_and_validate_items(tracing):
+    """A `scan` depth replays once and takes no finite differences; one
+    `compare_isola` amplitude replays once and fills and solves one
+    operator per detuning."""
+    ctx = build_context(1.37)
+    tables = build_tables(ctx)
+    km = kato.assemble_matrix_coeffs(ctx, tables)
+    untraced = isola.b30_coefficient(ctx, tables)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        traced = isola.b30_coefficient(ctx, tables)
+    assert traced == untraced
+    assert spans(tracer, "dno.CascadeTree") == 1
+    assert spans(tracer, "modealg.fd_taylor") == 0
+
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        validator.compare_isola(km, 0.01, tables)
+    assert spans(tracer, "validator.build_operator") == 9
+    assert spans(tracer, "validator.spectrum") == 9
+    assert spans(tracer, "dno.CascadeTree") == 1

@@ -84,7 +84,8 @@ def test_tree_growth_order_is_invisible(setup1):
                 alone = dno.cascade_row(j, k, beta, h, tables)
                 assert dno.cascade_row(j, k, beta, h, tables, batch) == alone
             two = dno.cascade_profiles((abs(k),), (beta,), h, tables, 2)
-            assert two.row(2, k, beta) == batch.row(2, k, beta)
+            assert (two.rows(2, (k,), beta)[0].tolist()
+                    == batch.rows(2, (k,), beta)[0].tolist())
 
 
 def test_cascade_mirror_symmetry():

@@ -326,6 +326,30 @@ def test_shallow_b30_against_direct_reduction():
         assert direct == pytest.approx(km.b30, rel=1e-4), h
 
 
+# below the validated range 0.05 <= h <= 100: used only to extrapolate the
+# shallow limit, never as results
+SHALLOW_EXTRAPOLATION_DEPTHS = (0.04, 0.02, 0.01, 0.005)
+
+
+def test_shallow_b30_limit_extrapolates_to_9_over_64_sqrt2():
+    """g(h) = b30 h^4.5 / (9/(64 sqrt 2)) tends to 1 with an h^2 correction.
+
+    The Richardson limit of each depth pair is 1 within 1e-5 and the fitted
+    correction exponent is 2 +- 0.05: the ledger's shallow constant is
+    9/(64 sqrt 2), 16 times the published 9/(1024 sqrt 2). Acceptance
+    criterion 2 stays asserted as published (and red).
+    """
+    g = []
+    for h in SHALLOW_EXTRAPOLATION_DEPTHS:
+        ctx = build_context(h)
+        g.append(b30_coefficient(ctx, build_tables(ctx)) * h ** 4.5
+                 / (9.0 / (64.0 * math.sqrt(2.0))))
+    for coarse, fine in zip(g, g[1:]):
+        assert abs(fine + (fine - coarse) / 3.0 - 1.0) < 1e-5, g
+    for a, b, c in zip(g, g[1:], g[2:]):
+        assert abs(math.log2((b - a) / (c - b)) - 2.0) < 0.05, g
+
+
 def test_coefficients_analytic_in_depth():
     """Second differences over a fine depth grid stay bounded (no jumps)."""
     step = 1e-3

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from stokestab import dno
+from stokestab.dispersion import build_context
 from stokestab.kato import ALL_ORDERS
 from stokestab.modealg import (
     DEFAULT_CUTOFF,
@@ -17,6 +19,9 @@ from stokestab.modealg import (
     operator_family,
     symplectic_pairing,
 )
+from stokestab.stokes import build_tables, profile_series
+
+K = DEFAULT_CUTOFF
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +86,7 @@ def test_adjoint_symmetry(ctx1, tables1):
     rows = RowProvider(ctx1, tables1)
     u, v = random_vector(rng), random_vector(rng)
     for j in range(4):
-        H = build_H(j, 0, tables1, rows, range(-5, 6))
+        H = build_H(j, 0, tables1, rows)
         assert abs(inner(H @ u, v) - inner(u, H @ v)) < 1e-10
 
 
@@ -95,7 +100,7 @@ def test_support_bookkeeping_through_blocks(ctx1, fam):
 
 def test_lower_right_detuning_block(ctx1, tables1):
     rows = RowProvider(ctx1, tables1)
-    val = rows.taylor(0, 1, 1)[0]
+    val = rows.taylor(0, 1)[1 + K][0]
     assert val == pytest.approx(ctx1.tau1, rel=1e-14)
     # cross-check through the closed-form slope of the collision branch
     assert val == pytest.approx(-2.0 * ctx1.gamma1
@@ -107,7 +112,7 @@ def test_beta_derivative_second_order_fd_oracle(ctx1, tables1):
     t = 1e-4
     beta, h = ctx1.beta_star, ctx1.h
     rows = RowProvider(ctx1, tables1)
-    jet2 = rows.taylor(0, 2, 3)[0]
+    jet2 = rows.taylor(0, 2)[3 + K][0]
     fd2 = (dno.r0_coeff(3, beta + t, h) - 2 * dno.r0_coeff(3, beta, h)
            + dno.r0_coeff(3, beta - t, h)) / (t * t) / 2.0
     assert abs(jet2 - fd2) < 1e-7
@@ -116,28 +121,44 @@ def test_beta_derivative_second_order_fd_oracle(ctx1, tables1):
 def test_beta_derivative_jet_vs_central(ctx1, tables1):
     t = 1e-5
     beta, h = ctx1.beta_star, ctx1.h
-    jet = RowProvider(ctx1, tables1).taylor(1, 1, -2)
-    for s, idx in ((-1, 0), (1, 1)):
+    jet = RowProvider(ctx1, tables1).taylor(1, 1)[-2 + K]
+    for idx in (0, 1):
         fd = (dno.r1_coeffs(-2, beta + t, h)[idx]
               - dno.r1_coeffs(-2, beta - t, h)[idx]) / (2 * t)
-        assert abs(jet[s] - fd) < 1e-8
+        assert abs(jet[idx] - fd) < 1e-8
 
 
 def test_beta_derivative_order_two_cascade(ctx1, tables1):
     """Finite-difference detuning slopes of the numerically solved rows."""
-    row = RowProvider(ctx1, tables1).taylor(2, 1, 1)
+    row = RowProvider(ctx1, tables1).taylor(2, 1)[1 + K]
     t = 2e-5
-    for s in (-2, 0, 2):
+    for i, s in enumerate((-2, 0, 2)):
         fd = (dno.cascade_row(2, 1, ctx1.beta_star + t, ctx1.h, tables1)[s]
               - dno.cascade_row(2, 1, ctx1.beta_star - t, ctx1.h,
                                 tables1)[s]) / (2 * t)
-        assert abs(row[s] - fd) < 1e-6
+        assert abs(row[i] - fd) < 1e-6
+
+
+def test_fd_taylor_warns_once_naming_the_worst_entry(ctx1, tables1):
+    """A step far below the roundoff balance makes the Richardson error
+    estimate exceed 1e-6 (about 1e-4 at step 1e-10): one RuntimeWarning per
+    call names the worst (k, shift) and its estimate."""
+    rows = RowProvider(ctx1, tables1)
+    rows.step = 1e-10
+    with pytest.warns(RuntimeWarning) as caught:
+        rows.taylor(2, 1)
+    assert len(caught) == 1
+    m = re.fullmatch(r"finite-difference Taylor coefficient \(j=2, l=1, "
+                     r"k=(-?\d+), shift=(-?\d+)\) estimated error (\S+)",
+                     str(caught[0].message))
+    assert m, caught[0].message
+    assert abs(int(m[1])) <= K and int(m[2]) in dno.shifts(2)
+    assert float(m[3]) > 1e-6
 
 
 def test_mode_vector_cutoff():
     """Modes -K..K fill the array exactly, two components each; the default
     K = 5 holds the modes -5..4 that the reduction's vectors reach."""
-    K = DEFAULT_CUTOFF
     assert K == 5
     v = mode_vector({K: [1.0, 0.0], -K: [0.0, 3.0]})
     assert v.shape == (2 * (2 * K + 1),)
@@ -147,3 +168,58 @@ def test_mode_vector_cutoff():
     assert v2.shape == (2 * (2 * 12 + 1),)
     assert apply_J(v2)[mode_slot(3, 12)] == 2.0
     assert apply_J(v2)[mode_slot(3, 12) + 1] == -1.0
+
+
+BASE_MODES = (1, -2)
+
+
+def _loop_block(j, ell, tables, rows, columns):
+    """Reference: the (eps^j, delta^ell) block filled entry by entry on the
+    input modes `columns`, one band and multiplier row at a time (the
+    assembly the shared array fill replaced)."""
+    amp = {}
+    if ell == 0:
+        r = profile_series(tables, "r").order_coefficients(j)
+        p = profile_series(tables, "p").order_coefficients(j)
+        for m in r:
+            half = 1.0 if m == 0 else 0.5    # cos(mx) = (e^imx + e^-imx)/2
+            amp[m] = amp[-m] = (half * r[m], half * p[m])
+    taylor = rows.taylor(j, ell)
+    offsets = sorted(set(amp) | set(dno.shifts(j)))
+    H = np.zeros((2 * (2 * K + 1),) * 2, dtype=complex)
+    for q in columns:
+        for o in offsets:
+            k = q - o
+            if abs(k) > K:
+                continue
+            r, c = mode_slot(k), mode_slot(q)
+            if o in amp:
+                r_m, p_m = amp[o]
+                H[r, c] = r_m
+                H[r, c + 1] = -p_m * 1j * q     # -p cos(mx) d/dx
+                H[r + 1, c] = p_m * 1j * k      # d/dx (p cos(mx) . )
+            row = dict(zip(dno.shifts(j), taylor[k + K]))
+            if o in row:
+                H[r + 1, c + 1] += row[o]
+    return H
+
+
+@pytest.mark.parametrize("orders", [ALL_ORDERS, [(3, 0)]],
+                         ids=["all", "b30"])
+@pytest.mark.parametrize("h", [0.05, 1.0, 100.0])
+def test_blocks_are_the_loop_assembly(h, orders):
+    """Every block of the family equals the entry-by-entry fill on the input
+    columns its orders reach: a vector of total order t lives within t of
+    the base modes {1, -2}, and H[j, l] only meets vectors of total order
+    <= T - (j + l), T the highest requested order."""
+    ctx = build_context(h)
+    tables = build_tables(ctx)
+    fam = operator_family(ctx, tables, orders)
+    rows = RowProvider(ctx, tables)
+    top = max(m + n for m, n in orders)
+    for (j, ell), H in fam.items():
+        columns = [q for q in range(-K, K + 1)
+                   if min(abs(q - b) for b in BASE_MODES) <= top - j - ell]
+        ref = _loop_block(j, ell, tables, rows, columns)
+        slots = [mode_slot(q) + c for q in columns for c in (0, 1)]
+        assert np.array_equal(H[:, slots], ref[:, slots]), (h, j, ell)
