@@ -70,11 +70,12 @@ class RowProvider:
     """Order-j multiplier rows of modes -5..5 and their delta-Taylor
     coefficients at beta*.
 
-    Every row comes from `dno.multiplier_rows`. Orders 0 and 1, closed forms,
-    are differentiated exactly by passing it a jet beta, once per order;
-    orders 2 and 3 give their first Taylor coefficient from Richardson-refined
-    central differences of the cascade (the reduction stops at total order 3,
-    so only (j, l) = (2, 1) is ever asked for).
+    Every row comes from `dno.multiplier_rows`: the rows themselves at beta*
+    (one replay of the unit modes 0..5 serves orders 2 and 3). Orders 0 and
+    1, closed forms, are differentiated exactly by passing it a jet beta,
+    once per order; orders 2 and 3 give their first Taylor coefficient from
+    Richardson-refined central differences of the cascade (the reduction
+    stops at total order 3, so only (j, l) = (2, 1) is ever asked for).
     """
 
     def __init__(self, ctx, tables):
@@ -97,14 +98,14 @@ class RowProvider:
     def taylor(self, j, ell):
         """The ell-th Taylor coefficients of the order-j rows of modes -5..5,
         one sequence per mode, laid out as `dno.multiplier_rows`."""
+        if ell == 0:
+            return dno.multiplier_rows(j, self.ks, self.beta, self.h,
+                                       self.tables, self._tree((self.beta,), 3))
         if j <= 1:
             if j not in self._jets:
                 self._jets[j] = dno.multiplier_rows(
                     j, self.ks, Jet.variable(self.beta), self.h, self.tables)
             return [[jet.coeff(ell) for jet in row] for row in self._jets[j]]
-        if ell == 0:
-            return dno.multiplier_rows(j, self.ks, self.beta, self.h,
-                                       self.tables, self._tree((self.beta,), 3))
         return self._fd_taylor(j, ell)
 
     def _fd_taylor(self, j, ell):
