@@ -72,8 +72,8 @@ def solve_beta_star(h, tol=1e-12, bracket=(0.0, 3.0)):
     the root leaves (0, 3) or its residual exceeds tol.
     """
     _check_depth(h)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     lo, hi = bracket
     flo = resonance_residual(lo, h)
     fhi = resonance_residual(hi, h)
@@ -85,7 +85,7 @@ def solve_beta_star(h, tol=1e-12, bracket=(0.0, 3.0)):
     if not 0.0 < beta < 3.0:
         raise SolverError(f"root {beta} escaped (0, 3)", (lo, hi))
     f = resonance_residual(beta, h)
-    if abs(f) > tol:
+    if not abs(f) <= tol:
         raise SolverError(f"residual {f:.3e} at the root exceeds {tol}", (lo, hi))
     return beta
 
@@ -107,12 +107,12 @@ class DepthContext:
         if not 0.0 < self.beta_star < 3.0:
             raise ValueError(f"beta_star={self.beta_star} outside (0, 3)")
         alt = -2.0 * self.c0 + self.gamma2
-        if abs(self.sigma - alt) > tol:
+        if not abs(self.sigma - alt) <= tol:
             raise ValueError(
                 f"sigma mismatch: c0 - gamma1 = {self.sigma}, "
                 f"-2 c0 + gamma2 = {alt}"
             )
-        if self.tau1 <= 0.0 or self.tau2 <= 0.0:
+        if not (self.tau1 > 0.0 and self.tau2 > 0.0):
             raise ValueError("tau coefficients must be positive")
         return self
 

@@ -454,7 +454,7 @@ class StripSolver:
     def __init__(self, eps, beta, h, tables, modes, Nz=64):
         if Nz < 48:
             raise ValueError("Nz must be at least 48")
-        if abs(eps) > 0.05:
+        if not abs(eps) <= 0.05:
             raise ValueError(f"|eps|={abs(eps)} beyond oracle guard 0.05")
         self.eps, self.beta, self.h = eps, beta, h
         self.modes = list(modes)

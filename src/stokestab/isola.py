@@ -36,7 +36,7 @@ TRUSTED_PARAMETER = 0.05   # |eps|, |delta| where the Taylor table holds
 
 
 def _check_trusted(eps, delta=0.0):
-    if abs(eps) > TRUSTED_PARAMETER or abs(delta) > TRUSTED_PARAMETER:
+    if not (abs(eps) <= TRUSTED_PARAMETER and abs(delta) <= TRUSTED_PARAMETER):
         raise ValueError("Taylor table is trusted only for |eps|, |delta| "
                          f"<= {TRUSTED_PARAMETER} (got eps={eps}, "
                          f"delta={delta})")
@@ -206,6 +206,8 @@ def find_h_crit(bracket=(0.2, 0.3), tol=1e-5):
     lo, hi = bracket
     if not 0.0 < lo < hi:
         raise BracketError(f"bad bracket {bracket}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     flo, fhi = b30_at(lo), b30_at(hi)
     if flo * fhi > 0.0:
         raise BracketError(

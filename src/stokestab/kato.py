@@ -1,23 +1,23 @@
 """Residue reduction of the spectral problem to a 2x2 matrix.
 
 Near the double eigenvalue i*sigma the linearized operator is similar to a
-2x2 matrix acting on a perturbed basis. The basis corrections come from
-derivatives of the spectral projection, each a circle integral around
-i*sigma of a chain of resolvent and expansion-block compositions; the
-matrix entries then follow from a finite ledger of inner products. The
-chains under each integral are generated directly from the Neumann series
-of the resolvent, so every order is assembled by one rule.
+2x2 matrix acting on a perturbed basis. The basis comes from the Taylor
+coefficients in (eps, delta) of the spectral projection (Kato, Perturbation
+Theory for Linear Operators, Ch. II, sections 1-2); the matrix entries then
+follow from a finite ledger of inner products.
 
-The flat resolvent is block-diagonal in the Fourier mode with poles known
-in closed form, so each integral is evaluated exactly as the mu^-1 Laurent
-coefficient of its chain at i*sigma (Kato, Perturbation Theory for Linear
-Operators, Ch. II, sections 1-2): no quadrature is involved.
-
-Every vector is a mode array and every H[j, l] a dense matrix (`modealg`).
-The basis corrections follow from the Taylor series in (eps, delta) of the
-similarity transform (I - Q^2)^(-1/2) P applied to U_j, Q = P - P0: each
-order is a sum over ordered products of projection derivatives, so no order
-has a formula of its own.
+Every Taylor coefficient is a matrix on the mode arrays of `modealg`: the
+operators are 22x22, the basis pair 22x2. A series in (eps, delta) is a dict
+order -> matrix, and one truncated `series_product` serves three steps:
+- the resolvent: R = S - S J H R gives R_o = -S sum_{0 < a <= o} J H[a]
+  R_(o-a), R_0 = S, each a truncated Laurent series in mu. The flat
+  resolvent S is block-diagonal in the Fourier mode with poles known in
+  closed form, so the projection P_o = -[mu^-1] R_o is exact: no quadrature
+  is involved;
+- the transform: (I - Q^2)^(-1/2) P U = sum_r w_r Q^r U for U in the range
+  of P0, Q = P - P0;
+- the ledger: V^H (H V), V the transformed and normalized base pair.
+No order has a formula of its own.
 
 Conventions: S(mu) is the flat resolvent (L0 - i*sigma - mu)^{-1}; the
 reduced matrix is written i*sigma*I + i*[[A, B], [-B, C]] with A, B, C real;
@@ -27,12 +27,13 @@ the outputs.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import dno
 from .dispersion import RESONANT_BRANCHES, spectrum_gap
-from .modealg import (DEFAULT_CUTOFF, apply_J, base_eigenvectors, inner,
+from .modealg import (DEFAULT_CUTOFF, apply_J, base_eigenvectors,
                       operator_family, orders_below)
 
 
@@ -48,32 +49,31 @@ class AssemblyError(RuntimeError):
     """A structural identity of the reduced matrix failed."""
 
 
-def _compositions(m, n):
-    """Ordered tuples of nonzero order pairs summing to (m, n)."""
-    if (m, n) == (0, 0):
-        return [()]
-    out = []
-    for a in range(m + 1):
-        for b in range(n + 1):
-            if (a, b) == (0, 0):
-                continue
-            for tail in _compositions(m - a, n - b):
-                out.append(((a, b),) + tail)
-    return out
-
-
 ALL_ORDERS = tuple((m, n) for m in range(4) for n in range(4)
                    if 1 <= m + n <= 3)
 
 
+def series_product(x, y, orders):
+    """Truncated product of two Taylor series in (eps, delta), each a dict
+    order -> array: order o in `orders` sums x[a] @ y[o - a]. Orders that
+    no pair of terms reaches are left out."""
+    out = {}
+    for a, xa in x.items():
+        for b, yb in y.items():
+            o = (a[0] + b[0], a[1] + b[1])
+            if o in orders:
+                out[o] = out.get(o, 0) + xa @ yb
+    return out
+
+
 # x^r Taylor coefficients of sqrt((1 + x) / (1 - x)): (I - Q^2)^(-1/2) P U
-# for U in the range of P0 is sum_r w_r Q^r U, and Q^r expands into the
-# ordered products of the Taylor coefficients of Q
+# for U in the range of P0 is sum_r w_r Q^r U
 _SERIES_WEIGHTS = (1.0, 1.0, 0.5, 0.5)
 
 
 class KatoAssembler:
-    """Builds basis corrections and the reduced-matrix Taylor table.
+    """Builds the projection derivatives, the perturbed basis and the ledger
+    at the Taylor orders `orders` and below.
 
     achieved_tol is the resonance defect max |lam_res - i*sigma| / gap of the
     two colliding flat eigenvalues: the residue treats both as sitting
@@ -83,14 +83,16 @@ class KatoAssembler:
     def __init__(self, ctx, tables, orders=ALL_ORDERS):
         self.ctx = ctx
         self.tables = tables
-        self.orders = tuple(orders)
-        self.H = operator_family(ctx, tables, self.orders)
-        top = max(m + n for m, n in self.orders)
-        self._laurent, defect = self._laurent_coefficients(top)
+        self.orders = orders_below(orders)
+        self.H = operator_family(ctx, tables, orders)
+        # J H[a], column by column
+        self.JH = {a: apply_J(H.T).T for a, H in self.H.items() if a != (0, 0)}
+        self.top = max(m + n for m, n in self.orders)
+        # the window of `_resolvent` takes S_-1 .. S_(2 top - 1)
+        self._laurent, defect = self._laurent_coefficients(2 * self.top)
         self.achieved_tol = defect / spectrum_gap(ctx, DEFAULT_CUTOFF)
         u1, u2 = base_eigenvectors(ctx)
         self.U = {1: u1, 2: u2}
-        self._chains = {}
 
     # -- resolvent Laurent series ----------------------------------------
 
@@ -130,86 +132,81 @@ class KatoAssembler:
     def resolvent_apply(self, series):
         """Laurent series of S(mu) x(mu) from that of x(mu).
 
-        series holds one row per power of mu, from some mu^s on; the result
-        holds as many rows, from mu^(s-1) on. Row p of the result is
+        series holds one row per power of mu, from some mu^s on, each row a
+        mode array or a matrix of mode-array columns; the result holds as
+        many rows, from mu^(s-1) on. Row p of the result is
         sum_{i <= p} S_{p-1-i} x_i, one batched matmul over the modes.
         """
-        x = series.reshape(len(series), -1, 2, 1)
+        x = series.reshape(len(series), len(self._laurent[0]), 2, -1)
         out = np.empty_like(series)
         for p in range(len(series)):
-            out[p] = (self._laurent[p::-1] @ x[:p + 1]).sum(axis=0).ravel()
+            out[p] = (self._laurent[p::-1] @ x[:p + 1]).sum(axis=0).reshape(
+                series.shape[1:])
         return out
 
     # -- projection derivatives --------------------------------------------
 
-    def chains(self, m, n):
-        key = (m, n)
-        if key not in self._chains:
-            self._chains[key] = _compositions(m, n)
-        return self._chains[key]
+    @cached_property
+    def _resolvent(self):
+        """Taylor coefficients R_o of the perturbed resolvent, each on the
+        powers mu^-(top+1) .. mu^(top-1).
+
+        R_o has a pole of order at most |o| + 1, and the mu^-1 coefficients
+        of the orders above it need it only up to mu^(top-|o|-1), so one
+        window holds every order. The sum x over a of J H[a] R_(o-a) has a
+        pole of order at most |o| <= top: its mu^-(top+1) row is zero, and
+        rolled to the end it stands for the mu^top row the window cuts. S
+        applied to the rolled rows, taken from mu^-top on, lands on the
+        window again; the cut reaches only rows above mu^(top-|o|-1).
+        """
+        eye = np.eye(len(self.U[1]))
+        unit = np.zeros((2 * self.top + 1,) + eye.shape, dtype=complex)
+        unit[self.top] = eye       # I at mu^0, the rows starting at mu^-top
+        R = {(0, 0): self.resolvent_apply(unit)}
+        for o in self.orders[1:]:
+            x = series_product(self.JH, R, [o])[o]
+            R[o] = -self.resolvent_apply(np.roll(x, -1, axis=0))
+        return R
 
     def apply_P(self, m, n, v):
-        """m-th amplitude, n-th detuning derivative of the projection, on v.
-
-        Assembled from the resolvent Neumann series: every ordered
-        composition (a_1 .. a_r) of (m, n) contributes
-        (-1)^(r+1) S L^{a_1} S ... L^{a_r} S v under the circle integral,
-        weighted m! n!, with L^a = J H[a]. The integral is the mu^-1
-        coefficient of the chain: truncated Laurent series are pushed
-        through it from the right. The chain has r + 1 resolvent factors;
-        after q of them the series starts at mu^-q, and each factor still to
-        come lowers the power by at most one, so only the r + 1 powers
-        -q .. r - q can reach mu^-1. P(0, 0) is the order-zero projector
-        onto span{U1, U2}.
-        """
-        weight = math.factorial(m) * math.factorial(n)
-        total = np.zeros_like(v)
-        for chain in self.chains(m, n):
-            series = np.zeros((len(chain) + 1, len(v)), dtype=complex)
-            series[0] = v
-            series = self.resolvent_apply(series)
-            for a in reversed(chain):
-                series = self.resolvent_apply(apply_J(series @ self.H[a].T))
-            total += (-1) ** (len(chain) + 1) * weight * series[-1]
-        return total
+        """m-th amplitude, n-th detuning derivative of the projection, on v
+        (a mode array or a matrix of mode-array columns): m! n! P_(m,n) v
+        with P_o = -[mu^-1] R_o. P(0, 0) is the order-zero projector onto
+        span{U1, U2}."""
+        P = self._resolvent[(m, n)][self.top]
+        return -(math.factorial(m) * math.factorial(n)) * (P @ v)
 
     # -- perturbed basis --------------------------------------------------
 
+    def transform(self):
+        """Taylor coefficients of the similarity transform
+        T = sum_r w_r Q^r, Q = P - P0, at every order of the assembler."""
+        eye = np.eye(len(self.U[1]))
+        Q = {(m, n): self.apply_P(m, n, eye) / (
+            math.factorial(m) * math.factorial(n)) for m, n in self.orders[1:]}
+        T, power = {}, {(0, 0): eye}
+        for w in _SERIES_WEIGHTS:
+            for o, p in power.items():
+                T[o] = T.get(o, 0) + w * p
+            power = series_product(Q, power, self.orders)
+        return T
+
     def basis_corrections(self, j, orders):
-        """U_j^{(m,n)} for every (m, n) in orders, (0, 0) giving U_j.
+        """U_j^{(m,n)} = T_(m,n) U_j for every (m, n) in orders, (0, 0)
+        giving U_j."""
+        T = self.transform()
+        return {o: T[o] @ self.U[j] for o in orders}
 
-        U_j^{(m,n)} = sum over the ordered compositions (a_1 .. a_r) of
-        (m, n) of w_r Q_{a_1} ... Q_{a_r} U_j, with Q_a = P^(a) / a! the
-        Taylor coefficients of Q = P - P0 and w_r those of the square-root
-        similarity transform. Each product is formed once, from the product
-        of its tail.
-        """
-        products = {(): self.U[j]}
-
-        def product(chain):
-            if chain not in products:
-                (m, n), tail = chain[0], chain[1:]
-                products[chain] = self.apply_P(m, n, product(tail)) / (
-                    math.factorial(m) * math.factorial(n))
-            return products[chain]
-
-        return {order: sum(_SERIES_WEIGHTS[len(c)] * product(c)
-                           for c in self.chains(*order))
-                for order in orders}
-
-    def inner_product_table(self, basis_j, basis_k, orders):
-        """(H V_j^{eps,delta}, V_k^{eps,delta}) Taylor coefficients.
-
-        basis_* map (m, n) -> U_*^{(m,n)} at every order below `orders`,
-        (0, 0) included; the (m, n) entry sums (H^{a} V^{(b)}, V^{(c)}) over
-        a + b + c = (m, n).
-        """
-        return {(m, n): sum(
-            inner(self.H[a] @ basis_j[b],
-                  basis_k[(m - a[0] - b[0], n - a[1] - b[1])])
-            for a in orders_below([(m, n)])
-            for b in orders_below([(m - a[0], n - a[1])]))
-            for m, n in orders}
+    def inner_product_table(self, orders):
+        """The ledger V^H (H V) at each order in `orders`: a 2x2 matrix whose
+        entry [k - 1, j - 1] is the Taylor coefficient of (H V_j, V_k) / 2 pi,
+        V_j = T U_j / sqrt(gamma_j) the normalized perturbed basis."""
+        base = np.stack([self.U[1] / math.sqrt(self.ctx.gamma1),
+                         self.U[2] / math.sqrt(self.ctx.gamma2)], axis=1)
+        V = {o: t @ base for o, t in self.transform().items()}
+        HV = series_product(self.H, V, self.orders)
+        return series_product({o: v.conj().T for o, v in V.items()}, HV,
+                              orders)
 
 
 @dataclass
@@ -260,22 +257,6 @@ class KatoMatrix:
         }
 
 
-def _structural_residues(ip11, ip22, ip12, ip21):
-    imag_res = max(abs(v.imag) for table in (ip11, ip22, ip12, ip21)
-                   for v in table.values()) / (4.0 * math.pi)
-    antisym = max(abs(ip12[o] - ip21[o]) for o in ip12) / (4.0 * math.pi)
-    b_forbidden = max(abs(ip12[o]) for o in ip12 if o != (3, 0)) / (4.0 * math.pi)
-    return imag_res, antisym, b_forbidden
-
-
-def _normalized_basis(asm, j):
-    """V_j^{(m,n)} = U_j^{(m,n)} / sqrt(gamma_j) at every order the ledger
-    of `asm` reaches, (0, 0) included."""
-    g = math.sqrt(asm.ctx.gamma1 if j == 1 else asm.ctx.gamma2)
-    corr = asm.basis_corrections(j, orders_below(asm.orders))
-    return {order: vec * (1.0 / g) for order, vec in corr.items()}
-
-
 # the orders of the diagonal Taylor coefficients a_mn, c_mn
 _DIAGONAL_ORDERS = ((0, 1), (2, 0), (0, 2), (2, 1), (0, 3))
 
@@ -283,40 +264,37 @@ _DIAGONAL_ORDERS = ((0, 1), (2, 0), (0, 2), (2, 1), (0, 3))
 def assemble_matrix_coeffs(ctx, tables, check_tol=(1e-9, 1e-10, 1e-9)):
     """Full third-order Taylor table of the reduced matrix at one depth.
 
-    check_tol = (imaginary residue, off-diagonal antisymmetry, forbidden
-    B-orders); each is scaled by coefficient_scale, the largest magnitude
-    among the eleven coefficients and the inner-product tables (at least 1),
-    before gating, so deep or shallow extremes fail only on genuine
-    structural violations. Raises AssemblyError naming the broken identity.
+    The halved ledger t = V^H (H V) / 2 holds the Taylor coefficients of
+    [[-A, B], [B, C]] at each order. check_tol =
+    (imaginary residue, off-diagonal antisymmetry, forbidden B-orders) of
+    t; each is scaled by coefficient_scale, the largest magnitude among the
+    eleven coefficients and the entries of t (at least 1), before gating, so
+    deep or shallow extremes fail only on genuine structural violations.
+    Raises AssemblyError naming the broken identity.
     """
     asm = KatoAssembler(ctx, tables)
-    basis = {j: _normalized_basis(asm, j) for j in (1, 2)}
-    ip11 = asm.inner_product_table(basis[1], basis[1], ALL_ORDERS)
-    ip22 = asm.inner_product_table(basis[2], basis[2], ALL_ORDERS)
-    ip12 = asm.inner_product_table(basis[1], basis[2], ALL_ORDERS)
-    ip21 = asm.inner_product_table(basis[2], basis[1], ALL_ORDERS)
-
-    w = 1.0 / (4.0 * math.pi)
-    a = {o: float(-w * ip11[o].real) for o in ip11}
-    c = {o: float(+w * ip22[o].real) for o in ip22}
-    coeffs = {f"{name}{m}{n}": table[(m, n)]
-              for name, table in (("a", a), ("c", c))
-              for m, n in _DIAGONAL_ORDERS}
-    coeffs["b30"] = float(w * ip12[(3, 0)].real)
+    t = {o: v / 2 for o, v in asm.inner_product_table(ALL_ORDERS).items()}
+    a = {o: float(-v[0, 0].real) for o, v in t.items()}
+    coeffs = {f"{name}{m}{n}": value
+              for m, n in _DIAGONAL_ORDERS
+              for name, value in (("a", a[(m, n)]),
+                                  ("c", float(t[(m, n)][1, 1].real)))}
+    coeffs["b30"] = float(t[(3, 0)][1, 0].real)
 
     km = KatoMatrix(h=ctx.h, beta_star=ctx.beta_star, sigma=ctx.sigma,
                     gamma1=ctx.gamma1, gamma2=ctx.gamma2, **coeffs)
-    imag_res, antisym, b_forbidden = _structural_residues(ip11, ip22, ip12, ip21)
+    imag_res = max(abs(v.imag).max() for v in t.values())
+    antisym = max(abs(v[1, 0] - v[0, 1]) for v in t.values())
+    b_forbidden = max(abs(v[1, 0]) for o, v in t.items() if o != (3, 0))
     scale = max(1.0, *(abs(v) for v in coeffs.values()),
-                *(abs(v) * w for table in (ip11, ip22, ip12, ip21)
-                  for v in table.values()))
+                *(abs(v).max() for v in t.values()))
     km.diagnostics = {
-        "imag_residue": imag_res,
-        "antisym_residue": antisym,
-        "b_forbidden_orders": b_forbidden,
+        "imag_residue": float(imag_res),
+        "antisym_residue": float(antisym),
+        "b_forbidden_orders": float(b_forbidden),
         "a_forbidden_orders": max(abs(a[o]) for o in
                                   ((1, 0), (1, 1), (3, 0), (1, 2))),
-        "coefficient_scale": scale,
+        "coefficient_scale": float(scale),
         "resonance_defect": asm.achieved_tol,
     }
     names = ("purely imaginary matrix", "off-diagonal antisymmetry",
@@ -336,11 +314,8 @@ def assemble_matrix_coeffs(ctx, tables, check_tol=(1e-9, 1e-10, 1e-9)):
     return km
 
 
-
 def b30_coefficient(ctx, tables):
     """Only the (3, 0) off-diagonal coefficient (for depth scans): the
-    assembler builds just the amplitude-order blocks and basis corrections."""
+    assembler builds just the amplitude-order blocks and projections."""
     asm = KatoAssembler(ctx, tables, orders=[(3, 0)])
-    ip12 = asm.inner_product_table(_normalized_basis(asm, 1),
-                                   _normalized_basis(asm, 2), orders=[(3, 0)])
-    return float(ip12[(3, 0)].real) / (4.0 * math.pi)
+    return float(asm.inner_product_table([(3, 0)])[(3, 0)][1, 0].real) / 2

@@ -166,7 +166,7 @@ def eval_profile(tables, eps, x, which):
     x + deviation. Amplitudes beyond |eps| = 0.1 are refused: the series
     carry no validity statement there.
     """
-    if abs(eps) > EPS_GUARD:
+    if not abs(eps) <= EPS_GUARD:
         raise RangeError(f"|eps|={abs(eps)} exceeds series guard {EPS_GUARD}")
     val = profile_series(tables, which).evaluate(eps, x)
     if which == "zeta":
@@ -185,7 +185,7 @@ def conformal_fixed_point(ctx, tables, eps, N=256, tol=1e-13, max_sweeps=200):
 
     Returns (x_grid, zeta_grid, h_eps).
     """
-    if abs(eps) > 0.05:
+    if not abs(eps) <= 0.05:
         raise RangeError(f"|eps|={abs(eps)} exceeds fixed-point guard 0.05")
     if N < 64 or N & (N - 1):
         raise ValueError("N must be a power of two >= 64")

@@ -66,7 +66,7 @@ def sech2(x):
 
 def coth(x):
     """coth(x) for x > 0, with a series branch below 1e-3 for full accuracy."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError(f"coth requires x > 0, got {x}")
     if x < 1e-3:
         # coth x = 1/x + x/3 - x^3/45 + O(x^5); remainder < 1e-18 here

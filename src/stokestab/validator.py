@@ -52,6 +52,12 @@ def _oracle_block(eps, beta, h, tables, K):
     return G.real
 
 
+def _check_amplitude(eps):
+    if not abs(eps) <= 0.05:
+        raise ValueError("operator truncation is trusted only for |eps| <= "
+                         f"0.05 (got eps={eps!r})")
+
+
 def build_operator(eps, beta, h, tables, K=20, g_source="series", tree=None):
     """Dense 2(2K+1) x 2(2K+1) truncation of the linearized operator.
 
@@ -63,8 +69,7 @@ def build_operator(eps, beta, h, tables, K=20, g_source="series", tree=None):
     """
     if K < 16:
         raise ValueError("dense validation needs K >= 16")
-    if abs(eps) > 0.05:
-        raise ValueError("operator truncation is trusted only for |eps| <= 0.05")
+    _check_amplitude(eps)
     if g_source == "series":
         tree = tree or dno.cascade_profiles(range(K + 1), (beta,), h, tables)
         G = sum(eps ** j * banded(j, dno.multiplier_rows(
@@ -146,6 +151,7 @@ def compare_isola(km, eps, tables, n_theta=9, K=20):
     from .isola import kappa1 as kap1
     if n_theta < 1:
         raise ValueError(f"n_theta must be at least 1, got {n_theta}")
+    _check_amplitude(eps)
     if eps == 0.0:
         raise ValueError("eps must be nonzero: at zero amplitude the isola "
                          "is a single point and there is no pair to compare")

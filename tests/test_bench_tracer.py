@@ -29,16 +29,20 @@ def spans(tracer, name):
 
 
 def test_traced_coeffs_item(tracing):
-    """The tracer's `dno.CascadeTree` spans count cascade replays."""
+    """The tracer's `dno.CascadeTree` spans count cascade replays, its
+    `kato.apply_P` spans the projection derivatives (one per Taylor order),
+    and it reads the resonance defect the reduction reports."""
     def table():
         ctx = build_context(1.37)
-        return kato.assemble_matrix_coeffs(ctx, build_tables(ctx)).as_dict()
+        return kato.assemble_matrix_coeffs(ctx, build_tables(ctx))
 
     untraced = table()
     tracer = tracing.Tracer()
     with tracer.installed():
-        traced = table()
-    assert traced == untraced
+        km = table()
+    assert km.as_dict() == untraced.as_dict()
+    assert spans(tracer, "kato.apply_P") == 9
+    assert tracer.achieved_tol_max == km.diagnostics["resonance_defect"]
     # one replay at beta*, one at the four finite-difference betas
     assert spans(tracer, "dno.CascadeTree") == 2
     assert tracer.counts["dno.cascade_profiles"] == 2
@@ -46,7 +50,8 @@ def test_traced_coeffs_item(tracing):
 
 
 def test_traced_b30_and_validate_items(tracing):
-    """A `scan` depth replays once and takes no finite differences; one
+    """A `scan` depth replays once, takes no finite differences and forms
+    the three amplitude-order projection derivatives; one
     `compare_isola` amplitude replays once and fills and solves one
     operator per detuning."""
     ctx = build_context(1.37)
@@ -59,6 +64,7 @@ def test_traced_b30_and_validate_items(tracing):
     assert traced == untraced
     assert spans(tracer, "dno.CascadeTree") == 1
     assert spans(tracer, "modealg.fd_taylor") == 0
+    assert spans(tracer, "kato.apply_P") == 3
 
     tracer = tracing.Tracer()
     with tracer.installed():

@@ -163,9 +163,29 @@ def test_scan_single_point_is_an_error(tmp_path, capsys):
 
 
 def test_isola_rejects_untrusted_amplitude(tmp_path, capsys):
-    assert run_cli(["isola", "--h", "1", "--eps", "0.2",
-                    "--outdir", str(tmp_path)]) == 1
-    assert "error: Taylor table is trusted only" in capsys.readouterr().err
+    for eps in ("0.2", "nan"):
+        assert run_cli(["isola", "--h", "1", "--eps", eps,
+                        "--outdir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: Taylor table is trusted only" in err
+        assert f"(got eps={float(eps)}," in err
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, message", [
+    (["hcrit", "--tol", "nan"], "tol must be positive, got nan"),
+    (["resonance", "--h", "1", "--tol", "nan"], "tol must be positive, got nan"),
+    (["validate", "--h", "1", "--eps", "nan"],
+     "operator truncation is trusted only for |eps| <= 0.05 (got eps=nan)"),
+])
+def test_nan_parameter_is_an_error(tmp_path, capsys, command, message):
+    """A NaN fails every range guard by name: `abs(x) > bound` would let it
+    through to a bracket midpoint, a skipped residual check or a misleading
+    error further down."""
+    assert run_cli(command + ["--outdir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
 

@@ -374,6 +374,13 @@ def test_oracle_flat_multiplier(setup1):
     assert max(abs(v) for k, v in out.items() if k != 2) < 1e-12
 
 
+@pytest.mark.parametrize("eps", [0.06, math.nan])
+def test_oracle_rejects_untrusted_amplitude(setup1, eps):
+    ctx, tables = setup1
+    with pytest.raises(ValueError, match="beyond oracle guard 0.05"):
+        dno.StripSolver(eps, ctx.beta_star, 1.0, tables, range(-14, 19))
+
+
 def test_oracle_reflection_symmetry(setup1):
     """conj-reflecting the data conj-reflects the output."""
     ctx, tables = setup1

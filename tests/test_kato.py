@@ -3,6 +3,11 @@ import dataclasses
 import functools
 import math
 import operator
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +22,8 @@ from stokestab.kato import (
     PoleError,
 )
 from stokestab.modealg import (DEFAULT_CUTOFF, apply_J, base_eigenvectors,
-                               mode_slot, mode_vector, symplectic_pairing)
+                               inner, mode_slot, mode_vector, orders_below,
+                               symplectic_pairing)
 from stokestab.stokes import build_tables
 from stokestab.validator import (_dense_projector, _inverse_sqrt_one_minus,
                                  build_operator, compare_isola,
@@ -50,6 +56,93 @@ def _support(v, tol=0.0):
     """Modes of a mode array with a component above tol in magnitude."""
     peak = np.abs(v).reshape(-1, 2).max(axis=1)
     return [int(i) - DEFAULT_CUTOFF for i in np.flatnonzero(peak > tol)]
+
+
+def _compositions(m, n):
+    """Ordered tuples of nonzero order pairs summing to (m, n)."""
+    if (m, n) == (0, 0):
+        return [()]
+    return [((a, b),) + tail for a in range(m + 1) for b in range(n + 1)
+            if (a, b) != (0, 0) for tail in _compositions(m - a, n - b)]
+
+
+def _composition_reference(asm):
+    """apply_P and basis_corrections of `asm` as sums over ordered
+    compositions, one vector at a time.
+
+    apply_P(m, n, v): every composition (a_1 .. a_r) of (m, n) contributes
+    (-1)^(r+1) m! n! times the mu^-1 coefficient of S L^{a_1} S ... L^{a_r}
+    S v, L^a = J H[a]; truncated Laurent series are pushed through the chain
+    from the right. basis_corrections(j, orders): U_j^{(m,n)} sums
+    w_r Q_{a_1} ... Q_{a_r} U_j over the compositions of (m, n), Q_a =
+    P^(a) / a!, each product formed once from the product of its tail.
+    """
+    def apply_P(m, n, v):
+        weight = math.factorial(m) * math.factorial(n)
+        total = np.zeros_like(v)
+        for chain in _compositions(m, n):
+            series = np.zeros((len(chain) + 1, len(v)), dtype=complex)
+            series[0] = v
+            series = asm.resolvent_apply(series)
+            for a in reversed(chain):
+                series = asm.resolvent_apply(apply_J(series @ asm.H[a].T))
+            total += (-1) ** (len(chain) + 1) * weight * series[-1]
+        return total
+
+    def basis_corrections(j, orders):
+        products = {(): asm.U[j]}
+
+        def product(chain):
+            if chain not in products:
+                (m, n), tail = chain[0], chain[1:]
+                products[chain] = apply_P(m, n, product(tail)) / (
+                    math.factorial(m) * math.factorial(n))
+            return products[chain]
+
+        return {order: sum((1.0, 1.0, 0.5, 0.5)[len(c)] * product(c)
+                           for c in _compositions(*order))
+                for order in orders}
+
+    return apply_P, basis_corrections
+
+
+@pytest.mark.parametrize("h", [0.05, 1.0, 100.0])
+def test_series_reduction_matches_composition_reference(h):
+    """Every projection derivative, the Taylor table and b30 equal the
+    composition sums with the per-pair inner-product ledger."""
+    ctx = build_context(h)
+    tables = build_tables(ctx)
+    asm = KatoAssembler(ctx, tables)
+    apply_P, basis_corrections = _composition_reference(asm)
+    eye = np.eye(len(asm.U[1]), dtype=complex)
+    orders = orders_below(ALL_ORDERS)
+    for m, n in orders:
+        ref = np.stack([apply_P(m, n, e) for e in eye], axis=1)
+        err = np.linalg.norm(asm.apply_P(m, n, eye) - ref)
+        assert err <= 1e-12 * np.linalg.norm(ref), (h, m, n, err)
+
+    V = {j: {o: v / math.sqrt(g)
+             for o, v in basis_corrections(j, orders).items()}
+         for j, g in ((1, ctx.gamma1), (2, ctx.gamma2))}
+
+    def coefficient(j, k, m, n):
+        """(H V_j, V_k) at order (m, n) over 4 pi, summed pair by pair."""
+        return sum(inner(asm.H[a] @ V[j][b],
+                         V[k][(m - a[0] - b[0], n - a[1] - b[1])])
+                   for a in orders_below([(m, n)])
+                   for b in orders_below([(m - a[0], n - a[1])])
+                   ).real / (4.0 * math.pi)
+
+    ref = {"b30": coefficient(1, 2, 3, 0)}
+    for m, n in ALL_ORDERS:
+        ref[f"a{m}{n}"] = -coefficient(1, 1, m, n)
+        ref[f"c{m}{n}"] = coefficient(2, 2, m, n)
+    km = assemble_matrix_coeffs(ctx, tables)
+    bound = 1e-12 * km.diagnostics["coefficient_scale"]
+    out = km.as_dict()
+    for name in out.keys() & ref.keys():
+        assert abs(out[name] - ref[name]) <= bound, (h, name)
+    assert abs(b30_coefficient(ctx, tables) - ref["b30"]) <= bound, h
 
 
 def _circle(integrand, ctx, radius, nodes):
@@ -139,7 +232,7 @@ def test_residues_match_dense_circle_quadrature(h):
     radius = 0.75 * spectrum_gap(ctx, DEFAULT_CUTOFF)
     for (m, n), j in (((1, 0), 1), ((2, 1), 2)):
         v = asm.U[j]
-        chains = asm.chains(m, n)
+        chains = _compositions(m, n)
         weight = math.factorial(m) * math.factorial(n)
 
         def integrand(lam):
@@ -255,6 +348,37 @@ def test_cascade_trees_per_depth(monkeypatch):
         run(ctx, build_tables(ctx))
         assert len(built) == replays, h
     assert [len(args[1]) for args in built] == [1, 4, 9]
+
+
+_THREAD_PROBE = """
+import pickle, sys
+from stokestab.dispersion import build_context
+from stokestab.kato import assemble_matrix_coeffs, b30_coefficient
+from stokestab.stokes import build_tables
+out = []
+for h in (0.05, 0.2507, 1.37, 100.0):
+    ctx = build_context(h)
+    tables = build_tables(ctx)
+    km = assemble_matrix_coeffs(ctx, tables)
+    out.append((km.as_dict(), km.diagnostics, b30_coefficient(ctx, tables)))
+sys.stdout.buffer.write(pickle.dumps(out))
+"""
+
+
+def test_reduction_independent_of_thread_count():
+    """The Taylor table, its diagnostics and b30 are byte-identical with one
+    BLAS thread and with the library's default thread count."""
+    src = str(Path(dno.__file__).resolve().parents[1])
+    default = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    default["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))
+    single = dict(default, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    one, many = (subprocess.run([sys.executable, "-c", _THREAD_PROBE],
+                                env=env, check=True, capture_output=True).stdout
+                 for env in (single, default))
+    assert len(pickle.loads(one)) == 4
+    assert one == many
 
 
 def test_detuning_slopes_closed_form(km1, ctx1):

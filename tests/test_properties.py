@@ -10,8 +10,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from stokestab.dispersion import build_context
-from stokestab.kato import (ALL_ORDERS, KatoAssembler, _normalized_basis,
-                            assemble_matrix_coeffs)
+from stokestab.kato import ALL_ORDERS, KatoAssembler, assemble_matrix_coeffs
 from stokestab.modealg import orders_below, symplectic_pairing
 from stokestab.stokes import build_tables
 
@@ -40,8 +39,9 @@ def test_reduction_structure_across_depths(h):
     # the perturbed basis keeps its symplectic pairing at every order; the
     # drift is normalized as the coefficient table is (by 4 pi)
     asm = KatoAssembler(ctx, tables)
-    for j in (1, 2):
-        V = _normalized_basis(asm, j)
+    for j, gamma in ((1, ctx.gamma1), (2, ctx.gamma2)):
+        V = {o: v / math.sqrt(gamma) for o, v in
+             asm.basis_corrections(j, orders_below(ALL_ORDERS)).items()}
         for m, n in ALL_ORDERS:
             drift = sum(symplectic_pairing(V[b], V[(m - b[0], n - b[1])])
                         for b in orders_below([(m, n)]))

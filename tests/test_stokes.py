@@ -67,8 +67,9 @@ def test_eval_profile_cosine_sum_at_origin(tables1):
 
 
 def test_eval_profile_guard(tables1):
-    with pytest.raises(RangeError):
-        eval_profile(tables1, 0.2, 0.0, "eta")
+    for eps in (0.2, math.nan):
+        with pytest.raises(RangeError):
+            eval_profile(tables1, eps, 0.0, "eta")
 
 
 def test_profile_parity(tables1):
@@ -121,8 +122,9 @@ def test_conformal_first_mode_amplitude(ctx1, tables1):
 
 
 def test_conformal_guard(ctx1, tables1):
-    with pytest.raises(RangeError):
-        conformal_fixed_point(ctx1, tables1, 0.06)
+    for eps in (0.06, math.nan):
+        with pytest.raises(RangeError):
+            conformal_fixed_point(ctx1, tables1, eps)
     with pytest.raises(ValueError):
         conformal_fixed_point(ctx1, tables1, 0.01, N=100)
 
