@@ -146,15 +146,17 @@ def convolution(amps, K):
     return bands[abs(ks[:, None] - ks)]
 
 
-def banded(j, rows, K):
-    """The order-j multiplier rows of modes -K..K (laid out as
-    `dno.multiplier_rows`) as a matrix: row k's entry at shift s sits in
-    column k + s, dropped where |k + s| > K."""
+def banded(terms, K):
+    """The multiplier rows of modes -K..K as a matrix, summed over the
+    (j, rows) pairs of `terms` in their order (order-j rows laid out as
+    `dno.multiplier_rows`): row k's entry at shift s sits in column k + s,
+    dropped where |k + s| > K."""
     n = 2 * K + 1
     # the three padding columns each side take the shifts that leave -K..K
     G = np.zeros((n, n + 6))
     at = np.arange(n)[:, None]
-    G[at, at + 3 + dno.shifts(j)] = rows
+    for j, rows in terms:
+        G[at, at + 3 + dno.shifts(j)] += rows
     return G[:, 3:-3]
 
 
@@ -194,7 +196,7 @@ def build_H(j, ell, tables, rows):
     K = DEFAULT_CUTOFF
     p, r = (convolution(profile_series(tables, name).order_coefficients(j)
                         .items() if ell == 0 else (), K) for name in "pr")
-    M = complex_form(real_form(p, r, banded(j, rows.taylor(j, ell), K)))
+    M = complex_form(real_form(p, r, banded([(j, rows.taylor(j, ell))], K)))
     H = np.empty_like(M)
     H[0::2], H[1::2] = -M[1::2], M[0::2]
     return H

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dno
-from .dispersion import lambda0
+from .dispersion import lambda0, spectrum_gap
 from .isola import delta_of_theta, lambda_pair_theta
 from .modealg import (apply_J, banded, base_eigenvectors, complex_form,
                       convolution, inner, real_form)
@@ -72,8 +72,9 @@ def build_operator(eps, beta, h, tables, K=20, g_source="series", tree=None):
     _check_amplitude(eps)
     if g_source == "series":
         tree = tree or dno.cascade_profiles(range(K + 1), (beta,), h, tables)
-        G = sum(eps ** j * banded(j, dno.multiplier_rows(
-            j, range(-K, K + 1), beta, h, tables, tree), K) for j in range(4))
+        G = banded([(j, eps ** j * np.asarray(dno.multiplier_rows(
+            j, range(-K, K + 1), beta, h, tables, tree))) for j in range(4)],
+            K)
     elif g_source == "oracle":
         G = _oracle_block(eps, beta, h, tables, K)
     else:
@@ -86,20 +87,82 @@ def build_operator(eps, beta, h, tables, K=20, g_source="series", tree=None):
 
 
 def spectrum(op):
-    """Eigenvalues of the complex operator, from the real solve of R."""
+    """All eigenvalues of the complex operator, from the real solve of R
+    (LAPACK dgeev): the reference the local solver is tested against."""
     return 1j * np.linalg.eigvals(op.real)
+
+
+class SpectrumError(RuntimeError):
+    """The shift-and-invert iteration found no Ritz pairs in the disc that
+    meet the residual bound, even with the block grown to the full space."""
+
+
+# a returned eigenpair (mu, x) of R has |R x - mu x| <= RITZ_RESIDUAL *
+# machine epsilon * ||R||_1 * |x|
+RITZ_RESIDUAL = 8.0
+# steps of one block size before the block is taken to be too small
+_BLOCK_STEPS = 12
+
+
+def _eigenpairs_near(R, center, radius):
+    """Eigenpairs (mu, x) of the real R with i*mu inside the disc about
+    `center`, sorted by distance to it, |x| = 1.
+
+    Shift-and-invert block iteration with Rayleigh-Ritz (Saad, Numerical
+    Methods for Large Eigenvalue Problems, 2nd ed., SIAM 2011, ch. 5). The
+    real shift s sits a sliver of the radius off Im(center), so that an
+    eigenvalue at the center (the flat operator's double eigenvalue) leaves
+    R - s I regular; it is inverted once. Each step multiplies a fixed start
+    block of p = 4 columns by the inverse and orthonormalises it. The Ritz
+    values, the eigenvalues of the real p x p matrix X^T R X, come in exact
+    conjugate pairs in LAPACK's order (positive imaginary part first).
+    The block has settled when the disc holds as many Ritz values as at the
+    step before and each of their pairs meets the residual bound. It covers
+    the disc once its farthest Ritz value, seen from s, lies beyond every
+    point of the disc; otherwise, or when it has not settled within
+    `_BLOCK_STEPS` steps, it doubles.
+    """
+    n = len(R)
+    mu_center = -1j * center
+    shift = center.imag + radius / 1024
+    reach = radius + abs(shift - mu_center)
+    bound = RITZ_RESIDUAL * np.finfo(float).eps * np.linalg.norm(R, 1)
+    inverse = np.linalg.inv(R - shift * np.eye(n))
+    p = 4
+    while True:
+        p = min(p, n)
+        X = np.random.default_rng(0).standard_normal((n, p))
+        count = None
+        for _ in range(_BLOCK_STEPS):
+            X = np.linalg.qr(inverse @ X)[0]
+            RX = R @ X
+            theta, Y = np.linalg.eig(X.T @ RX)
+            dist = np.abs(theta - mu_center)
+            order = np.argsort(dist, kind="stable")
+            keep = order[dist[order] <= radius]
+            mus, Y_in = theta[keep], Y[:, keep]
+            res = np.linalg.norm(RX @ Y_in - X @ Y_in * mus, axis=0)
+            if len(mus) == count and np.all(res <= bound):
+                if p == n or np.max(np.abs(theta - shift)) > reach:
+                    return mus, X @ Y_in
+                break
+            count = len(mus)
+        if p == n:
+            raise SpectrumError(
+                f"no Ritz pairs within {radius:.2e} of {center:.6f} meet the "
+                f"residual bound {bound:.2e} after {_BLOCK_STEPS} steps of "
+                "the full block")
+        p *= 2
 
 
 def spectrum_near(op, center, radius):
     """Eigenvalues inside the disc, sorted by distance to its center.
 
-    The real solve returns exact conjugate pairs, so the Hamiltonian pair
-    +-re + i*im is exactly equidistant from a center on the imaginary axis
-    and keeps LAPACK's fixed order (negative real part first), not an order
-    decided by roundoff."""
-    lams = spectrum(op)
-    inside = [lam for lam in lams if abs(lam - center) <= radius]
-    return sorted(inside, key=lambda lam: abs(lam - center))
+    They come from the shift-and-invert Ritz pairs of the real R, which are
+    exact conjugate pairs: the Hamiltonian pair +-re + i*im is exactly
+    equidistant from a center on the imaginary axis and keeps LAPACK's fixed
+    order (negative real part first), not an order decided by roundoff."""
+    return list(1j * _eigenpairs_near(op.real, center, radius)[0])
 
 
 def flat_spectrum_check(op, tol=1e-9):
@@ -113,16 +176,20 @@ def flat_spectrum_check(op, tol=1e-9):
     return worst <= tol, worst
 
 
-def eigenspace_near(op, center, count=2):
-    """(eigenvalues, eigenvectors) of the `count` closest eigenvalues."""
-    lams, vecs = np.linalg.eig(op.matrix)
-    order = np.argsort(np.abs(lams - center))[:count]
-    return lams[order], vecs[:, order]
+def eigenspace_near(op, center, radius):
+    """(eigenvalues, eigenvectors) of the complex operator inside the disc,
+    sorted as `spectrum_near`: M = i D R D^-1 takes the eigenvector x of R
+    to D x."""
+    mus, vecs = _eigenpairs_near(op.real, center, radius)
+    return 1j * mus, vecs * np.tile([1.0, 1j], len(vecs) // 2)[:, None]
 
 
 def eigenspace_match_residual(op, ctx):
     """How far the two near-collision eigenvectors sit from span{U1, U2}."""
-    lams, vecs = eigenspace_near(op, 1j * ctx.sigma, count=2)
+    lams, vecs = eigenspace_near(op, 1j * ctx.sigma, 0.5 * spectrum_gap(ctx))
+    if len(lams) != 2:
+        raise RuntimeError(f"{len(lams)} eigenvalues within half the spectral "
+                           "gap of i*sigma, not the colliding pair")
     qmat, _ = np.linalg.qr(np.stack(base_eigenvectors(ctx, K=op.K), axis=1))
     v = vecs / np.linalg.norm(vecs, axis=0)
     res = np.linalg.norm(v - qmat @ (qmat.conj().T @ v), axis=0)
@@ -240,7 +307,6 @@ def direct_reduced_matrix(ctx, tables, eps, delta):
     tables are checked against. K = 20 modes; the contour is the circle
     of radius half the spectral gap about the collision.
     """
-    from .dispersion import spectrum_gap
     K, radius, center = 20, 0.5 * spectrum_gap(ctx), 1j * ctx.sigma
     M = build_operator(eps, ctx.beta_star + delta, ctx.h, tables, K=K).matrix
     M0 = build_operator(0.0, ctx.beta_star, ctx.h, tables, K=K).matrix

@@ -355,19 +355,27 @@ import pickle, sys
 from stokestab.dispersion import build_context
 from stokestab.kato import assemble_matrix_coeffs, b30_coefficient
 from stokestab.stokes import build_tables
+from stokestab.validator import compare_isola
 out = []
 for h in (0.05, 0.2507, 1.37, 100.0):
     ctx = build_context(h)
     tables = build_tables(ctx)
     km = assemble_matrix_coeffs(ctx, tables)
     out.append((km.as_dict(), km.diagnostics, b30_coefficient(ctx, tables)))
+ctx = build_context(2.0)
+tables = build_tables(ctx)
+comp = compare_isola(assemble_matrix_coeffs(ctx, tables), 0.01, tables,
+                     n_theta=5)
+out.append((comp.rows, comp.max_distance, comp.ties))
 sys.stdout.buffer.write(pickle.dumps(out))
 """
 
 
 def test_reduction_independent_of_thread_count():
-    """The Taylor table, its diagnostics and b30 are byte-identical with one
-    BLAS thread and with the library's default thread count."""
+    """The Taylor table, its diagnostics and b30, and the dense comparison's
+    rows, distance and ties (whose local eigensolve starts from a fixed
+    block), are byte-identical with one BLAS thread and with the library's
+    default thread count."""
     src = str(Path(dno.__file__).resolve().parents[1])
     default = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
@@ -377,7 +385,7 @@ def test_reduction_independent_of_thread_count():
     one, many = (subprocess.run([sys.executable, "-c", _THREAD_PROBE],
                                 env=env, check=True, capture_output=True).stdout
                  for env in (single, default))
-    assert len(pickle.loads(one)) == 4
+    assert len(pickle.loads(one)) == 5
     assert one == many
 
 

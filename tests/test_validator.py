@@ -3,14 +3,19 @@ import pytest
 
 from stokestab import dno
 from stokestab.dispersion import build_context
-from stokestab.isola import delta_of_theta, kappa1
+from stokestab import validator
+from stokestab.isola import delta_of_theta, kappa1, lambda_pair_theta
+from stokestab.kato import assemble_matrix_coeffs
 from stokestab.modealg import mode_slot
 from stokestab.stokes import build_tables, profile_series
 from stokestab.validator import (
+    SpectrumError,
+    TruncatedOperator,
     build_operator,
     compare_isola,
     conjugate_pair_residual,
     eigenspace_match_residual,
+    eigenspace_near,
     flat_spectrum_check,
     spectrum,
     spectrum_near,
@@ -125,6 +130,113 @@ def test_spectrum_near_sorting(op0, ctx1):
     dists = [abs(z - 1j * ctx1.sigma) for z in near]
     assert dists == sorted(dists)
     assert len(near) >= 2
+
+
+def _assert_disc_matches_dgeev(op, center, radius):
+    """The local solve finds as many eigenvalues in the disc as the full
+    dgeev solve of R, each within 8 eps ||R||_1 of its nearest dgeev
+    eigenvalue (the local solve's Ritz residual bound is 8 as well), and
+    sorted by distance to the center."""
+    near = np.array(spectrum_near(op, center, radius))
+    full = spectrum(op)
+    ref = full[np.abs(full - center) <= radius]
+    assert len(near) == len(ref)
+    tol = 8 * np.finfo(float).eps * np.linalg.norm(op.real, 1)
+    if len(ref):
+        assert max(_nearest(near, ref), _nearest(ref, near)) <= tol
+    dists = np.abs(near - center)
+    assert np.all(np.diff(dists) >= 0)
+    return near
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.005])
+@pytest.mark.parametrize("h", [1.0, 2.0, 4.0])
+def test_spectrum_near_matches_dgeev_disc(h, eps):
+    """At every detuning and disc of `compare_isola` (nine over 90% of the
+    window), the local solve holds the dgeev disc's isola pair."""
+    ctx = build_context(h)
+    tables = build_tables(ctx)
+    km = assemble_matrix_coeffs(ctx, tables)
+    k1 = kappa1(km)
+    for theta in np.linspace(-0.9 * k1, 0.9 * k1, 9):
+        pred_p, pred_m = lambda_pair_theta(km, eps, theta)
+        op = build_operator(eps, km.beta_star + delta_of_theta(km, eps, theta),
+                            h, tables)
+        center = 0.5 * (pred_p + pred_m)
+        radius = max(20.0 * abs(pred_p - center), 50.0 * eps ** 3)
+        assert len(_assert_disc_matches_dgeev(op, center, radius)) == 2
+
+
+def test_spectrum_near_singular_shift_and_wide_disc(op0, ctx1):
+    """At eps = 0 the center i*sigma is an exact double eigenvalue, so
+    R - Im(center) I is singular; the wide disc holds more eigenvalues than
+    the first block has columns."""
+    center = 1j * ctx1.sigma
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(op0.real - ctx1.sigma * np.eye(len(op0.real)))
+    assert len(_assert_disc_matches_dgeev(op0, center, 0.5)) == 2
+    assert len(_assert_disc_matches_dgeev(op0, center + 0.3j, 0.5)) > 2
+
+
+def test_spectrum_near_empty_disc(op0):
+    """A disc between two neighbouring eigenvalues holds none."""
+    mus = np.sort(spectrum(op0).imag)
+    i = np.argmax(np.diff(mus))
+    center = 0.5j * (mus[i] + mus[i + 1])
+    assert _assert_disc_matches_dgeev(op0, center, 0.25 * (mus[i + 1] - mus[i])
+                                      ).size == 0
+
+
+def test_spectrum_near_grows_the_block_to_cover_the_disc():
+    """The four eigenvalues nearest the center settle in the first block of
+    four columns, all inside the disc; the fifth in the disc is found
+    because the block then grows."""
+    mus = np.array([0.0, 0.01, 0.02, 0.03, 0.5, 0.6, 2.0, 3.0, 4.0, 5.0])
+    q = np.linalg.qr(np.random.default_rng(1).standard_normal((10, 10)))[0]
+    op = TruncatedOperator(real=q @ np.diag(mus) @ q.T, K=2, eps=0.0,
+                           beta=0.0, h=1.0)
+    near = spectrum_near(op, 0j, 0.55)
+    assert np.allclose(near, 1j * mus[:5], rtol=0, atol=1e-14)
+
+
+def test_eigenspace_near_residual_bound(ctx1, tables1):
+    """Each returned eigenpair of M meets the Ritz residual bound."""
+    op = build_operator(0.01, ctx1.beta_star + 1e-4, 1.0, tables1)
+    lams, vecs = eigenspace_near(op, 1j * ctx1.sigma, 0.05)
+    assert len(lams) == 2
+    res = np.linalg.norm(op.matrix @ vecs - vecs * lams, axis=0)
+    bound = (validator.RITZ_RESIDUAL * np.finfo(float).eps
+             * np.linalg.norm(op.real, 1) * np.linalg.norm(vecs, axis=0))
+    assert np.all(res <= bound), res / bound
+
+
+def test_spectrum_near_unsettled_is_an_error(op0, ctx1, monkeypatch):
+    """A block that never settles grows to the full space and then raises
+    by name, rather than returning a short list."""
+    monkeypatch.setattr(validator, "_BLOCK_STEPS", 1)
+    with pytest.raises(SpectrumError, match="residual bound"):
+        spectrum_near(op0, 1j * ctx1.sigma, 0.5)
+
+
+@pytest.mark.parametrize("h, eps", [(0.3, 0.01), (0.3, 0.005), (0.35, 0.01)])
+def test_compare_isola_one_eigenvalue_in_disc(h, eps):
+    """Where the dense operator has a single eigenvalue in the predicted
+    disc, the comparison stops by name."""
+    ctx = build_context(h)
+    tables = build_tables(ctx)
+    with pytest.raises(RuntimeError, match="only 1 eigenvalues"):
+        compare_isola(assemble_matrix_coeffs(ctx, tables), eps, tables)
+
+
+@pytest.mark.parametrize("h, eps, ties", [(0.35, 0.005, 9), (0.5, 0.01, 3),
+                                          (0.5, 0.005, 1), (0.8, 0.01, 1)])
+def test_compare_isola_ties(h, eps, ties):
+    """The tie counts of the nine-detuning comparison where the pair is
+    matched up to machine precision either way."""
+    ctx = build_context(h)
+    tables = build_tables(ctx)
+    comp = compare_isola(assemble_matrix_coeffs(ctx, tables), eps, tables)
+    assert len(comp.ties) == ties
 
 
 def test_conjugate_pair_structure(ctx1, tables1):
