@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from stokestab import dno
+from stokestab import dno, validator
 from stokestab.dispersion import build_context
-from stokestab import validator
 from stokestab.isola import delta_of_theta, kappa1, lambda_pair_theta
 from stokestab.kato import assemble_matrix_coeffs
 from stokestab.modealg import mode_slot
