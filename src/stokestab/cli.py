@@ -172,6 +172,17 @@ def seed_check(args):
     return 0 if failed == 0 else 1
 
 
+def check_depths(args):
+    """Reject the command's depth options outside `isola.H_RANGE` by name;
+    the solvers name depths that are not finite and positive."""
+    lo, hi = isola.H_RANGE
+    for name in args.depths:
+        h = getattr(args, name)
+        if math.isfinite(h) and h > 0.0 and not lo <= h <= hi:
+            raise ValueError(f"--{name.replace('_', '-')} {h!r} lies outside "
+                             f"the validated depths {lo} <= h <= {hi:g}")
+
+
 def _out(args, name):
     os.makedirs(args.outdir, exist_ok=True)
     return os.path.join(args.outdir, name)
@@ -338,14 +349,14 @@ def build_parser(config=None):
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--svg", action="store_true")
-    p.set_defaults(func=cmd_resonance, suites=["dispersion"])
+    p.set_defaults(func=cmd_resonance, suites=["dispersion"], depths=[])
 
     p = sub.add_parser("coeffs", help="expansion tables and reduced-matrix "
                                       "coefficients as JSON")
     common(p)
     p.add_argument("--no-kato", action="store_true",
                    help="skip the reduction (tables only)")
-    p.set_defaults(func=cmd_coeffs, suites=["stokes", "kato"])
+    p.set_defaults(func=cmd_coeffs, suites=["stokes", "kato"], depths=["h"])
 
     p = sub.add_parser("dno-dump", help="multiplier rows as CSV")
     common(p)
@@ -353,13 +364,13 @@ def build_parser(config=None):
                    help="transverse parameter (default: resonant value)")
     p.add_argument("--kmin", type=int, default=-6)
     p.add_argument("--kmax", type=int, default=6)
-    p.set_defaults(func=cmd_dno_dump, suites=["dno"])
+    p.set_defaults(func=cmd_dno_dump, suites=["dno"], depths=["h"])
 
     p = sub.add_parser("isola", help="unstable eigenvalue ellipse")
     common(p)
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--samples", type=int, default=41)
-    p.set_defaults(func=cmd_isola, suites=["isola"])
+    p.set_defaults(func=cmd_isola, suites=["isola"], depths=["h"])
 
     p = sub.add_parser("scan", help="depth scan of one pipeline quantity")
     common(p, h=False)
@@ -368,7 +379,8 @@ def build_parser(config=None):
     p.add_argument("--h-min", type=float, default=0.1)
     p.add_argument("--h-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=200)
-    p.set_defaults(func=cmd_scan, suites=["isola"])
+    p.set_defaults(func=cmd_scan, suites=["isola"],
+                   depths=["h_min", "h_max"])
 
     p = sub.add_parser("validate", help="dense-operator comparison")
     common(p)
@@ -377,14 +389,14 @@ def build_parser(config=None):
     p.add_argument("--thetas", type=int, default=9)
     p.add_argument("--ratio-check", action="store_true",
                    help="also run at eps/2 and report the distance ratio")
-    p.set_defaults(func=cmd_validate, suites=["validator"])
+    p.set_defaults(func=cmd_validate, suites=["validator"], depths=["h"])
 
     p = sub.add_parser("hcrit", help="critical depth where b30 vanishes")
     common(p, h=False)
     p.add_argument("--lo", type=float, default=0.2)
     p.add_argument("--hi", type=float, default=0.3)
     p.add_argument("--tol", type=float, default=1e-5)
-    p.set_defaults(func=cmd_hcrit, suites=["isola"])
+    p.set_defaults(func=cmd_hcrit, suites=["isola"], depths=["lo", "hi"])
     for p in sub.choices.values():
         p.set_defaults(**{key: value for key, value in (config or {}).items()
                           if p.get_default(key) is not None})
@@ -396,6 +408,7 @@ def main(argv=None):
     try:
         if args.config:
             args = build_parser(RunConfig.read(args.config)).parse_args(argv)
+        check_depths(args)
         return seed_check(args) if args.seed_check else args.func(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -109,17 +109,23 @@ def jacobian_amplitudes(tables, h):
         2.0 * z11 * z22 / (ch * c2h), 6.0 * t.zeta33 / c3h])
 
 
+def _abs(x):
+    """|x| on real input, its analytic continuation x sign(Re x) on complex."""
+    return x * np.sign(x.real) if np.iscomplexobj(x) else np.abs(x)
+
+
 def hyperbolic(kind, arg, m, log_scale=0.0, switch=700.0):
     """m * K(arg) * exp(log_scale) elementwise, K = cosh where kind is COSH.
 
-    Past |arg| = switch the product is fused in log space: the deep strip
+    Past |Re arg| = switch the product is fused in log space: the deep strip
     pairs huge hyperbolic values with tiny amplitudes or damping factors.
+    Both branches are analytic, so a complex step through them differentiates.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         near = m * np.where(kind, np.cosh(arg), np.sinh(arg)) * np.exp(log_scale)
-        far = (np.where(kind | (arg > 0.0), 1.0, -1.0) * np.sign(m)
-               * np.exp(np.abs(arg) + np.log(np.abs(m)) - LOG2 + log_scale))
-    return np.where(np.abs(arg) <= switch, near, far)
+        far = (np.where(kind | (arg.real > 0.0), 1.0, -1.0) * np.sign(m.real)
+               * np.exp(_abs(arg) + np.log(_abs(m)) - LOG2 + log_scale))
+    return np.where(np.abs(arg.real) <= switch, near, far)
 
 
 def derivative_terms(kind, power, rate, shift, amp, z, n, log_scale=0.0,
@@ -277,7 +283,7 @@ class CascadeTree:
     def __init__(self, plan, betas, h, tables):
         self.plan, self.h = plan, h
         self.index = {beta: b for b, beta in enumerate(betas)}
-        self.beta = beta = np.array(betas, dtype=float)[:, None]
+        self.beta = beta = np.array(betas, np.result_type(float, *betas))[:, None]
         self.rho = rho = np.sqrt(np.arange(plan.qmax + 1) ** 2 + beta)
         kind, power, n, c, q, s = plan.keys
         self.rates = rates = n + c * rho[:, q]
@@ -367,12 +373,14 @@ class CascadeTree:
 
 def cascade_profiles(k0s, betas, h, tables, jmax=3):
     """The profiles of the unit modes k0s up to order jmax at every beta of
-    `betas`: one replay of their plan, compiled on first use."""
-    for name, x in [("h", h)] + [("beta", beta) for beta in betas]:
+    `betas`: one replay of their plan, compiled on first use, analytic in a
+    complex beta."""
+    for name, x, kind in [("h", h, numbers.Real)] + [
+            ("beta", beta, numbers.Complex) for beta in betas]:
         if isinstance(x, Jet):
             raise ValueError(f"cascade rows of order {jmax} need a float "
                              f"{name}; a Jet reaches only orders 0 and 1")
-        if not (isinstance(x, numbers.Real) and math.isfinite(x) and x > 0):
+        if not (isinstance(x, kind) and np.isfinite(x) and x.real > 0):
             raise ValueError(f"{name} must be a finite number > 0, got {x!r}")
     key = (tuple(dict.fromkeys(k0s)), jmax)
     if key not in _plans:

@@ -33,6 +33,7 @@ class GridError(ValueError):
 
 B30_DEGENERACY_FLOOR = 1e-8
 TRUSTED_PARAMETER = 0.05   # |eps|, |delta| where the Taylor table holds
+H_RANGE = (0.05, 100.0)    # the depths the pipeline is validated on
 
 
 def _check_trusted(eps, delta=0.0):
@@ -188,11 +189,12 @@ def default_h_grid(h_min=0.1, h_max=10.0, points=200):
     if not 0.0 < h_min < h_max:
         raise GridError(f"a depth grid needs 0 < h_min < h_max, got "
                         f"h_min={h_min}, h_max={h_max}")
-    grid = [0.05] if h_min > 0.05 else []
+    lo, hi = H_RANGE
+    grid = [lo] if h_min > lo else []
     ratio = (h_max / h_min) ** (1.0 / (points - 1))
     grid += [h_min * ratio ** i for i in range(points)]
-    if h_max < 100.0:
-        grid.append(100.0)
+    if h_max < hi:
+        grid.append(hi)
     return grid
 
 

@@ -11,7 +11,6 @@ transverse parameter).
 """
 
 import math
-import warnings
 
 import numpy as np
 
@@ -66,6 +65,10 @@ def base_eigenvectors(ctx, K=DEFAULT_CUTOFF):
 # ----------------------------------------------------------------------
 # Fourier-multiplier rows and their transverse Taylor coefficients
 
+# imaginary step of `RowProvider._fd_taylor`: its t^2 terms fall below roundoff
+COMPLEX_STEP = 1e-30
+
+
 class RowProvider:
     """Order-j multiplier rows of modes -5..5 and their delta-Taylor
     coefficients at beta*.
@@ -73,9 +76,9 @@ class RowProvider:
     Every row comes from `dno.multiplier_rows`: the rows themselves at beta*
     (one replay of the unit modes 0..5 serves orders 2 and 3). Orders 0 and
     1, closed forms, are differentiated exactly by passing it a jet beta,
-    once per order; orders 2 and 3 give their first Taylor coefficient from
-    Richardson-refined central differences of the cascade (the reduction
-    stops at total order 3, so only (j, l) = (2, 1) is ever asked for).
+    once per order; orders 2 and 3 give their first Taylor coefficient by a
+    complex step through the cascade (the reduction stops at total order 3,
+    so only (j, l) = (2, 1) is ever asked for).
     """
 
     def __init__(self, ctx, tables):
@@ -83,24 +86,19 @@ class RowProvider:
         self.tables = tables
         self.beta = ctx.beta_star
         self.h = ctx.h
-        self.step = max(1e-4, 1e-4 * self.beta)
         self.ks = range(-DEFAULT_CUTOFF, DEFAULT_CUTOFF + 1)
         self._jets = {}
-        self._trees = {}
-
-    def _tree(self, betas, jmax):
-        """Replay of unit modes 0..5 (vectors live on -5..4) at `betas`."""
-        if (betas, jmax) not in self._trees:
-            self._trees[(betas, jmax)] = dno.cascade_profiles(
-                range(DEFAULT_CUTOFF + 1), betas, self.h, self.tables, jmax)
-        return self._trees[(betas, jmax)]
+        self._tree = None
 
     def taylor(self, j, ell):
         """The ell-th Taylor coefficients of the order-j rows of modes -5..5,
         one sequence per mode, laid out as `dno.multiplier_rows`."""
         if ell == 0:
+            # unit modes 0..5: the vectors live on modes -5..4
+            self._tree = self._tree or dno.cascade_profiles(
+                range(DEFAULT_CUTOFF + 1), (self.beta,), self.h, self.tables)
             return dno.multiplier_rows(j, self.ks, self.beta, self.h,
-                                       self.tables, self._tree((self.beta,), 3))
+                                       self.tables, self._tree)
         if j <= 1:
             if j not in self._jets:
                 self._jets[j] = dno.multiplier_rows(
@@ -109,24 +107,16 @@ class RowProvider:
         return self._fd_taylor(j, ell)
 
     def _fd_taylor(self, j, ell):
+        """d/dbeta of the order-j cascade rows at beta*: Im rows(beta* + i t)
+        / t from one complex replay, a finite difference with an imaginary
+        step that subtracts nothing (Squire and Trapp, SIAM Rev. 40 (1998)
+        110). perfbench/tracing.py wraps this method by its name."""
         if ell != 1:
             raise ValueError("cascade rows have only their first transverse "
                              f"Taylor coefficient, got l={ell}")
-        t = self.step
-        betas = {m: self.beta + m * t for m in (-2, -1, 1, 2)}
-        tree = self._tree(tuple(betas.values()), j)
-        f = {m: np.array(dno.multiplier_rows(j, self.ks, beta, self.h,
-                                             self.tables, tree))
-             for m, beta in betas.items()}
-        refined = (8 * (f[1] - f[-1]) - (f[2] - f[-2])) / (12 * t)
-        est = abs(refined - (f[1] - f[-1]) / (2 * t))
-        i, s = np.unravel_index(np.argmax(est), est.shape)
-        if est[i, s] > 1e-6:
-            warnings.warn(
-                f"finite-difference Taylor coefficient (j={j}, l={ell}, "
-                f"k={self.ks[i]}, shift={dno.shifts(j)[s]}) estimated error "
-                f"{est[i, s]:.2e}", RuntimeWarning)
-        return refined
+        beta = complex(self.beta, COMPLEX_STEP)
+        rows = dno.multiplier_rows(j, self.ks, beta, self.h, self.tables)
+        return np.array(rows).imag / COMPLEX_STEP
 
 
 # ----------------------------------------------------------------------

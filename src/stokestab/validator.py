@@ -58,6 +58,17 @@ def _check_amplitude(eps):
                          f"0.05 (got eps={eps!r})")
 
 
+# a `validate` depth takes about 1 s and 54 MB at K = 64; the plan compile
+# alone grows by about 1.6 ms per mode, half an hour at K = 10^6
+K_MAX = 64
+
+
+def _check_cutoff(K):
+    if not 16 <= K <= K_MAX:
+        raise ValueError(f"dense validation needs 16 <= K <= {K_MAX}, "
+                         f"got K={K}")
+
+
 def build_operator(eps, beta, h, tables, K=20, g_source="series", tree=None):
     """Dense 2(2K+1) x 2(2K+1) truncation of the linearized operator.
 
@@ -67,8 +78,7 @@ def build_operator(eps, beta, h, tables, K=20, g_source="series", tree=None):
     "oracle" applies the finite-amplitude strip solver to every basis mode
     (slower, fully independent of the cascade).
     """
-    if K < 16:
-        raise ValueError("dense validation needs K >= 16")
+    _check_cutoff(K)
     _check_amplitude(eps)
     if g_source == "series":
         tree = tree or dno.cascade_profiles(range(K + 1), (beta,), h, tables)
@@ -218,6 +228,7 @@ def compare_isola(km, eps, tables, n_theta=9, K=20):
     from .isola import kappa1 as kap1
     if n_theta < 1:
         raise ValueError(f"n_theta must be at least 1, got {n_theta}")
+    _check_cutoff(K)
     _check_amplitude(eps)
     if eps == 0.0:
         raise ValueError("eps must be nonzero: at zero amplitude the isola "

@@ -68,6 +68,44 @@ def test_non_finite_depth_is_an_error(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, option", [
+    (["coeffs", "--h", "237"], "--h 237.0"),
+    (["dno-dump", "--h", "1000"], "--h 1000.0"),
+    (["isola", "--h", "240"], "--h 240.0"),
+    (["validate", "--h", "0.04"], "--h 0.04"),
+    (["hcrit", "--lo", "300", "--hi", "1000"], "--lo 300.0"),
+    (["hcrit", "--lo", "0.2", "--hi", "101"], "--hi 101.0"),
+    (["scan", "--h-min", "0.01", "--h-max", "1"], "--h-min 0.01"),
+    (["scan", "--h-min", "1", "--h-max", "150"], "--h-max 150.0"),
+    (["coeffs", "--h", "1000", "--seed-check"], "--h 1000.0"),
+])
+def test_depth_outside_validated_range_is_an_error(tmp_path, capsys, command,
+                                                   option):
+    """Depths outside 0.05 <= h <= 100 are a named error, not output that
+    no test vouches for and, from h = 237 up, not an OverflowError
+    traceback from cosh(3h)."""
+    assert run_cli(command + ["--outdir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {option} lies outside the validated "
+                            "depths 0.05 <= h <= 100\n")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_resonance_solves_outside_the_validated_depths(capsys):
+    """The resonance solve holds at any depth, so `resonance` takes one."""
+    assert run_cli(["resonance", "--h", "500"]) == 0
+    assert capsys.readouterr().out.startswith("beta_star(500) = ")
+
+
+def test_validate_cutoff_above_its_ceiling_is_an_error(tmp_path, capsys):
+    assert run_cli(["validate", "--K", "1000000", "--outdir",
+                    str(tmp_path)]) == 1
+    assert ("error: dense validation needs 16 <= K <= 64, got K=1000000"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_float_format_17_digits():
     assert fmt(1.0 / 3.0) == "0.33333333333333331"
 

@@ -325,9 +325,9 @@ def test_basis_corrections_are_taylor_coefficients(asm, ctx1, tables1,
 def test_cascade_trees_per_depth(monkeypatch):
     """Each caller asks for all the cascade rows it needs in one replay: at
     a new depth the b30 request replays once (unit modes 0..5 at beta*), the
-    full table twice (beta*, and the four finite-difference betas together),
-    a K = 20 dense fill at a new beta once, and a compare_isola amplitude
-    once for all its nine detunings."""
+    full table twice (beta*, and the complex beta of the transverse
+    derivative), a K = 20 dense fill at a new beta once, and a
+    compare_isola amplitude once for all its nine detunings."""
     built = []
 
     class Counted(dno.CascadeTree):
@@ -347,7 +347,7 @@ def test_cascade_trees_per_depth(monkeypatch):
         built.clear()
         run(ctx, build_tables(ctx))
         assert len(built) == replays, h
-    assert [len(args[1]) for args in built] == [1, 4, 9]
+    assert [len(args[1]) for args in built] == [1, 1, 9]
 
 
 _THREAD_PROBE = """

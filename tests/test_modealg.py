@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -137,23 +136,6 @@ def test_beta_derivative_order_two_cascade(ctx1, tables1):
               - dno.cascade_row(2, 1, ctx1.beta_star - t, ctx1.h,
                                 tables1)[s]) / (2 * t)
         assert abs(row[i] - fd) < 1e-6
-
-
-def test_fd_taylor_warns_once_naming_the_worst_entry(ctx1, tables1):
-    """A step far below the roundoff balance makes the Richardson error
-    estimate exceed 1e-6 (about 1e-4 at step 1e-10): one RuntimeWarning per
-    call names the worst (k, shift) and its estimate."""
-    rows = RowProvider(ctx1, tables1)
-    rows.step = 1e-10
-    with pytest.warns(RuntimeWarning) as caught:
-        rows.taylor(2, 1)
-    assert len(caught) == 1
-    m = re.fullmatch(r"finite-difference Taylor coefficient \(j=2, l=1, "
-                     r"k=(-?\d+), shift=(-?\d+)\) estimated error (\S+)",
-                     str(caught[0].message))
-    assert m, caught[0].message
-    assert abs(int(m[1])) <= K and int(m[2]) in dno.shifts(2)
-    assert float(m[3]) > 1e-6
 
 
 def test_mode_vector_cutoff():

@@ -305,11 +305,29 @@ def test_compare_isola_distance_law(km1, tables1):
     assert not comp1.ties
 
 
+@pytest.mark.parametrize("K", [8, 65, 10 ** 6])
+def test_compare_isola_checks_the_cutoff_before_its_replay(
+        monkeypatch, tables1, ctx1, K):
+    """A cutoff outside 16 <= K <= K_MAX is a named error at the start of
+    `compare_isola`, before the replay whose plan would take minutes to
+    compile at K = 10^6."""
+    km = assemble_matrix_coeffs(ctx1, tables1)
+
+    def no_replay(*args, **kwargs):
+        raise AssertionError("cascade replayed before the cutoff check")
+
+    monkeypatch.setattr(dno, "cascade_profiles", no_replay)
+    with pytest.raises(ValueError, match=f"16 <= K <= 64, got K={K}"):
+        validator.compare_isola(km, 0.01, tables1, K=K)
+    assert validator.K_MAX == 64
+
+
 def test_build_operator_guards(tables1, ctx1):
     with pytest.raises(ValueError):
         build_operator(0.1, ctx1.beta_star, 1.0, K=20, tables=tables1)
-    with pytest.raises(ValueError):
-        build_operator(0.01, ctx1.beta_star, 1.0, K=8, tables=tables1)
+    for K in (8, 65):
+        with pytest.raises(ValueError, match="16 <= K <= 64"):
+            build_operator(0.01, ctx1.beta_star, 1.0, K=K, tables=tables1)
     with pytest.raises(ValueError):
         build_operator(0.01, ctx1.beta_star, 1.0, K=20, tables=tables1,
                        g_source="magic")
