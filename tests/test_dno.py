@@ -418,6 +418,56 @@ def test_complex_step_rows_against_mpmath_derivative(h):
         assert max(abs(row - exact)) < 1e-12 * scale, (h, k)
 
 
+def _mp_closed_forms(k, h):
+    """A0(k), B-1(k) and B+1(k) as functions of a 50-digit beta."""
+    h = mpf(h)
+
+    def terms(beta):
+        u = {q: mp.sqrt(beta + q * q) for q in (k - 1, k, k + 1)}
+        t = {q: mp.tanh(h * u[q]) for q in u}
+        return u, t
+
+    def b(beta, side):
+        u, t = terms(beta)
+        lo, hi = (k - 1, k) if side < 0 else (k, k + 1)
+        return (beta - u[lo] * u[hi] * t[lo] * t[hi] + mp.coth(h) * (
+            hi * u[lo] * t[lo] - lo * u[hi] * t[hi]) + k * k + side * k) / 2
+
+    return ((lambda beta: terms(beta)[0][k] * terms(beta)[1][k],),
+            (lambda beta: b(beta, -1), lambda beta: b(beta, 1)))
+
+
+@pytest.mark.parametrize("h, bound, zero_bound", [
+    (0.05, 5e-10, 5e-6), (0.2507, 1e-13, 2e-11), (1.0, 4e-15, 4e-15),
+    (3.0, 4e-15, 4e-15), (100.0, 4e-15, 4e-15)])
+def test_closed_form_taylor_coefficients_against_mpmath(h, bound, zero_bound):
+    """The beta-Taylor coefficients of the closed-form rows of modes -5..5
+    (A0 at orders 1 to 3, B-1 and B+1 at orders 1 and 2) against
+    `mpmath.taylor` at 50 digits, each error relative to the largest entry
+    of its order. Entries reading sqrt(beta + q^2) at q = 0 carry a known
+    shallow floor: there u tanh(h u) sums terms far larger than its higher
+    coefficients, and the float evaluation cancels to the measured 1.5e-6
+    of the order-3 scale (6.4e-14 absolute) at h = 0.05, k = 0; the
+    order-0 vectors live on modes 1 and -2, away from it. Measured worst
+    (q = 0 apart, then q = 0): 6.5e-11 and 1.5e-6 at h = 0.05, 2.2e-14
+    and 3.1e-12 at h = 0.2507, at most 9.4e-16 at h = 1, 3 and 100."""
+    ctx = build_context(h)
+    rows = RowProvider(ctx, build_tables(ctx))
+    mp.dps = 50
+    ks = range(-5, 6)
+    forms = {k: _mp_closed_forms(k, h) for k in ks}
+    for j, orders in ((0, (1, 2, 3)), (1, (1, 2))):
+        exact = {k: [mp.taylor(f, mpf(ctx.beta_star), max(orders))
+                     for f in forms[k][j]] for k in ks}
+        for ell in orders:
+            got = rows.taylor(j, ell)
+            scale = max(abs(c[ell]) for k in ks for c in exact[k])
+            for k, row in zip(ks, got):
+                for s, value, c in zip(dno.shifts(j), row, exact[k]):
+                    tol = zero_bound if 0 in (k, k + s) else bound
+                    assert abs(value - c[ell]) <= tol * scale, (j, ell, k, s)
+
+
 @pytest.mark.parametrize("h", [1.0, 100.0])
 def test_richardson_differences_converge_to_the_complex_step(h):
     """Richardson-refined central differences of the order-2 rows,
