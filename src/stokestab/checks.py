@@ -41,8 +41,8 @@ def _dno_checks(h):
     beta = ctx.beta_star
     tree = dno.cascade_profiles(range(-9, 10), (beta,), h, t)
     worst = 0.0
-    for k in range(-4, 5):
-        bm, bp = dno.r1_coeffs(k, beta, h)
+    ks = range(-4, 5)
+    for k, (bm, bp) in zip(ks, dno.multiplier_rows(1, ks, beta, h, t)[0]):
         worst = max(worst, abs(tree.trace(k - 1, 1, k)[0] - bm),
                     abs(tree.trace(k + 1, 1, k)[0] - bp))
     yield "cascade order 1 matches closed form", worst < 1e-10

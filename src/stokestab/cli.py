@@ -13,6 +13,8 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from . import checks
 from .dispersion import build_context, resonance_residual, solve_beta_star
 from .stokes import build_tables
@@ -237,20 +239,25 @@ def cmd_dno_dump(args):
     if args.kmin > args.kmax:
         raise ValueError(f"--kmin ({args.kmin}) is above --kmax ({args.kmax}):"
                          " no wavenumbers to dump")
+    if max(-args.kmin, args.kmax) > validator.K_MAX:
+        raise ValueError(f"dno-dump needs |k| <= {validator.K_MAX}, got "
+                         f"--kmin {args.kmin} --kmax {args.kmax}")
     ctx = build_context(args.h)
     tables = build_tables(ctx)
     beta = args.beta if args.beta is not None else ctx.beta_star
     ks = range(args.kmin, args.kmax + 1)
     tree = dno.cascade_profiles(sorted({abs(k) for k in ks}), (beta,), args.h,
                                 tables)
-    rows = [[k] for k in ks]
-    for j in range(4):
-        for out, row in zip(rows, dno.multiplier_rows(j, ks, beta, args.h,
-                                                      tables, tree)):
-            out.extend(row)
+    orders = [dno.multiplier_rows(j, ks, beta, args.h, tables, tree)[0]
+              for j in range(4)]
+    bad = [j for j, rows in enumerate(orders) if not np.isfinite(rows).all()]
+    if bad:
+        raise ValueError(f"the multiplier rows of orders {bad} at "
+                         f"beta={beta!r}, h={args.h!r} are not finite")
     path = _out(args, "dno.csv")
     write_csv(path, ["k", "A0", "Bm1", "Bp1", "Cm2", "C0", "Cp2",
-                     "Dm3", "Dm1", "Dp1", "Dp3"], rows)
+                     "Dm3", "Dm1", "Dp1", "Dp3"],
+              [[k, *row] for k, row in zip(ks, np.hstack(orders))])
     print(path)
     return 0
 

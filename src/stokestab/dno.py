@@ -27,7 +27,7 @@ import numbers
 
 import numpy as np
 
-from .util import Jet, coth
+from .util import coth, sech2
 
 
 class CascadeError(RuntimeError):
@@ -39,40 +39,69 @@ class ResolutionError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# closed-form multiplier rows (orders 0 and 1)
+# closed-form multiplier rows (orders 0 and 1) as Taylor arrays in beta
+#
+# Axis 0 of a Taylor array holds the coefficients (not derivatives) in t of
+# a quantity at beta + t, orders 0..top; the other axes run over
+# wavenumbers. Every coefficient is formed by the operations of the scalar
+# formulas, in their order, whatever top is: the order-0 rows are the scalar
+# rows bit for bit, and a lower top truncates the arrays.
 
-def _sqrt(x):
-    return x.sqrt() if isinstance(x, Jet) else math.sqrt(x)
+def _mul(a, b):
+    """The truncated product of two Taylor arrays."""
+    out = a[:1] * b
+    for i in range(1, len(a)):
+        out[i:] += a[i:i + 1] * b[:-i]
+    return out
 
 
-def _tanh(x):
-    return x.tanh() if isinstance(x, Jet) else math.tanh(x)
+def _compose(w, g, derivs):
+    """g(w) for a Taylor array w of top order at most 3 by Faa di Bruno's
+    formula (Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008,
+    ch. 13), derivs(x, g(x)) giving the first three derivatives of g at
+    x = w[0]. g, derivs and the cube take one Python float at a time:
+    numpy's vector tanh, exp and pow differ from the math library in the
+    last bit on some hosts."""
+    g0 = [g(x) for x in w[0].tolist()]
+    if len(w) == 1:
+        return np.array([g0])
+    f1, f2, f3 = np.array([derivs(*x) for x in zip(w[0].tolist(), g0)]).T
+    w1, w2, w3 = np.concatenate([w[1:], np.zeros((4 - len(w), w.shape[1]))])
+    cube = np.array([x ** 3 for x in w1.tolist()])
+    return np.array([g0, f1 * w1, f1 * w2 + 0.5 * f2 * w1 * w1,
+                     f1 * w3 + f2 * w1 * w2 + f3 * cube / 6.0])[:len(w)]
 
 
-def r0_coeff(k, beta, h):
-    """A0(k): sqrt(k^2+beta) * tanh(h sqrt(k^2+beta)). Accepts Jet beta."""
-    u = _sqrt(beta + k * k)
-    return u * _tanh(u * h)
+def _sqrt_derivs(x, s):
+    return 0.5 / s, -0.25 / s ** 3, 0.375 / s ** 5
 
 
-def r1_coeffs(k, beta, h):
-    """(B-1(k), B+1(k)) closed forms. Accepts Jet beta."""
-    ch = coth(h)
-    um = _sqrt(beta + (k - 1) ** 2)
-    u0 = _sqrt(beta + k * k)
-    up = _sqrt(beta + (k + 1) ** 2)
-    tm, t0, tp = _tanh(um * h), _tanh(u0 * h), _tanh(up * h)
-    bm = 0.5 * (
-        beta - um * u0 * tm * t0
-        + ch * (k * um * tm - (k - 1) * u0 * t0)
-        + k * k - k
-    )
-    bp = 0.5 * (
-        beta - u0 * up * t0 * tp
-        + ch * ((k + 1) * u0 * t0 - k * up * tp)
-        + k * k + k
-    )
-    return bm, bp
+def _tanh_derivs(x, t):
+    s2 = sech2(x)
+    # tanh' = sech^2, tanh'' = -2 t sech^2, tanh''' = sech^2 (6 t^2 - 2)
+    return s2, -2.0 * t * s2, s2 * (6.0 * t * t - 2.0)
+
+
+def _closed_forms(j, ks, beta, h, top):
+    """The printed rows A0(k) (j = 0) or B-1(k), B+1(k) (j = 1) at the
+    wavenumbers ks, laid out as `multiplier_rows`."""
+    ks = np.asarray(ks)
+    q = np.arange(ks.min() - j, ks.max() + j + 1)
+    one = np.eye(top + 1, 1)
+    x = beta * one + np.eye(top + 1, 1, -1)      # beta + t
+    u = _compose(x + q * q * one, math.sqrt, _sqrt_derivs)
+    t = _compose(u * h, math.tanh, _tanh_derivs)
+    if j == 0:
+        return _mul(u, t)[:, ks - q[0], None]
+    # B-1(k) couples k - 1 to k, B+1(k) k to k + 1
+    k = ks[:, None]
+    lo = k + np.array([-1, 0])
+    hi = lo + 1
+    ul, tl, uh, th = (a[:, i - q[0]] for i in (lo, hi) for a in (u, t))
+    one, x = one[:, None], x[:, None]
+    return 0.5 * (x - _mul(_mul(_mul(ul, uh), tl), th)
+                  + coth(h) * (_mul(hi * ul, tl) - _mul(lo * uh, th))
+                  + k * k * one + np.array([-1, 1]) * k * one)
 
 
 # ----------------------------------------------------------------------
@@ -377,9 +406,6 @@ def cascade_profiles(k0s, betas, h, tables, jmax=3):
     complex beta."""
     for name, x, kind in [("h", h, numbers.Real)] + [
             ("beta", beta, numbers.Complex) for beta in betas]:
-        if isinstance(x, Jet):
-            raise ValueError(f"cascade rows of order {jmax} need a float "
-                             f"{name}; a Jet reaches only orders 0 and 1")
         if not (isinstance(x, kind) and np.isfinite(x) and x.real > 0):
             raise ValueError(f"{name} must be a finite number > 0, got {x!r}")
     key = (tuple(dict.fromkeys(k0s)), jmax)
@@ -392,35 +418,37 @@ def shifts(j):
     return tuple(range(-j, j + 1, 2))
 
 
-def multiplier_rows(j, ks, beta, h, tables, tree=None):
-    """Order-j multiplier rows at the output wavenumbers ks, one sequence
-    each, entry i at shift shifts(j)[i]: it multiplies the input coefficient
-    at wavenumber k + shifts(j)[i] (so row k's entry 0 at j = 1 is the
-    printed B-1(k)).
+def multiplier_rows(j, ks, beta, h, tables, tree=None, top=0):
+    """Order-j multiplier rows at the output wavenumbers ks and their Taylor
+    coefficients in beta up to order `top`, shape (top + 1, len(ks), j + 1):
+    entry [n, i, m] is the t^n coefficient at beta + t of row ks[i] at shift
+    shifts(j)[m], which multiplies the input coefficient at wavenumber
+    ks[i] + shifts(j)[m] (so [0, i, 0] at j = 1 is the printed B-1(k)).
 
     The one place that decides where a row comes from: orders 0 and 1 are
-    the printed closed forms (a Jet beta gives their transverse Taylor
-    coefficients), orders 2 and 3 the cascade, read from `tree` (a replay
-    holding the unit modes |k| at beta) or from a replay of its own. The
-    operator is self-adjoint and commutes with x -> -x, so entry (k, k+s)
-    equals entry (k+s, k) and entry (-k-s, -k): the whole row is read from
-    the one tree of the unit mode |k|.
+    the printed closed forms, evaluated on Taylor arrays up to top = 3;
+    orders 2 and 3 the cascade at top = 0, read from `tree` (a replay holding
+    the unit modes |k| at beta) or from a replay of its own. The operator is
+    self-adjoint and commutes with x -> -x, so entry (k, k+s) equals entry
+    (k+s, k) and entry (-k-s, -k): the whole row is read from the one tree
+    of the unit mode |k|.
     """
-    if j == 0:
-        return [(r0_coeff(k, beta, h),) for k in ks]
-    if j == 1:
-        return [r1_coeffs(k, beta, h) for k in ks]
+    if top not in range(4 if j <= 1 else 1):
+        raise ValueError(f"order-{j} rows have Taylor coefficients up to "
+                         f"order {3 if j <= 1 else 0}, got top={top}")
+    if j <= 1:
+        return _closed_forms(j, ks, beta, h, top)
     if tree is None:
         tree = cascade_profiles(sorted({abs(k) for k in ks}), (beta,), h,
                                 tables, j)
-    return tree.rows(j, ks, beta)
+    return np.array([tree.rows(j, ks, beta)])
 
 
 def cascade_row(j, k, beta, h, tables, tree=None):
     """The order-j row at output wavenumber k as {shift: value}: the one-k
     view of `multiplier_rows`."""
     return dict(zip(shifts(j), multiplier_rows(j, (k,), beta, h, tables,
-                                               tree)[0]))
+                                               tree)[0, 0]))
 
 
 # ----------------------------------------------------------------------

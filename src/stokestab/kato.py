@@ -110,8 +110,9 @@ class KatoAssembler:
         K = DEFAULT_CUTOFF
         coeffs = np.zeros((top + 1, 2 * K + 1, 2, 2), dtype=complex)
         defect = 0.0
-        for k in range(-K, K + 1):
-            a0 = dno.r0_coeff(k, ctx.beta_star, ctx.h)
+        a0s = dno.multiplier_rows(0, range(-K, K + 1), ctx.beta_star, ctx.h,
+                                  self.tables)[0, :, 0]
+        for k, a0 in zip(range(-K, K + 1), a0s):
             block = np.array([[1j * ctx.c0 * k, a0], [-1.0, 1j * ctx.c0 * k]])
             lam = {s: 1j * (ctx.c0 * k + s * math.sqrt(a0)) for s in (1, -1)}
             for s in (1, -1):

@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from .stokes import profile_series
-from .util import Jet
 from . import dno
 
 
@@ -75,10 +74,10 @@ class RowProvider:
 
     Every row comes from `dno.multiplier_rows`: the rows themselves at beta*
     (one replay of the unit modes 0..5 serves orders 2 and 3). Orders 0 and
-    1, closed forms, are differentiated exactly by passing it a jet beta,
-    once per order; orders 2 and 3 give their first Taylor coefficient by a
-    complex step through the cascade (the reduction stops at total order 3,
-    so only (j, l) = (2, 1) is ever asked for).
+    1, closed forms, give their Taylor coefficients exactly, as Taylor
+    arrays evaluated once to order 3; orders 2 and 3 give their first Taylor
+    coefficient by a complex step through the cascade (the reduction stops
+    at total order 3, so only (j, l) = (2, 1) is ever asked for).
     """
 
     def __init__(self, ctx, tables):
@@ -87,23 +86,22 @@ class RowProvider:
         self.beta = ctx.beta_star
         self.h = ctx.h
         self.ks = range(-DEFAULT_CUTOFF, DEFAULT_CUTOFF + 1)
-        self._jets = {}
-        self._tree = None
+        self._tree = self._closed = None
 
     def taylor(self, j, ell):
         """The ell-th Taylor coefficients of the order-j rows of modes -5..5,
-        one sequence per mode, laid out as `dno.multiplier_rows`."""
+        an array with one row per mode, laid out as `dno.multiplier_rows`."""
         if ell == 0:
             # unit modes 0..5: the vectors live on modes -5..4
             self._tree = self._tree or dno.cascade_profiles(
                 range(DEFAULT_CUTOFF + 1), (self.beta,), self.h, self.tables)
             return dno.multiplier_rows(j, self.ks, self.beta, self.h,
-                                       self.tables, self._tree)
+                                       self.tables, self._tree)[0]
         if j <= 1:
-            if j not in self._jets:
-                self._jets[j] = dno.multiplier_rows(
-                    j, self.ks, Jet.variable(self.beta), self.h, self.tables)
-            return [[jet.coeff(ell) for jet in row] for row in self._jets[j]]
+            self._closed = self._closed or [dno.multiplier_rows(
+                i, self.ks, self.beta, self.h, self.tables, top=3)
+                for i in (0, 1)]
+            return self._closed[j][ell]
         return self._fd_taylor(j, ell)
 
     def _fd_taylor(self, j, ell):
@@ -116,7 +114,7 @@ class RowProvider:
                              f"Taylor coefficient, got l={ell}")
         beta = complex(self.beta, COMPLEX_STEP)
         rows = dno.multiplier_rows(j, self.ks, beta, self.h, self.tables)
-        return np.array(rows).imag / COMPLEX_STEP
+        return rows[0].imag / COMPLEX_STEP
 
 
 # ----------------------------------------------------------------------

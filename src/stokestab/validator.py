@@ -82,8 +82,8 @@ def build_operator(eps, beta, h, tables, K=20, g_source="series", tree=None):
     _check_amplitude(eps)
     if g_source == "series":
         tree = tree or dno.cascade_profiles(range(K + 1), (beta,), h, tables)
-        G = banded([(j, eps ** j * np.asarray(dno.multiplier_rows(
-            j, range(-K, K + 1), beta, h, tables, tree))) for j in range(4)],
+        G = banded([(j, eps ** j * dno.multiplier_rows(
+            j, range(-K, K + 1), beta, h, tables, tree)[0]) for j in range(4)],
             K)
     elif g_source == "oracle":
         G = _oracle_block(eps, beta, h, tables, K)

@@ -157,8 +157,9 @@ def test_criterion_6_two_path_dno(pipeline):
             tables = build_tables(ctx)
         tree = dno.cascade_profiles(range(-7, 8), (ctx.beta_star,), h,
                                     tables, 1)
-        for k in range(-6, 7):
-            bm, bp = dno.r1_coeffs(k, ctx.beta_star, h)
+        ks = range(-6, 7)
+        for k, (bm, bp) in zip(ks, dno.multiplier_rows(1, ks, ctx.beta_star,
+                                                        h, tables)[0]):
             worst1 = max(worst1, abs(tree.trace(k - 1, 1, k)[0] - bm),
                          abs(tree.trace(k + 1, 1, k)[0] - bp))
     ok = worst23 < 1e-6 and worst1 < 1e-10

@@ -43,7 +43,7 @@ def test_traced_coeffs_item(tracing):
     assert km.as_dict() == untraced.as_dict()
     assert spans(tracer, "kato.apply_P") == 9
     assert tracer.achieved_tol_max == km.diagnostics["resonance_defect"]
-    # one replay at beta*, one at the four finite-difference betas
+    # one replay at beta*, one at the complex-step beta
     assert spans(tracer, "dno.CascadeTree") == 2
     assert tracer.counts["dno.cascade_profiles"] == 2
     assert spans(tracer, "modealg.fd_taylor") == 1

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from stokestab import dno
 from stokestab.cli import RunConfig, fmt, main, write_svg
 
 
@@ -318,6 +319,32 @@ def test_dno_dump_bad_beta_is_an_error(tmp_path, capsys, beta):
     assert run_cli(["dno-dump", "--h", "1", "--beta", beta,
                     "--outdir", str(tmp_path)]) == 1
     assert (f"error: beta must be a finite number > 0, got {float(beta)!r}"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dno_dump_non_finite_rows_are_an_error(tmp_path, capsys):
+    """A finite beta whose cascade overflows (the order-2 and order-3 rows
+    come out NaN) is a named error and writes no file."""
+    assert run_cli(["dno-dump", "--h", "1", "--beta", "1e300",
+                    "--outdir", str(tmp_path)]) == 1
+    assert ("error: the multiplier rows of orders [2, 3] at beta=1e+300, "
+            "h=1.0 are not finite" in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bound, given", [
+    (["--kmax", "65"], "--kmin -6 --kmax 65"),
+    (["--kmin", "-65"], "--kmin -65 --kmax 6")])
+def test_dno_dump_wavenumber_above_its_ceiling_is_an_error(tmp_path, capsys,
+                                                           monkeypatch, bound,
+                                                           given):
+    """|k| beyond validator.K_MAX is a named error raised before any
+    cascade plan is compiled."""
+    monkeypatch.setattr(dno, "cascade_profiles", None)
+    assert run_cli(["dno-dump", "--h", "1", *bound,
+                    "--outdir", str(tmp_path)]) == 1
+    assert (f"error: dno-dump needs |k| <= 64, got {given}"
             in capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == []
 

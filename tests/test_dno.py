@@ -13,7 +13,6 @@ from stokestab import dno
 from stokestab.dispersion import build_context
 from stokestab.modealg import RowProvider
 from stokestab.stokes import build_tables
-from stokestab.util import Jet
 
 
 @pytest.fixture(scope="module")
@@ -22,29 +21,32 @@ def setup1(ctx1, tables1):
 
 
 def test_r0_deep_limit():
-    for k in (0, 1, 3):
-        assert abs(dno.r0_coeff(k, 2.0, 50.0)
-                   - math.sqrt(k * k + 2.0)) < 1e-10
+    a0 = dno.multiplier_rows(0, (0, 1, 3), 2.0, 50.0, None)[0, :, 0]
+    for k, value in zip((0, 1, 3), a0):
+        assert abs(value - math.sqrt(k * k + 2.0)) < 1e-10
 
 
 def test_r0_values():
-    assert dno.r0_coeff(0, 1.0, 1.0) == pytest.approx(math.tanh(1.0), rel=1e-15)
-    assert abs(dno.r0_coeff(2, 1e-12, 1.0) - 2.0 * math.tanh(2.0)) < 1e-8
+    assert dno.multiplier_rows(0, (0,), 1.0, 1.0, None)[0, 0, 0] == \
+        pytest.approx(math.tanh(1.0), rel=1e-15)
+    assert abs(dno.multiplier_rows(0, (2,), 1e-12, 1.0, None)[0, 0, 0]
+               - 2.0 * math.tanh(2.0)) < 1e-8
 
 
 def test_r1_self_adjoint_pairing(ctx1):
-    beta = ctx1.beta_star
-    for k in range(-5, 6):
-        bm_neg, _ = dno.r1_coeffs(-k, beta, 1.0)
-        _, bp = dno.r1_coeffs(k, beta, 1.0)
+    ks = range(-5, 6)
+    rows = dno.multiplier_rows(1, ks, ctx1.beta_star, 1.0, None)[0]
+    for k in ks:
+        bm_neg, bp = rows[-k + 5, 0], rows[k + 5, 1]
         assert abs(bm_neg - bp) < 1e-12
 
 
 def test_r1_deep_limits():
     """The order-1 pair tends to its infinite-depth closed forms."""
     beta = 1.7
-    for k in range(-4, 5):
-        bm, bp = dno.r1_coeffs(k, beta, 50.0)
+    ks = range(-4, 5)
+    for k, (bm, bp) in zip(ks, dno.multiplier_rows(1, ks, beta, 50.0,
+                                                    None)[0]):
         um = math.sqrt(beta + (k - 1) ** 2)
         u0 = math.sqrt(beta + k * k)
         up = math.sqrt(beta + (k + 1) ** 2)
@@ -59,8 +61,9 @@ def test_cascade_reproduces_order_one(h):
     ctx = build_context(h)
     tables = build_tables(ctx)
     tree = dno.cascade_profiles(range(-7, 8), (ctx.beta_star,), h, tables, 1)
-    for k in range(-6, 7):
-        bm, bp = dno.r1_coeffs(k, ctx.beta_star, h)
+    ks = range(-6, 7)
+    for k, (bm, bp) in zip(ks, dno.multiplier_rows(1, ks, ctx.beta_star, h,
+                                                    tables)[0]):
         assert abs(tree.trace(k - 1, 1, k)[0] - bm) < 1e-10
         assert abs(tree.trace(k + 1, 1, k)[0] - bp) < 1e-10
 
@@ -240,9 +243,9 @@ def test_secular_branch_engaged():
 
 def test_replay_rejects_bad_input(setup1):
     """beta and h must be finite and positive (a complex beta finite with
-    a positive real part, h real), and a Jet beta has rows only at orders 0
-    and 1: each is a named ValueError, raised before any plan is
-    replayed."""
+    a positive real part, h real), and a top Taylor order must lie in 0..3
+    for the closed forms and be 0 for the cascade rows: each is a named
+    ValueError, raised before any plan is replayed."""
     _, tables = setup1
     for beta, h in ((math.inf, 1.0), (math.nan, 1.0), (0.0, 1.0),
                     (1.0, -1.0), (1.0, math.inf),
@@ -251,8 +254,10 @@ def test_replay_rejects_bad_input(setup1):
                     (1.0, complex(1.0, 1e-30))):
         with pytest.raises(ValueError, match="must be a finite number > 0"):
             dno.cascade_row(2, 1, beta, h, tables)
-    with pytest.raises(ValueError, match="a Jet reaches only orders 0 and 1"):
-        dno.cascade_row(2, 1, Jet.variable(1.0), 1.0, tables)
+    for j, top in ((2, 1), (3, 1), (0, 4), (1, -1)):
+        with pytest.raises(ValueError, match=f"order-{j} rows have Taylor "
+                           f"coefficients up to order [03], got top={top}"):
+            dno.multiplier_rows(j, (1,), 1.0, 1.0, tables, top=top)
 
 
 def test_replay_dtype_follows_beta(setup1):
@@ -497,7 +502,8 @@ def test_oracle_flat_multiplier(setup1):
     ctx, tables = setup1
     solver = dno.StripSolver(0.0, ctx.beta_star, 1.0, tables, range(-14, 19))
     out = solver.solve([{2: 1.0}])[0]
-    assert abs(out[2].real - dno.r0_coeff(2, ctx.beta_star, 1.0)) < 1e-9
+    a0 = dno.cascade_row(0, 2, ctx.beta_star, 1.0, tables)[0]
+    assert abs(out[2].real - a0) < 1e-9
     assert max(abs(v) for k, v in out.items() if k != 2) < 1e-12
 
 
@@ -566,8 +572,9 @@ def oracle_table(setup1):
 def test_extraction_matches_closed_forms(setup1, oracle_table):
     ctx, _ = setup1
     values, _ = oracle_table
-    assert abs(values[(0, 2, 0)] - dno.r0_coeff(2, ctx.beta_star, 1.0)) < 1e-9
-    bm, bp = dno.r1_coeffs(2, ctx.beta_star, 1.0)
+    (a0,), (bm, bp) = (dno.multiplier_rows(j, (2,), ctx.beta_star, 1.0,
+                                           None)[0, 0] for j in (0, 1))
+    assert abs(values[(0, 2, 0)] - a0) < 1e-9
     assert abs(values[(1, 2, -1)] - bm) < 1e-7
     assert abs(values[(1, 2, 1)] - bp) < 1e-7
 
@@ -590,17 +597,26 @@ def test_extraction_noise_gate(oracle_table):
 
 
 def test_cascade_row_low_orders_are_closed_forms(setup1):
-    """cascade_row serves orders 0 and 1 from the printed closed forms, for
-    a float beta and for a jet beta alike."""
+    """cascade_row serves orders 0 and 1 from the printed closed forms, bit
+    for bit as the scalar formulas give them, and the Taylor arrays of
+    `multiplier_rows` truncate: the coefficients up to order n at top = n
+    are those at top = 3."""
     ctx, tables = setup1
-    beta = ctx.beta_star
-    assert dno.cascade_row(0, 1, beta, 1.0, tables) == {
-        0: dno.r0_coeff(1, beta, 1.0)}
-    bm, bp = dno.r1_coeffs(1, beta, 1.0)
-    assert dno.cascade_row(1, 1, beta, 1.0, tables) == {-1: bm, 1: bp}
-    jets = dno.cascade_row(1, 1, Jet.variable(beta), 1.0, tables)
-    bm, bp = dno.r1_coeffs(1, Jet.variable(beta), 1.0)
-    assert [jets[-1].coeff(1), jets[1].coeff(1)] == [bm.coeff(1), bp.coeff(1)]
+    beta, h, k = ctx.beta_star, 1.0, 1
+    um, u0, up = (math.sqrt(beta + q * q) for q in (k - 1, k, k + 1))
+    tm, t0, tp = (math.tanh(u * h) for u in (um, u0, up))
+    ch = 1.0 / math.tanh(h)
+    assert dno.cascade_row(0, k, beta, h, tables) == {0: u0 * t0}
+    assert dno.cascade_row(1, k, beta, h, tables) == {
+        -1: 0.5 * (beta - um * u0 * tm * t0
+                   + ch * (k * um * tm - (k - 1) * u0 * t0) + k * k - k),
+        1: 0.5 * (beta - u0 * up * t0 * tp
+                  + ch * ((k + 1) * u0 * t0 - k * up * tp) + k * k + k)}
+    for j in (0, 1):
+        full = dno.multiplier_rows(j, range(-5, 6), beta, h, tables, top=3)
+        for top in (0, 1, 2):
+            assert np.array_equal(dno.multiplier_rows(
+                j, range(-5, 6), beta, h, tables, top=top), full[:top + 1])
 
 
 def test_resonant_secular_forcing_rejected():

@@ -35,20 +35,17 @@ def asm(ctx1, tables1):
     return KatoAssembler(ctx1, tables1)
 
 
-def _flat_block(ctx, k, lam):
-    """Mode-k block of L0 - lam."""
-    a0 = dno.r0_coeff(k, ctx.beta_star, ctx.h)
-    return np.array([[1j * ctx.c0 * k - lam, a0],
-                     [-1.0, 1j * ctx.c0 * k - lam]])
-
-
 def _flat_matrix(ctx, lam):
-    """Dense L0 - lam on the modes of the reduction."""
+    """Dense L0 - lam on the modes of the reduction, mode k's block
+    [[i c0 k - lam, A0(k)], [-1, i c0 k - lam]]."""
     K = DEFAULT_CUTOFF
+    ks = range(-K, K + 1)
+    a0s = dno.multiplier_rows(0, ks, ctx.beta_star, ctx.h, None)[0, :, 0]
     mat = np.zeros((2 * (2 * K + 1),) * 2, dtype=complex)
-    for k in range(-K, K + 1):
+    for k, a0 in zip(ks, a0s):
         i = mode_slot(k)
-        mat[i:i + 2, i:i + 2] = _flat_block(ctx, k, lam)
+        mat[i:i + 2, i:i + 2] = [[1j * ctx.c0 * k - lam, a0],
+                                 [-1.0, 1j * ctx.c0 * k - lam]]
     return mat
 
 

@@ -111,20 +111,22 @@ def test_beta_derivative_second_order_fd_oracle(ctx1, tables1):
     t = 1e-4
     beta, h = ctx1.beta_star, ctx1.h
     rows = RowProvider(ctx1, tables1)
-    jet2 = rows.taylor(0, 2)[3 + K][0]
-    fd2 = (dno.r0_coeff(3, beta + t, h) - 2 * dno.r0_coeff(3, beta, h)
-           + dno.r0_coeff(3, beta - t, h)) / (t * t) / 2.0
-    assert abs(jet2 - fd2) < 1e-7
+    taylor2 = rows.taylor(0, 2)[3 + K][0]
+    a0 = {b: dno.multiplier_rows(0, (3,), b, h, tables1)[0, 0, 0]
+          for b in (beta - t, beta, beta + t)}
+    fd2 = (a0[beta + t] - 2 * a0[beta] + a0[beta - t]) / (t * t) / 2.0
+    assert abs(taylor2 - fd2) < 1e-7
 
 
 def test_beta_derivative_jet_vs_central(ctx1, tables1):
     t = 1e-5
     beta, h = ctx1.beta_star, ctx1.h
-    jet = RowProvider(ctx1, tables1).taylor(1, 1)[-2 + K]
+    coeff = RowProvider(ctx1, tables1).taylor(1, 1)[-2 + K]
     for idx in (0, 1):
-        fd = (dno.r1_coeffs(-2, beta + t, h)[idx]
-              - dno.r1_coeffs(-2, beta - t, h)[idx]) / (2 * t)
-        assert abs(jet[idx] - fd) < 1e-8
+        fd = (dno.multiplier_rows(1, (-2,), beta + t, h, tables1)[0, 0, idx]
+              - dno.multiplier_rows(1, (-2,), beta - t, h, tables1)[0, 0, idx]
+              ) / (2 * t)
+        assert abs(coeff[idx] - fd) < 1e-8
 
 
 def test_beta_derivative_order_two_cascade(ctx1, tables1):
