@@ -85,23 +85,26 @@ def _tanh_derivs(x, t):
 def _closed_forms(j, ks, beta, h, top):
     """The printed rows A0(k) (j = 0) or B-1(k), B+1(k) (j = 1) at the
     wavenumbers ks, laid out as `multiplier_rows`."""
-    ks = np.asarray(ks)
-    q = np.arange(ks.min() - j, ks.max() + j + 1)
-    one = np.eye(top + 1, 1)
-    x = beta * one + np.eye(top + 1, 1, -1)      # beta + t
-    u = _compose(x + q * q * one, math.sqrt, _sqrt_derivs)
+    q = np.arange(min(ks) - j, max(ks) + j + 1)
+    k = np.array(ks)[:, None]
+    x = np.array([beta, 1.0, 0.0, 0.0][:top + 1])[:, None]    # beta + t
+    w = np.repeat(x, len(q), axis=1)
+    w[0] += q * q
+    u = _compose(w, math.sqrt, _sqrt_derivs)
     t = _compose(u * h, math.tanh, _tanh_derivs)
     if j == 0:
-        return _mul(u, t)[:, ks - q[0], None]
-    # B-1(k) couples k - 1 to k, B+1(k) k to k + 1
-    k = ks[:, None]
-    lo = k + np.array([-1, 0])
-    hi = lo + 1
-    ul, tl, uh, th = (a[:, i - q[0]] for i in (lo, hi) for a in (u, t))
-    one, x = one[:, None], x[:, None]
-    return 0.5 * (x - _mul(_mul(_mul(ul, uh), tl), th)
-                  + coth(h) * (_mul(hi * ul, tl) - _mul(lo * uh, th))
-                  + k * k * one + np.array([-1, 1]) * k * one)
+        return _mul(u, t)[:, k - q[0]]
+    # B-1(k) couples k - 1 to k and B+1(k) k to k + 1: both are formed on
+    # the pair (p - 1, p) of q, at p = k and p = k + 1, and differ only in
+    # the wavenumber terms added last
+    p = q[1:]
+    s = (x - _mul(_mul(_mul(u[:, :-1], u[:, 1:]), t[:, :-1]), t[:, 1:])
+         + coth(h) * (_mul(p * u[:, :-1], t[:, :-1])
+                      - _mul((p - 1) * u[:, 1:], t[:, 1:])))
+    b = s[:, k - p[0] + np.array([0, 1])]
+    b[0] += k * k
+    b[0] += np.array([-1, 1]) * k
+    return 0.5 * b
 
 
 # ----------------------------------------------------------------------
@@ -372,12 +375,13 @@ class CascadeTree:
 
     def rows(self, j, ks, beta):
         """The order-j rows at output wavenumbers ks (see `multiplier_rows`),
-        one array each, entry i at shift shifts(j)[i]: row k is read from the
+        one row each, entry i at shift shifts(j)[i]: row k is read from the
         profiles of unit mode |k| at wavenumbers sign(k) (k + s)."""
         line = self.traces[j][self.index[beta]]
         firsts = [self.plan.problems[(abs(k), j, abs(k) - j)][0] for k in ks]
-        return [line[f:f + j + 1][::1 if k >= 0 else -1]
-                for f, k in zip(firsts, ks)]
+        i = np.arange(j + 1)
+        return line[np.array(firsts)[:, None]
+                    + np.where(np.array(ks)[:, None] < 0, j - i, i)]
 
     def terms(self, k0, j, k, z, n=0):
         """Each term's part of the n-th z-derivative of the order-j profile
@@ -441,7 +445,7 @@ def multiplier_rows(j, ks, beta, h, tables, tree=None, top=0):
     if tree is None:
         tree = cascade_profiles(sorted({abs(k) for k in ks}), (beta,), h,
                                 tables, j)
-    return np.array([tree.rows(j, ks, beta)])
+    return tree.rows(j, ks, beta)[None]
 
 
 def cascade_row(j, k, beta, h, tables, tree=None):
