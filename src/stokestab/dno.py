@@ -89,7 +89,7 @@ def _closed_forms(j, ks, beta, h, top):
     k = np.array(ks)[:, None]
     x = np.array([beta, 1.0, 0.0, 0.0][:top + 1])[:, None]    # beta + t
     w = np.repeat(x, len(q), axis=1)
-    w[0] += q * q
+    w[0] += q * q                                             # beta + q^2 + t
     u = _compose(w, math.sqrt, _sqrt_derivs)
     t = _compose(u * h, math.tanh, _tanh_derivs)
     if j == 0:
