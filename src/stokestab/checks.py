@@ -47,12 +47,11 @@ def _dno_checks(h):
                     abs(tree.trace(k + 1, 1, k)[0] - bp))
     yield "cascade order 1 matches closed form", worst < 1e-10
     worst = 0.0
+    ks = range(-6, 7)
     for j in (2, 3):
-        for k in range(-6, 7):
-            row = dno.cascade_row(j, k, beta, h, t, tree)
-            ref = {s: tree.trace(k + s, j, k)[0] for s in dno.shifts(j)}
-            scale = max(abs(v) for v in ref.values())
-            worst = max(worst, *(abs(row[s] - ref[s]) / scale for s in ref))
+        for k, row in zip(ks, dno.multiplier_rows(j, ks, beta, h, t, tree)[0]):
+            ref = np.array([tree.trace(k + s, j, k)[0] for s in dno.shifts(j)])
+            worst = max(worst, abs(row - ref).max() / abs(ref).max())
     yield "rows of tree |k| match the trees of their input modes", worst < 1e-10
     res = max(tree.residual(1, 3, 0, z)[0] for z in np.linspace(-h, 0.0, 50))
     yield "vertical problems satisfied pointwise", res < 1e-12
@@ -63,10 +62,11 @@ def _kato_checks(h):
     t = build_tables(ctx)
     km = kato.assemble_matrix_coeffs(ctx, t)
     d = km.diagnostics
-    scale = d["coefficient_scale"]
-    yield "reduced matrix purely imaginary", d["imag_residue"] < 1e-9 * scale
-    yield "off-diagonal antisymmetry", d["antisym_residue"] < 1e-10 * scale
-    yield "forbidden B orders vanish", d["b_forbidden_orders"] < 1e-9 * scale
+    imag, anti, forbidden = (tol * d["coefficient_scale"]
+                             for tol in kato.IDENTITY_TOLERANCES)
+    yield "reduced matrix purely imaginary", d["imag_residue"] < imag
+    yield "off-diagonal antisymmetry", d["antisym_residue"] < anti
+    yield "forbidden B orders vanish", d["b_forbidden_orders"] < forbidden
     yield "a01 < 0 < c01", km.a01 < 0.0 < km.c01
     yield "detuning slopes match closed form", (
         abs(km.a01 + ctx.tau1 / (2 * ctx.gamma1)) < 1e-9

@@ -16,10 +16,11 @@ order; the solutions stay inside a small closed algebra of terms
 
 so the solve is exact up to roundoff. Which terms arise depends on the unit
 mode alone: each cascade is compiled once into index arrays and replayed in
-numpy for a whole batch of betas. An independent strip solver
-(Fourier modes in x, integral-reformulated Chebyshev collocation in z)
-computes the full operator at finite amplitude; divided differences of it
-recover the same multiplier rows through a second, unrelated path.
+numpy for a whole batch of betas. An independent strip solve (Fourier
+modes in x, integral-reformulated Chebyshev collocation in z) gives the
+surface operator at finite amplitude as a matrix on a window of modes;
+divided differences of it recover the same multiplier rows through a
+second, unrelated path.
 """
 
 import math
@@ -481,108 +482,65 @@ def _chebyshev_integration(n):
     return tnodes, c2v @ icoef @ v2c
 
 
-class StripSolver:
-    """Variable-coefficient Helmholtz solve on the conformal strip.
+# Chebyshev degree of the strip solve; amplitude step and mode pad of the
+# divided differences that read the rows from it
+STRIP_NZ, ORACLE_STEP, ORACLE_PAD = 64, 1e-2, 10
 
-    Fourier collocation in x over a finite window of integer modes and a
-    second-kind integral formulation in z: the unknown is u = dzz(Theta),
-    reconstructed through well-conditioned spectral integration. Boundary
-    conditions (top Dirichlet, bottom Neumann zero) are built into the
-    reconstruction, so the final trace is spectrally accurate.
+
+def strip_operator(eps, beta, h, tables, modes):
+    """The surface operator at amplitude eps on the window `modes`, as the
+    real matrix G: entry [i, l] is the surface trace at modes[i] of the unit
+    datum at modes[l], all unit data solved at once as the columns of one
+    real system.
+
+    A variable-coefficient Helmholtz solve on the conformal strip: Fourier
+    collocation in x and a second-kind integral formulation in z, whose
+    unknown u = dzz(Theta) is reconstructed by well-conditioned spectral
+    integration (Greengard, SIAM J. Numer. Anal. 28 (1991) 1071) with the
+    boundary conditions (top Dirichlet, bottom Neumann zero) built in, so
+    the trace is spectrally accurate.
     """
-
-    def __init__(self, eps, beta, h, tables, modes, Nz=64):
-        if Nz < 48:
-            raise ValueError("Nz must be at least 48")
-        if not abs(eps) <= 0.05:
-            raise ValueError(f"|eps|={abs(eps)} beyond oracle guard 0.05")
-        self.eps, self.beta, self.h = eps, beta, h
-        self.modes = list(modes)
-        self.Nz = Nz
-        h_eps = h + tables.h2 * eps * eps
-        self.h_eps = h_eps
-        tnodes, int_right = _chebyshev_integration(Nz)
-        self.z = (tnodes - 1.0) * (h_eps / 2.0)  # z[0] = 0, z[-1] = -h_eps
-        I1 = int_right * (h_eps / 2.0)           # integral from z = -h_eps
-        I2 = I1 @ I1
-        self.I1_top = I1[0, :]
-        self.K2 = I2 - np.ones((Nz + 1, 1)) @ I2[0:1, :]
-
-        w = {mu: np.zeros(Nz + 1) for mu in range(-3, 4)}
-        for (i, m, kind, n, s), a in zip(PIECES, jacobian_amplitudes(tables, h)):
-            vals = eps ** i * (0.5 if m else 1.0) * hyperbolic(
-                kind, n * self.z + s * h, a)
-            w[m] += vals
-            if m:
-                w[-m] += vals
-        self.w = w
-
-        m = len(self.modes)
-        nz1 = Nz + 1
-        A = np.zeros((m * nz1, m * nz1))
-        eye = np.eye(nz1)
-        self.index = index = {k: i for i, k in enumerate(self.modes)}
-        for k in self.modes:
-            i = index[k]
-            rho2 = k * k + beta
-            A[i * nz1:(i + 1) * nz1, i * nz1:(i + 1) * nz1] = eye - rho2 * self.K2
-            for mu, wv in w.items():
-                kq = k - mu
-                if kq not in index:
-                    continue
-                jcol = index[kq]
-                A[i * nz1:(i + 1) * nz1, jcol * nz1:(jcol + 1) * nz1] -= (
-                    beta * wv[:, None] * self.K2
-                )
-        self.matrix = A
-        if not np.isfinite(np.linalg.norm(A, 1)):
-            raise ResolutionError("strip system assembled non-finite entries; "
-                                  "increase Nz or reduce the mode window")
-
-    def solve(self, f_hats):
-        """Apply the operator to a batch of surface data.
-
-        f_hats: list of dicts {mode: coefficient}. Returns a list of dicts
-        {mode: trace coefficient} of the same length.
-        """
-        nz1 = self.Nz + 1
-        m = len(self.modes)
-        B = np.zeros((m * nz1, len(f_hats)), dtype=complex)
-        for col, fh in enumerate(f_hats):
-            for k in self.modes:
-                i = self.index[k]
-                rho2 = k * k + self.beta
-                rhs = np.zeros(nz1, dtype=complex)
-                if fh.get(k):
-                    rhs += rho2 * fh[k]
-                for mu, wv in self.w.items():
-                    c = fh.get(k - mu)
-                    if c:
-                        rhs += self.beta * wv * c
-                B[i * nz1:(i + 1) * nz1, col] = rhs
-        try:
-            U = np.linalg.solve(self.matrix, B if np.any(B.imag) else B.real)
-        except np.linalg.LinAlgError as exc:
-            raise ResolutionError(
-                f"strip solve failed ({exc}); try a larger Nz"
-            ) from exc
-        out = []
-        for col, fh in enumerate(f_hats):
-            res = {}
-            for k in self.modes:
-                i = self.index[k]
-                res[k] = complex(self.I1_top @ U[i * nz1:(i + 1) * nz1, col])
-            out.append(res)
-        return out
+    if not abs(eps) <= 0.05:
+        raise ValueError(f"|eps|={abs(eps)} beyond oracle guard 0.05")
+    ks = np.asarray(modes)
+    h_eps = h + tables.h2 * eps * eps
+    tnodes, int_right = _chebyshev_integration(STRIP_NZ)
+    z = (tnodes - 1.0) * (h_eps / 2.0)  # z[0] = 0, z[-1] = -h_eps
+    I1 = int_right * (h_eps / 2.0)      # integral from z = -h_eps
+    I2 = I1 @ I1
+    K2 = I2 - I2[0]
+    # w[m]: the cos(m x) part of the Jacobian at the nodes, halved for m > 0
+    w = np.zeros((4, STRIP_NZ + 1))
+    for (i, m, kind, n, s), a in zip(PIECES, jacobian_amplitudes(tables, h)):
+        w[m] += eps ** i * (0.5 if m else 1.0) * hyperbolic(
+            kind, n * z + s * h, a)
+    # coupling[i, r, l]: beta w[|ks[i] - ks[l]|] at node r
+    gap = abs(ks[:, None] - ks)
+    coupling = (np.where((gap <= 3)[..., None], w[np.minimum(gap, 3)], 0.0)
+                * beta).transpose(0, 2, 1)
+    rho2, diag = ks * ks + beta, range(len(ks))
+    A = -coupling[..., None] * K2[:, None, :]
+    A[diag, :, diag] += np.eye(STRIP_NZ + 1) - rho2[:, None, None] * K2
+    B = coupling + rho2[:, None, None] * np.eye(len(ks))[:, None, :]
+    if not np.isfinite(A).all():
+        raise ResolutionError("strip system assembled non-finite entries")
+    try:
+        U = np.linalg.solve(A.reshape(B.size // len(ks), -1),
+                            B.reshape(-1, len(ks)))
+    except np.linalg.LinAlgError as exc:
+        raise ResolutionError(f"strip solve failed ({exc})") from exc
+    return I1[0] @ U.reshape(B.shape)
 
 
-def oracle_multiplier_table(k_outputs, beta, h, tables, e=1e-2, Nz=64, pad=10):
-    """Multiplier rows for orders 0..3 via divided differences of the oracle.
+def oracle_multiplier_table(ks, beta, h, tables):
+    """Multiplier rows of orders 0..3 at the output wavenumbers ks by
+    divided differences of the strip operator, as (values, noise): one
+    array per order j, laid out as `multiplier_rows`'s rows.
 
-    Five strip solves (amplitudes 0, +-e, +-2e) shared across every requested
-    output wavenumber. Returns ({(j, k, s): value}, {(j, k, s): noise}).
-    Order 0 is the zero-amplitude sample. Every order j >= 1 at every shift
-    follows one rule: the Richardson refinement of
+    Five strip operators (amplitudes 0, +-e, +-2e, e = ORACLE_STEP) on one
+    window serve every output wavenumber. Order 0 is the zero-amplitude
+    sample. Every order j >= 1 at every shift follows one rule: the
+    Richardson refinement of
 
         (same-parity part - exact order-(j-2) entry * x^(j-2)) / x^j,
 
@@ -593,40 +551,28 @@ def oracle_multiplier_table(k_outputs, beta, h, tables, e=1e-2, Nz=64, pad=10):
     at a scale x^(j-2) larger. The noise is the opposite-parity part over e^j,
     floored by the Richardson truncation and the amplified solve roundoff.
     """
-    k_outputs = sorted(set(k_outputs))
-    inputs = sorted({k + s for k in k_outputs
-                     for j in (0, 1, 2, 3) for s in shifts(j)})
-    modes = range(min(inputs) - pad, max(inputs) + pad + 1)
-    cols = [{k0: 1.0} for k0 in inputs]
-    resp = {}
-    for amp in (0.0, e, -e, 2 * e, -2 * e):
-        solver = StripSolver(amp, beta, h, tables, modes, Nz=Nz)
-        sols = solver.solve(cols)
-        for k0, sol in zip(inputs, sols):
-            for k in k_outputs:
-                if k in sol:
-                    resp[(amp, k0, k)] = sol[k].real
-
-    def r(amp, k, s):
-        return resp[(amp, k + s, k)]
-
-    values, noise = {}, {}
-    for k in k_outputs:
-        exact = {0: {0: r(0.0, k, 0)}, 1: cascade_row(1, k, beta, h, tables)}
-        values[(0, k, 0)] = exact[0][0]
-        noise[(0, k, 0)] = 1e-13
-        for j in (1, 2, 3):
-            sign = (-1) ** j
-            for s in shifts(j):
-                lower = exact.get(j - 2, {})
-                m = j - 2 if s in lower else 0
-                g = lambda x: ((r(x, k, s) + sign * r(-x, k, s)) / 2 / x ** m
-                               - lower.get(s, 0.0)) / x ** (j - m)
-                v = (4 * g(e) - g(2 * e)) / 3
-                values[(j, k, s)] = v
-                # truncation of the Richardson pair is O(e^4); roundoff is
-                # the solve accuracy amplified by the divided-difference order
-                violation = abs(r(e, k, s) - sign * r(-e, k, s)) / 2 / e ** j
-                noise[(j, k, s)] = max(violation, e ** 4 * (1.0 + abs(v)),
-                                       1e-13 / e ** j)
+    ks = np.asarray(ks)
+    lo, e = ks.min() - 3 - ORACLE_PAD, ORACLE_STEP
+    modes = np.arange(lo, ks.max() + 4 + ORACLE_PAD)
+    G = {x: strip_operator(x, beta, h, tables, modes)
+         for x in (0.0, e, -e, 2 * e, -2 * e)}
+    # r(x, j)[i, m]: trace at ks[i] of the unit datum at ks[i] + shifts(j)[m]
+    at = ks[:, None] - lo
+    r = lambda x, j: G[x][at, at + shifts(j)]
+    values, noise = [r(0.0, 0)], [np.full((len(ks), 1), 1e-13)]
+    exact = (values[0], multiplier_rows(1, ks, beta, h, tables)[0])
+    for j in (1, 2, 3):
+        sign = (-1) ** j
+        # the exact order-(j-2) entries sit at the inner shifts of order j
+        lower, m = np.zeros((len(ks), j + 1)), np.zeros(j + 1, int)
+        if j >= 2:
+            lower[:, 1:j], m[1:j] = exact[j - 2], j - 2
+        g = lambda x: ((r(x, j) + sign * r(-x, j)) / 2 / x ** m
+                       - lower) / x ** (j - m)
+        values.append((4 * g(e) - g(2 * e)) / 3)
+        # truncation of the Richardson pair is O(e^4); roundoff is the solve
+        # accuracy amplified by the divided-difference order
+        violation = abs(r(e, j) - sign * r(-e, j)) / 2 / e ** j
+        noise.append(np.maximum(np.maximum(violation, 1e-13 / e ** j),
+                                e ** 4 * (1.0 + abs(values[j]))))
     return values, noise

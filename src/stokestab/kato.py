@@ -31,7 +31,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import dno
 from .dispersion import RESONANT_BRANCHES, spectrum_gap
 from .modealg import (DEFAULT_CUTOFF, apply_J, base_eigenvectors,
                       operator_family, orders_below)
@@ -104,16 +103,16 @@ class KatoAssembler:
         Each mode block of S(mu) sums over its two branches: a resonant
         branch contributes -P / mu, any other branch
         sum_{n >= 0} mu^n P / d^(n+1) with d = lam - i*sigma, where P is the
-        branch projector.
+        branch projector. The flat operator M0 = J H[0, 0] is block-diagonal,
+        [[i c0 k, A0(k)], [-1, i c0 k]] on mode k.
         """
         ctx = self.ctx
         K = DEFAULT_CUTOFF
         coeffs = np.zeros((top + 1, 2 * K + 1, 2, 2), dtype=complex)
         defect = 0.0
-        a0s = dno.multiplier_rows(0, range(-K, K + 1), ctx.beta_star, ctx.h,
-                                  self.tables)[0, :, 0]
-        for k, a0 in zip(range(-K, K + 1), a0s):
-            block = np.array([[1j * ctx.c0 * k, a0], [-1.0, 1j * ctx.c0 * k]])
+        M0 = apply_J(self.H[(0, 0)].T).T.reshape(2 * K + 1, 2, 2 * K + 1, 2)
+        for k, block in zip(range(-K, K + 1), np.einsum("kakb->kab", M0)):
+            a0 = block[0, 1].real
             lam = {s: 1j * (ctx.c0 * k + s * math.sqrt(a0)) for s in (1, -1)}
             for s in (1, -1):
                 proj = (block - lam[-s] * np.eye(2)) / (lam[s] - lam[-s])
@@ -261,16 +260,20 @@ class KatoMatrix:
 # the orders of the diagonal Taylor coefficients a_mn, c_mn
 _DIAGONAL_ORDERS = ((0, 1), (2, 0), (0, 2), (2, 1), (0, 3))
 
+# the gates of the imaginary residue, off-diagonal antisymmetry and
+# forbidden B orders of the ledger, relative to coefficient_scale
+IDENTITY_TOLERANCES = (1e-9, 1e-10, 1e-9)
 
-def assemble_matrix_coeffs(ctx, tables, check_tol=(1e-9, 1e-10, 1e-9)):
+
+def assemble_matrix_coeffs(ctx, tables):
     """Full third-order Taylor table of the reduced matrix at one depth.
 
     The halved ledger t = V^H (H V) / 2 holds the Taylor coefficients of
-    [[-A, B], [B, C]] at each order. check_tol =
-    (imaginary residue, off-diagonal antisymmetry, forbidden B-orders) of
-    t; each is scaled by coefficient_scale, the largest magnitude among the
-    eleven coefficients and the entries of t (at least 1), before gating, so
-    deep or shallow extremes fail only on genuine structural violations.
+    [[-A, B], [B, C]] at each order. Its imaginary residue, off-diagonal
+    antisymmetry and forbidden B orders are gated at IDENTITY_TOLERANCES
+    times coefficient_scale, the largest magnitude among the eleven
+    coefficients and the entries of t (at least 1), so deep or shallow
+    extremes fail only on genuine structural violations.
     Raises AssemblyError naming the broken identity.
     """
     asm = KatoAssembler(ctx, tables)
@@ -300,7 +303,8 @@ def assemble_matrix_coeffs(ctx, tables, check_tol=(1e-9, 1e-10, 1e-9)):
     }
     names = ("purely imaginary matrix", "off-diagonal antisymmetry",
              "no B terms below third order in amplitude")
-    for res, tol, name in zip((imag_res, antisym, b_forbidden), check_tol, names):
+    for res, tol, name in zip((imag_res, antisym, b_forbidden),
+                              IDENTITY_TOLERANCES, names):
         allowed = tol * scale
         if res > allowed:
             raise AssemblyError(

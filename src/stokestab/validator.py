@@ -39,19 +39,6 @@ class TruncatedOperator:
         return complex_form(self.real)
 
 
-def _oracle_block(eps, beta, h, tables, K):
-    """G[k, q]: the strip solver's trace at k of the unit mode q."""
-    ks = range(-K, K + 1)
-    solver = dno.StripSolver(eps, beta, h, tables, range(-K - 8, K + 9))
-    sols = solver.solve([{q: 1.0} for q in ks])
-    G = np.array([[sol[k] for sol in sols] for k in ks])
-    if np.any(G.imag):
-        raise RuntimeError(
-            "oracle surface operator has a nonzero imaginary part (largest "
-            f"{np.max(np.abs(G.imag)):.3e}); the real operator cannot hold it")
-    return G.real
-
-
 def _check_amplitude(eps):
     if not abs(eps) <= 0.05:
         raise ValueError("operator truncation is trusted only for |eps| <= "
@@ -69,26 +56,18 @@ def _check_cutoff(K):
                          f"got K={K}")
 
 
-def build_operator(eps, beta, h, tables, K=20, g_source="series", tree=None):
+def build_operator(eps, beta, h, tables, K=20, tree=None):
     """Dense 2(2K+1) x 2(2K+1) truncation of the linearized operator.
 
-    g_source chooses how the surface-operator block is filled: "series"
-    sums the multiplier rows of orders 0-3 (from `tree`, a cascade replay of
-    the unit modes 0..K at beta, if given) weighted by powers of eps;
-    "oracle" applies the finite-amplitude strip solver to every basis mode
-    (slower, fully independent of the cascade).
+    The surface-operator block sums the multiplier rows of orders 0-3 (from
+    `tree`, a cascade replay of the unit modes 0..K at beta, if given)
+    weighted by powers of eps.
     """
     _check_cutoff(K)
     _check_amplitude(eps)
-    if g_source == "series":
-        tree = tree or dno.cascade_profiles(range(K + 1), (beta,), h, tables)
-        G = banded([(j, eps ** j * dno.multiplier_rows(
-            j, range(-K, K + 1), beta, h, tables, tree)[0]) for j in range(4)],
-            K)
-    elif g_source == "oracle":
-        G = _oracle_block(eps, beta, h, tables, K)
-    else:
-        raise ValueError(f"unknown g_source {g_source!r}")
+    tree = tree or dno.cascade_profiles(range(K + 1), (beta,), h, tables)
+    G = banded([(j, eps ** j * dno.multiplier_rows(
+        j, range(-K, K + 1), beta, h, tables, tree)[0]) for j in range(4)], K)
     p, r = (convolution([(m, amp * eps ** order) for (order, m), amp
                          in profile_series(tables, name).coefficients.items()],
                         K) for name in "pr")

@@ -70,6 +70,22 @@ def test_eigen_relation(ctx1, fam):
         assert np.linalg.norm(L0u - 1j * ctx1.sigma * u) < 1e-10
 
 
+@pytest.mark.parametrize("h", [0.05, 1.0, 100.0])
+def test_flat_operator_is_block_diagonal(h):
+    """J H[0, 0] is the flat operator: block-diagonal, exactly
+    [[i c0 k, A0(k)], [-1, i c0 k]] on mode k. The flat resolvent of `kato`
+    reads its blocks from it."""
+    ctx = build_context(h)
+    tables = build_tables(ctx)
+    H = operator_family(ctx, tables, [(0, 0)])[(0, 0)]
+    ks = range(-K, K + 1)
+    a0 = dno.multiplier_rows(0, ks, ctx.beta_star, h, tables)[0, :, 0]
+    blocks = np.zeros((len(ks), 2, len(ks), 2), dtype=complex)
+    for i, (k, a) in enumerate(zip(ks, a0)):
+        blocks[i, :, i] = [[1j * ctx.c0 * k, a], [-1.0, 1j * ctx.c0 * k]]
+    assert np.array_equal(apply_J(H.T).T, blocks.reshape(H.shape))
+
+
 def test_order_one_support(ctx1, fam):
     """H[1, 0] couples each mode to its two neighbours only."""
     for q in range(-4, 4):

@@ -28,7 +28,7 @@ def depths():
             for ctx in [build_context(h)]}
 
 
-def _loop_assembly(eps, beta, h, tables, K, g_source):
+def _loop_assembly(eps, beta, h, tables, K):
     """Reference: the complex operator filled entry by entry, one mode, band
     and multiplier row at a time (the assembly the real form replaced)."""
     M = np.zeros((2 * (2 * K + 1),) * 2, dtype=complex)
@@ -50,34 +50,27 @@ def _loop_assembly(eps, beta, h, tables, K, g_source):
                         M[i + 1, c + 1] += 1j * q * fac * pm
                     else:
                         M[i + 1, c] -= fac * pm
-    if g_source == "series":
-        tree = dno.cascade_profiles(range(K + 1), (beta,), h, tables)
-        for k in range(-K, K + 1):
-            i = mode_slot(k, K)
-            for j in range(4):
-                row = dno.cascade_row(j, k, beta, h, tables, tree)
-                for s, val in row.items():
-                    if abs(k + s) <= K:
-                        M[i, mode_slot(k + s, K) + 1] += eps ** j * val
-    else:
-        solver = dno.StripSolver(eps, beta, h, tables, range(-K - 8, K + 9))
-        sols = solver.solve([{q: 1.0} for q in range(-K, K + 1)])
-        for q, sol in zip(range(-K, K + 1), sols):
-            for k in range(-K, K + 1):
-                M[mode_slot(k, K), mode_slot(q, K) + 1] += sol[k]
+    tree = dno.cascade_profiles(range(K + 1), (beta,), h, tables)
+    for k in range(-K, K + 1):
+        i = mode_slot(k, K)
+        for j in range(4):
+            row = dno.cascade_row(j, k, beta, h, tables, tree)
+            for s, val in row.items():
+                if abs(k + s) <= K:
+                    M[i, mode_slot(k + s, K) + 1] += eps ** j * val
     return M
 
 
-@pytest.mark.parametrize("g_source", ["series", "oracle"])
-@pytest.mark.parametrize("eps", [0.0, 0.01])
+# the ids name the fill: the multiplier series, the only one there is
+@pytest.mark.parametrize("eps", [0.0, 0.01], ids=["0.0-series", "0.01-series"])
 @pytest.mark.parametrize("h", [0.05, 1.0, 100.0])
-def test_real_form_is_the_loop_assembly(depths, h, eps, g_source):
+def test_real_form_is_the_loop_assembly(depths, h, eps):
     """i D R D^-1 equals the entry-by-entry complex fill exactly."""
     ctx, tables = depths[h]
     beta = ctx.beta_star * 1.001
-    op = build_operator(eps, beta, h, tables, K=16, g_source=g_source)
+    op = build_operator(eps, beta, h, tables, K=16)
     assert op.real.dtype == np.float64
-    ref = _loop_assembly(eps, beta, h, tables, 16, g_source)
+    ref = _loop_assembly(eps, beta, h, tables, 16)
     assert np.array_equal(op.matrix, ref)
 
 
@@ -96,16 +89,6 @@ def test_real_spectrum_matches_complex_solve(h, tol):
     lams, ref = spectrum(op), np.linalg.eigvals(op.matrix)
     assert max(_nearest(lams, ref), _nearest(ref, lams)) < tol
     assert set(lams.tolist()) == set((-lams.conj()).tolist())
-
-
-def test_oracle_block_must_be_real(ctx1, tables1, monkeypatch):
-    """A strip solution with an imaginary part is an error, not a cast."""
-    solve = dno.StripSolver.solve
-    monkeypatch.setattr(dno.StripSolver, "solve", lambda self, cols: [
-        {k: v + 1e-20j for k, v in sol.items()} for sol in solve(self, cols)])
-    with pytest.raises(RuntimeError, match="nonzero imaginary part"):
-        build_operator(0.01, ctx1.beta_star, 1.0, tables1, K=16,
-                       g_source="oracle")
 
 
 @pytest.fixture(scope="module")
@@ -261,13 +244,13 @@ def test_resolution_independence(ctx1, tables1, km1):
 
 
 def test_series_vs_oracle_blocks(ctx1, tables1):
-    """The two G fillings differ by the quartic tail: ratio 16 under halving."""
+    """The series block of the operator and the strip operator differ by the
+    quartic tail: ratio 16 under halving."""
     def gap(eps):
-        a = build_operator(eps, ctx1.beta_star, 1.0, K=16, tables=tables1,
-                           g_source="series")
-        b = build_operator(eps, ctx1.beta_star, 1.0, K=16, tables=tables1,
-                           g_source="oracle")
-        return np.max(np.abs(a.matrix - b.matrix))
+        series = build_operator(eps, ctx1.beta_star, 1.0, K=16, tables=tables1)
+        oracle = dno.strip_operator(eps, ctx1.beta_star, 1.0, tables1,
+                                    range(-24, 25))[8:-8, 8:-8]
+        return np.max(np.abs(series.real[0::2, 1::2] - oracle))
 
     g1, g2 = gap(0.01), gap(0.02)
     assert g2 / g1 == pytest.approx(16.0, rel=0.3)
@@ -328,6 +311,3 @@ def test_build_operator_guards(tables1, ctx1):
     for K in (8, 65):
         with pytest.raises(ValueError, match="16 <= K <= 64"):
             build_operator(0.01, ctx1.beta_star, 1.0, K=K, tables=tables1)
-    with pytest.raises(ValueError):
-        build_operator(0.01, ctx1.beta_star, 1.0, K=20, tables=tables1,
-                       g_source="magic")
