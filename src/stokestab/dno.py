@@ -519,7 +519,8 @@ def strip_operator(eps, beta, h, tables, modes):
     coupling = (np.where((gap <= 3)[..., None], w[np.minimum(gap, 3)], 0.0)
                 * beta).transpose(0, 2, 1)
     rho2, diag = ks * ks + beta, range(len(ks))
-    A = -coupling[..., None] * K2[:, None, :]
+    # built in C order, so the reshape below is a view of this one copy
+    A = np.multiply(-coupling[..., None], K2[:, None, :], order="C")
     A[diag, :, diag] += np.eye(STRIP_NZ + 1) - rho2[:, None, None] * K2
     B = coupling + rho2[:, None, None] * np.eye(len(ks))[:, None, :]
     if not np.isfinite(A).all():
