@@ -54,14 +54,35 @@ def lambda0(k, beta, h, sign):
     return complex(0.0, c0 * k + sign * branch_magnitude(k, beta, h))
 
 
+def _tanh_difference(a, b, d):
+    """tanh(a) - tanh(b) for a, b >= 0 with d = a - b given exactly."""
+    ea, eb = math.exp(-2.0 * a), math.exp(-2.0 * b)
+    return -2.0 * math.expm1(-2.0 * d) * eb / ((1.0 + ea) * (1.0 + eb))
+
+
 def resonance_residual(beta, h):
-    """F(beta, h) = 3 tanh^(1/2) h - gamma_1(beta) - gamma_2(beta)."""
+    """F(beta, h) = 3 tanh^(1/2) h - gamma_1(beta) - gamma_2(beta).
+
+    The three terms are of size sqrt(h) and cancel near the root at shallow
+    depth, so F is formed as -sum_j (g_j^2 - j^2 c0^2) / (g_j + j c0) over
+    j = 1, 2, with g_j = gamma_j. With u_j = sqrt(j^2 + beta) and
+    d_j = u_j - j = beta / (u_j + j), each numerator is
+    d_j tanh(h u_j) + j (tanh(h u_j) - tanh(j h)), less 4 t^3 / (1 + t^2)
+    = 2 (2 tanh h - tanh 2h) for j = 2 (t = tanh h); no step cancels.
+    """
     _check_domain(beta, h, allow_zero_beta=True)
-    return (
-        3.0 * tanh_half(h)
-        - branch_magnitude(1, beta, h)
-        - branch_magnitude(2, beta, h)
-    )
+    c0 = tanh_half(h)
+    t = math.tanh(h)
+    f = 0.0
+    for j in (1, 2):
+        u = math.sqrt(j * j + beta)
+        d = beta / (u + j)
+        th = math.tanh(h * u)
+        num = d * th + j * _tanh_difference(h * u, j * h, h * d)
+        if j == 2:
+            num -= 4.0 * t ** 3 / (1.0 + t * t)
+        f -= num / (math.sqrt(u * th) + j * c0)
+    return f
 
 
 def solve_beta_star(h, tol=1e-12, bracket=(0.0, 3.0)):

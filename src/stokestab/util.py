@@ -8,47 +8,54 @@ def bracketed_root(f, lo, hi, flo, fhi, width):
     """Shrink a sign change of f on [lo, hi] to a bracket at most `width` wide.
 
     flo = f(lo) and fhi = f(hi) are given and must not share a sign. Steps
-    are Illinois regula falsi (Dowell & Jarratt 1971): when a secant step
-    keeps the end the one before it kept, that end's secant value is halved.
-    A secant step that does not halve the bracket is followed by bisections
-    until one of them moves the end it kept, so the bracket halves at least
-    every other step. Secant points keep width/2 inside the bracket, so a
-    root near an end is closed off by the next step. With width = 0 the
-    bracket shrinks until its ends are adjacent floats. Returns the final
-    (lo, hi); lo == hi when f vanishes exactly there.
+    are Chandrupatla's hybrid (Adv. Eng. Softw. 28 (1997) 145-149): with a
+    the newest point, b the other end of the bracket and c the point a
+    replaced, inverse quadratic interpolation through the three where
+    xi = (a - b)/(c - b) and phi = (f(a) - f(b))/(f(c) - f(b)) satisfy
+    phi^2 < xi and (1 - phi)^2 < 1 - xi, bisection otherwise. The first
+    step, with no c yet, is a secant step. After three steps that have not
+    halved the bracket the next one is a bisection, so the bracket halves
+    at least every fourth step (up to the rounding of the midpoint). Trial
+    points keep width/2 inside the bracket, so a root near an end is closed
+    off by the next step. With width = 0 the bracket shrinks until its ends
+    are adjacent floats. Returns the final (lo, hi); lo == hi when f
+    vanishes exactly there.
     """
     if flo == 0.0:
         return lo, lo
     if fhi == 0.0:
         return hi, hi
-    glo, ghi = flo, fhi     # the end values the secant uses
-    negative_lo = flo < 0.0
-    kept = None             # the end the last secant step kept
-    bisect = False
+    a, fa, b, fb = hi, fhi, lo, flo
+    c = fc = None
+    halved, stalled = hi - lo, 0    # width at the last halving, steps since
     while hi - lo > width:
-        x = (lo * ghi - hi * glo) / (ghi - glo)
+        x = 0.5 * (lo + hi)
+        if c is None:
+            x = (lo * fhi - hi * flo) / (fhi - flo)
+        elif stalled < 3:
+            xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+            if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+                t = (fa / (fb - fa) * fc / (fb - fc)
+                     + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+                x = a + t * (b - a)
         x = min(max(x, lo + 0.5 * width), hi - 0.5 * width)
-        if bisect or not lo < x < hi:
+        if not lo < x < hi:
             x = 0.5 * (lo + hi)
             if not lo < x < hi:
                 break
         fx = f(x)
         if fx == 0.0:
             return x, x
-        old = hi - lo
-        if (fx < 0.0) == negative_lo:
-            lo, glo, keeps = x, fx, "hi"
+        if (fx < 0.0) == (fa < 0.0):
+            c, fc = a, fa
         else:
-            hi, ghi, keeps = x, fx, "lo"
-        if bisect:
-            bisect = keeps == kept
-            continue
-        if keeps == kept == "hi":
-            ghi *= 0.5
-        elif keeps == kept == "lo":
-            glo *= 0.5
-        kept = keeps
-        bisect = hi - lo > 0.5 * old
+            c, fc, b, fb = b, fb, a, fa
+        a, fa = x, fx
+        lo, hi = min(a, b), max(a, b)
+        if hi - lo <= 0.5 * halved:
+            halved, stalled = hi - lo, 0
+        else:
+            stalled += 1
     return lo, hi
 
 

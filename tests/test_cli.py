@@ -1,5 +1,7 @@
 import json
+import math
 
+import mpmath as mp
 import pytest
 
 from stokestab import dno
@@ -97,6 +99,15 @@ def test_resonance_solves_outside_the_validated_depths(capsys):
     """The resonance solve holds at any depth, so `resonance` takes one."""
     assert run_cli(["resonance", "--h", "500"]) == 0
     assert capsys.readouterr().out.startswith("beta_star(500) = ")
+
+
+def test_resonance_root_at_tiny_depth(capsys, beta_star_40):
+    """beta*(1e-8) is about 4 h^2 / 3; it is printed within 4 ulps of the
+    40-digit root, where a cancelling residual printed 7.77e-16."""
+    assert run_cli(["resonance", "--h", "1e-8"]) == 0
+    beta = float(capsys.readouterr().out.split("=")[1].split()[0])
+    ref = beta_star_40(1e-8)
+    assert abs(mp.mpf(beta) - ref) <= 4 * math.ulp(float(ref))
 
 
 def test_validate_cutoff_above_its_ceiling_is_an_error(tmp_path, capsys):

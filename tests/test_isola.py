@@ -160,10 +160,12 @@ def test_find_h_crit_interval_contract():
     assert abs(hc - 0.2506) < 2e-3
 
 
-@pytest.mark.parametrize("bracket, most", [((0.2, 0.3), 12),
-                                           ((0.05, 100.0), 26)])
+@pytest.mark.parametrize("bracket, most", [((0.2, 0.3), 9),
+                                           ((0.05, 100.0), 26),
+                                           ((0.1606, 0.2606), 9)])
 def test_find_h_crit_evaluations(monkeypatch, bracket, most):
-    """Bisection takes 16 and 26 b30 evaluations on these brackets."""
+    """Evaluations with the ends: bisection takes 16, 26 and 16 on these
+    brackets, Illinois regula falsi with a bisection guard 10, 19 and 15."""
     evaluated = []
     b30 = isola.b30_coefficient
 

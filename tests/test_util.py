@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from stokestab.util import bracketed_root
 
 
@@ -43,3 +45,30 @@ def test_zero_width_ends_on_adjacent_floats():
     lo, hi = bracketed_root(f, 1.0, 2.0, -1.0, 2.0, 0.0)
     assert hi == math.nextafter(lo, 2.0)
     assert f(lo) < 0.0 < f(hi)
+
+
+def _brackets(g, lo, hi, width):
+    """Every bracket the finder holds on g, from the points it evaluated."""
+    f, calls = _counted(g)
+    flo = g(lo)
+    final = bracketed_root(f, lo, hi, flo, g(hi), width)
+    out = [(lo, hi)]
+    for x in calls:
+        a, b = out[-1]
+        out.append((x, b) if (g(x) > 0.0) == (flo > 0.0) else (a, x))
+    assert out[-1] == final
+    return out
+
+
+@pytest.mark.parametrize("g, lo, hi", [
+    (lambda x: x ** -8 - 1.0, 0.1, 1000.0),
+    (lambda x: 1.0 - math.exp(40.0 * (x - 1.0)), 0.0, 3.0),
+    (lambda x: -math.sinh(x - 0.7), 0.0, 1.0),
+], ids=["steep", "flat-then-steep", "one-sided"])
+def test_bracket_halves_every_fourth_step(g, lo, hi):
+    """On -sinh(x - 0.7) the interpolation closes in on the root from one
+    side and the bracket shrinks by 0.70 over four steps unless the forced
+    bisection steps in."""
+    widths = [b - a for a, b in _brackets(g, lo, hi, 1e-10)]
+    assert widths[-1] <= 1e-10
+    assert all(w4 <= 0.5 * w for w, w4 in zip(widths, widths[4:]))
