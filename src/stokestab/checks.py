@@ -103,12 +103,12 @@ def _isola_checks(h):
 def _validator_checks(h):
     ctx = build_context(h)
     t = build_tables(ctx)
-    op0 = validator.build_operator(0.0, ctx.beta_star, h, K=16, tables=t)
-    ok, worst = validator.flat_spectrum_check(op0, tol=1e-9)
+    R0 = validator.build_operator(0.0, ctx.beta_star, h, K=16, tables=t)
+    ok, worst = validator.flat_spectrum_check(R0, ctx.beta_star, h, tol=1e-9)
     yield "flat-spectrum eigenvalues", ok
-    gapd, res = validator.eigenspace_match_residual(op0, ctx)
+    gapd, res = validator.eigenspace_match_residual(R0, ctx)
     yield "double eigenvalue at the collision", gapd < 1e-10 and res < 1e-9
-    yield "conjugate-pair symmetry", validator.conjugate_pair_residual(op0) < 1e-9
+    yield "conjugate-pair symmetry", validator.conjugate_pair_residual(R0) < 1e-9
 
 
 _SUITES = {
@@ -126,11 +126,7 @@ def run_checks(module_names, h=1.0):
     passed = failed = 0
     lines = []
     for name in module_names:
-        suite = _SUITES.get(name)
-        if suite is None:
-            lines.append(f"[skip] unknown suite {name}")
-            continue
-        for label, ok in suite(h):
+        for label, ok in _SUITES[name](h):
             if ok:
                 passed += 1
                 lines.append(f"[pass] {name}: {label}")

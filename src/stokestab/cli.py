@@ -11,12 +11,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import checks
-from .dispersion import build_context, resonance_residual, solve_beta_star
+from .dispersion import (beta_star_large_depth_limit, build_context,
+                         resonance_residual, solve_beta_star)
 from .stokes import build_tables
 from . import dno, isola, kato, validator
 
@@ -36,74 +36,38 @@ def write_csv(path, header, rows):
 
 
 def write_json(path, payload):
+    """Every float is written exactly: json uses float.__repr__."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_jsonable(payload), fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float):
-        return float(fmt(obj))
-    if hasattr(obj, "item"):  # numpy scalar
-        return float(fmt(float(obj)))
-    return obj
+# the keys a --config file may set: each one it sets replaces the default of
+# the command-line option of the same name, the command checks it as it
+# checks that option, and an option given on the command line wins
+CONFIG_TYPES = {"h": float, "eps": float, "K": int, "outdir": str}
 
 
-@dataclass
-class RunConfig:
-    """Flat bundle of every numeric knob, readable from a key=value file.
-
-    A --config file sets any of these keys; each one it sets replaces the
-    default of the command-line option of the same name, and an option given
-    explicitly on the command line wins over the file.
-    """
-
-    h: float = 1.0
-    eps: float = 0.01
-    K: int = 20
-    outdir: str = "."
-
-    def validate(self):
-        for name in ("h", "K"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        return self
-
-    @classmethod
-    def read(cls, path):
-        """Only the keys a config file sets, cast and validated.
-
-        Any failure, an unreadable file included, is a ValueError that
-        names the file.
-        """
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            raise ValueError(f"config {path}: {exc.strerror}") from None
-        kwargs = {}
-        types = {f.name: f.type for f in fields(cls)}
-        try:
-            for line in lines:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, raw = line.partition("=")
-                key = key.strip()
-                if key not in types:
-                    raise ValueError(f"unknown config key {key!r}")
-                t = types[key]
-                caster = t if isinstance(t, type) else \
-                    {"float": float, "int": int, "str": str}[t]
-                kwargs[key] = caster(raw.strip())
-            cls(**kwargs).validate()
-        except ValueError as exc:
-            raise ValueError(f"config {path}: {exc}") from None
-        return kwargs
+def read_config(path):
+    """The keys a key=value config file sets, cast to their types; any
+    failure, an unreadable file included, is a ValueError naming the file."""
+    config = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        for line in map(str.strip, lines):
+            if not line or line.startswith("#"):
+                continue
+            key, _, raw = line.partition("=")
+            key = key.strip()
+            if key not in CONFIG_TYPES:
+                raise ValueError(f"unknown config key {key!r}")
+            config[key] = CONFIG_TYPES[key](raw.strip())
+    except OSError as exc:
+        raise ValueError(f"config {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValueError(f"config {path}: {exc}") from None
+    return config
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +156,6 @@ def _out(args, name):
 
 def beta_star_asymptote(h):
     """Shallow (quadratic) or deep (exponential) resonance asymptote."""
-    from .dispersion import beta_star_large_depth_limit
     if h < 1.0:
         return (4.0 / 3.0) * h * h
     binf = beta_star_large_depth_limit()
@@ -250,10 +213,6 @@ def cmd_dno_dump(args):
                                 tables)
     orders = [dno.multiplier_rows(j, ks, beta, args.h, tables, tree)[0]
               for j in range(4)]
-    bad = [j for j, rows in enumerate(orders) if not np.isfinite(rows).all()]
-    if bad:
-        raise ValueError(f"the multiplier rows of orders {bad} at "
-                         f"beta={beta!r}, h={args.h!r} are not finite")
     path = _out(args, "dno.csv")
     write_csv(path, ["k", "A0", "Bm1", "Bp1", "Cm2", "C0", "Cp2",
                      "Dm3", "Dm1", "Dp1", "Dp3"],
@@ -414,7 +373,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.config:
-            args = build_parser(RunConfig.read(args.config)).parse_args(argv)
+            args = build_parser(read_config(args.config)).parse_args(argv)
         check_depths(args)
         return seed_check(args) if args.seed_check else args.func(args)
     except (ValueError, RuntimeError) as exc:

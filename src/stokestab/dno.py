@@ -442,11 +442,15 @@ def multiplier_rows(j, ks, beta, h, tables, tree=None, top=0):
         raise ValueError(f"order-{j} rows have Taylor coefficients up to "
                          f"order {3 if j <= 1 else 0}, got top={top}")
     if j <= 1:
-        return _closed_forms(j, ks, beta, h, top)
-    if tree is None:
-        tree = cascade_profiles(sorted({abs(k) for k in ks}), (beta,), h,
-                                tables, j)
-    return tree.rows(j, ks, beta)[None]
+        rows = _closed_forms(j, ks, beta, h, top)
+    else:
+        tree = tree or cascade_profiles(sorted({abs(k) for k in ks}), (beta,),
+                                        h, tables, j)
+        rows = tree.rows(j, ks, beta)[None]
+    if not np.isfinite(rows).all():
+        raise ValueError(f"the order-{j} multiplier rows at beta={beta!r}, "
+                         f"h={h!r} are not finite")
+    return rows
 
 
 def cascade_row(j, k, beta, h, tables, tree=None):

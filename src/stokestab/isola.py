@@ -69,7 +69,6 @@ def center_drift(km):
 
 @dataclass(frozen=True)
 class IsolaGeometry:
-    eps: float
     center_imag: float
     semi_axis_real: float
     semi_axis_imag: float
@@ -93,7 +92,6 @@ def isola_geometry(km, eps):
         )
     e3 = abs(eps) ** 3
     return IsolaGeometry(
-        eps=eps,
         center_imag=km.sigma + center_drift(km) * eps * eps,
         semi_axis_real=abs(km.b30) * e3,
         semi_axis_imag=abs(km.b30 * (km.a01 + km.c01) / (km.a01 - km.c01)) * e3,

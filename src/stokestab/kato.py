@@ -26,7 +26,7 @@ the outputs.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -216,8 +216,6 @@ class KatoMatrix:
     h: float
     beta_star: float
     sigma: float
-    gamma1: float
-    gamma2: float
     a01: float
     a20: float
     a02: float
@@ -248,13 +246,8 @@ class KatoMatrix:
                          [-1j * b, 1j * (self.sigma + c)]])
 
     def as_dict(self):
-        return {
-            "h": self.h, "beta_star": self.beta_star, "sigma": self.sigma,
-            "a01": self.a01, "a20": self.a20, "a02": self.a02,
-            "a21": self.a21, "a03": self.a03,
-            "c01": self.c01, "c20": self.c20, "c02": self.c02,
-            "c21": self.c21, "c03": self.c03, "b30": self.b30,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "diagnostics"}
 
 
 # the orders of the diagonal Taylor coefficients a_mn, c_mn
@@ -286,7 +279,7 @@ def assemble_matrix_coeffs(ctx, tables):
     coeffs["b30"] = float(t[(3, 0)][1, 0].real)
 
     km = KatoMatrix(h=ctx.h, beta_star=ctx.beta_star, sigma=ctx.sigma,
-                    gamma1=ctx.gamma1, gamma2=ctx.gamma2, **coeffs)
+                    **coeffs)
     imag_res = max(abs(v.imag).max() for v in t.values())
     antisym = max(abs(v[1, 0] - v[0, 1]) for v in t.values())
     b_forbidden = max(abs(v[1, 0]) for o, v in t.items() if o != (3, 0))

@@ -16,10 +16,11 @@ def bracketed_root(f, lo, hi, flo, fhi, width):
     step, with no c yet, is a secant step. After three steps that have not
     halved the bracket the next one is a bisection, so the bracket halves
     at least every fourth step (up to the rounding of the midpoint). Trial
-    points keep width/2 inside the bracket, so a root near an end is closed
-    off by the next step. With width = 0 the bracket shrinks until its ends
-    are adjacent floats. Returns the final (lo, hi); lo == hi when f
-    vanishes exactly there.
+    points keep width/2 inside the bracket, and a point that rounds onto an
+    end moves one float inward, so a root near an end is closed off by the
+    next step. With width = 0 the bracket shrinks until its ends are
+    adjacent floats. Returns the final (lo, hi); lo == hi when f vanishes
+    exactly there.
     """
     if flo == 0.0:
         return lo, lo
@@ -39,6 +40,8 @@ def bracketed_root(f, lo, hi, flo, fhi, width):
                      + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
                 x = a + t * (b - a)
         x = min(max(x, lo + 0.5 * width), hi - 0.5 * width)
+        if x == lo or x == hi:
+            x = math.nextafter(x, hi if x == lo else lo)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
             if not lo < x < hi:

@@ -16,27 +16,10 @@ import numpy as np
 
 from . import dno
 from .dispersion import lambda0, spectrum_gap
-from .isola import delta_of_theta, lambda_pair_theta
+from .isola import delta_of_theta, kappa1, lambda_pair_theta
 from .modealg import (apply_J, banded, base_eigenvectors, complex_form,
                       convolution, inner, real_form)
 from .stokes import profile_series
-
-
-@dataclass
-class TruncatedOperator:
-    """The dense truncation in real form. With D = diag(1, i) on each mode's
-    (eta, psi) pair, the p d/dx blocks of the complex operator M are
-    imaginary and its G and r blocks real, so `real` holds the real matrix
-    R = -i D^-1 M D and `matrix` forms M = i D R D^-1 on demand."""
-    real: np.ndarray
-    K: int
-    eps: float
-    beta: float
-    h: float
-
-    @property
-    def matrix(self):
-        return complex_form(self.real)
 
 
 def _check_amplitude(eps):
@@ -57,7 +40,10 @@ def _check_cutoff(K):
 
 
 def build_operator(eps, beta, h, tables, K=20, tree=None):
-    """Dense 2(2K+1) x 2(2K+1) truncation of the linearized operator.
+    """Dense 2(2K+1) x 2(2K+1) truncation of the linearized operator as the
+    real R = -i D^-1 M D: with D = diag(1, i) on each mode's (eta, psi)
+    pair, the p d/dx blocks of the complex operator M are imaginary and its
+    G and r blocks real. `complex_form(R)` forms M; K = len(R) // 4.
 
     The surface-operator block sums the multiplier rows of orders 0-3 (from
     `tree`, a cascade replay of the unit modes 0..K at beta, if given)
@@ -71,14 +57,13 @@ def build_operator(eps, beta, h, tables, K=20, tree=None):
     p, r = (convolution([(m, amp * eps ** order) for (order, m), amp
                          in profile_series(tables, name).coefficients.items()],
                         K) for name in "pr")
-    return TruncatedOperator(real=real_form(p, r, G), K=K, eps=eps, beta=beta,
-                             h=h)
+    return real_form(p, r, G)
 
 
-def spectrum(op):
+def spectrum(R):
     """All eigenvalues of the complex operator, from the real solve of R
     (LAPACK dgeev): the reference the local solver is tested against."""
-    return 1j * np.linalg.eigvals(op.real)
+    return 1j * np.linalg.eigvals(R)
 
 
 class SpectrumError(RuntimeError):
@@ -144,42 +129,43 @@ def _eigenpairs_near(R, center, radius):
         p *= 2
 
 
-def spectrum_near(op, center, radius):
+def spectrum_near(R, center, radius):
     """Eigenvalues inside the disc, sorted by distance to its center.
 
     They come from the shift-and-invert Ritz pairs of the real R, which are
     exact conjugate pairs: the Hamiltonian pair +-re + i*im is exactly
     equidistant from a center on the imaginary axis and keeps LAPACK's fixed
     order (negative real part first), not an order decided by roundoff."""
-    return list(1j * _eigenpairs_near(op.real, center, radius)[0])
+    return list(1j * _eigenpairs_near(R, center, radius)[0])
 
 
-def flat_spectrum_check(op, tol=1e-9):
-    """At eps = 0 the spectrum must be the union of the two flat branches."""
-    lams = sorted(spectrum(op), key=lambda z: z.imag)
-    expected = sorted(
-        (lambda0(k, op.beta, op.h, s).imag for k in range(-op.K, op.K + 1)
-         for s in (1, -1)),
-    )
+def flat_spectrum_check(R, beta, h, tol=1e-9):
+    """At eps = 0 the spectrum of R, built at (beta, h), must be the union
+    of the two flat branches."""
+    K = len(R) // 4
+    lams = sorted(spectrum(R), key=lambda z: z.imag)
+    expected = sorted(lambda0(k, beta, h, s).imag for k in range(-K, K + 1)
+                      for s in (1, -1))
     worst = max(abs(lam - 1j * e) for lam, e in zip(lams, expected))
     return worst <= tol, worst
 
 
-def eigenspace_near(op, center, radius):
+def eigenspace_near(R, center, radius):
     """(eigenvalues, eigenvectors) of the complex operator inside the disc,
     sorted as `spectrum_near`: M = i D R D^-1 takes the eigenvector x of R
     to D x."""
-    mus, vecs = _eigenpairs_near(op.real, center, radius)
+    mus, vecs = _eigenpairs_near(R, center, radius)
     return 1j * mus, vecs * np.tile([1.0, 1j], len(vecs) // 2)[:, None]
 
 
-def eigenspace_match_residual(op, ctx):
+def eigenspace_match_residual(R, ctx):
     """How far the two near-collision eigenvectors sit from span{U1, U2}."""
-    lams, vecs = eigenspace_near(op, 1j * ctx.sigma, 0.5 * spectrum_gap(ctx))
+    lams, vecs = eigenspace_near(R, 1j * ctx.sigma, 0.5 * spectrum_gap(ctx))
     if len(lams) != 2:
         raise RuntimeError(f"{len(lams)} eigenvalues within half the spectral "
                            "gap of i*sigma, not the colliding pair")
-    qmat, _ = np.linalg.qr(np.stack(base_eigenvectors(ctx, K=op.K), axis=1))
+    base = np.stack(base_eigenvectors(ctx, K=len(R) // 4), axis=1)
+    qmat, _ = np.linalg.qr(base)
     v = vecs / np.linalg.norm(vecs, axis=0)
     res = np.linalg.norm(v - qmat @ (qmat.conj().T @ v), axis=0)
     return float(np.max(np.abs(lams - 1j * ctx.sigma))), float(np.max(res))
@@ -187,9 +173,6 @@ def eigenspace_match_residual(op, ctx):
 
 @dataclass
 class IsolaComparison:
-    h: float
-    eps: float
-    K: int
     rows: list  # (theta, predicted+, predicted-, numeric+, numeric-, dist)
     max_distance: float
     ties: list
@@ -204,7 +187,6 @@ def compare_isola(km, eps, tables, n_theta=9, K=20):
     third-order pair by nearest assignment; ties (both assignments equal to
     machine precision) are reported, not broken.
     """
-    from .isola import kappa1 as kap1
     if n_theta < 1:
         raise ValueError(f"n_theta must be at least 1, got {n_theta}")
     _check_cutoff(K)
@@ -212,7 +194,7 @@ def compare_isola(km, eps, tables, n_theta=9, K=20):
     if eps == 0.0:
         raise ValueError("eps must be nonzero: at zero amplitude the isola "
                          "is a single point and there is no pair to compare")
-    k1 = kap1(km)
+    k1 = kappa1(km)
     thetas = [(-0.9 + 1.8 * i / (n_theta - 1)) * k1
               for i in range(n_theta)] if n_theta > 1 else [0.0]
     betas = [km.beta_star + delta_of_theta(km, eps, theta) for theta in thetas]
@@ -221,10 +203,10 @@ def compare_isola(km, eps, tables, n_theta=9, K=20):
     max_distance = 0.0
     for theta, beta in zip(thetas, betas):
         pred_p, pred_m = lambda_pair_theta(km, eps, theta)
-        op = build_operator(eps, beta, km.h, tables, K=K, tree=tree)
+        R = build_operator(eps, beta, km.h, tables, K=K, tree=tree)
         center = 0.5 * (pred_p + pred_m)
         radius = max(20.0 * abs(pred_p - center), 50.0 * abs(eps) ** 3)
-        found = spectrum_near(op, center, radius)
+        found = spectrum_near(R, center, radius)
         if len(found) < 2:
             raise RuntimeError(
                 f"only {len(found)} eigenvalues within {radius:.2e} of "
@@ -242,14 +224,13 @@ def compare_isola(km, eps, tables, n_theta=9, K=20):
             dist = d_direct
         rows.append((theta, pred_p, pred_m, num_a, num_b, dist))
         max_distance = max(max_distance, dist)
-    return IsolaComparison(h=km.h, eps=eps, K=K, rows=rows,
-                           max_distance=max_distance, ties=ties)
+    return IsolaComparison(rows=rows, max_distance=max_distance, ties=ties)
 
 
-def conjugate_pair_residual(op):
+def conjugate_pair_residual(R):
     """Spectrum symmetry under lam -> -conj(lam) (Hamiltonian reality), from
     the complex solve: on the real solve it would hold by construction."""
-    lams = np.linalg.eigvals(op.matrix)
+    lams = np.linalg.eigvals(complex_form(R))
     return float(np.abs(-lams.conj()[:, None] - lams).min(axis=1).max())
 
 
@@ -298,8 +279,9 @@ def direct_reduced_matrix(ctx, tables, eps, delta):
     of radius half the spectral gap about the collision.
     """
     K, radius, center = 20, 0.5 * spectrum_gap(ctx), 1j * ctx.sigma
-    M = build_operator(eps, ctx.beta_star + delta, ctx.h, tables, K=K).matrix
-    M0 = build_operator(0.0, ctx.beta_star, ctx.h, tables, K=K).matrix
+    M = complex_form(build_operator(eps, ctx.beta_star + delta, ctx.h, tables,
+                                    K=K))
+    M0 = complex_form(build_operator(0.0, ctx.beta_star, ctx.h, tables, K=K))
     P = _dense_projector(M, center, radius)
     P0 = _dense_projector(M0, center, radius)
     Q = P - P0

@@ -202,9 +202,9 @@ def test_criterion_8_instability_law(pipeline):
 
 def test_criterion_9_double_eigenvalue(pipeline):
     ctx, tables, _ = pipeline[1.0]
-    op = build_operator(0.0, ctx.beta_star, 1.0, K=20, tables=tables)
-    gap, residual = eigenspace_match_residual(op, ctx)
-    lams = spectrum(op)
+    R = build_operator(0.0, ctx.beta_star, 1.0, K=20, tables=tables)
+    gap, residual = eigenspace_match_residual(R, ctx)
+    lams = spectrum(R)
     count = sum(1 for lam in lams if abs(lam - 1j * ctx.sigma) < 1e-9)
     ok = count == 2 and residual < 1e-9
     report(9, ok, f"multiplicity {count} (=2), eigenspace residual "

@@ -5,32 +5,55 @@ import mpmath as mp
 import pytest
 
 from stokestab import dno
-from stokestab.cli import RunConfig, fmt, main, write_svg
+from stokestab.cli import fmt, main, read_config, write_svg
+from stokestab.dispersion import build_context
+from stokestab.kato import assemble_matrix_coeffs
+from stokestab.stokes import build_tables
 
 
 def run_cli(args):
     return main(args)
 
 
-def test_runconfig_roundtrip(tmp_path):
-    cfg = RunConfig(h=2.5, eps=0.02, K=24, outdir="out")
+def test_read_config_casts_each_key(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("h=2.5\neps=0.02\nK=24\noutdir=out\n")
-    assert RunConfig(**RunConfig.read(path)) == cfg
+    path.write_text("# defaults\n\nh = 2.5\neps=0.02\nK=24\noutdir=out\n")
+    config = read_config(path)
+    assert config == {"h": 2.5, "eps": 0.02, "K": 24, "outdir": "out"}
+    assert [type(v) for v in config.values()] == [float, float, int, str]
 
 
-def test_runconfig_rejects_unknown_key(tmp_path):
+def test_read_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("h=1.0\nbogus=3\n")
-    with pytest.raises(ValueError, match="unknown config key 'bogus'"):
-        RunConfig.read(path)
+    with pytest.raises(ValueError,
+                       match=f"^config {path}: unknown config key 'bogus'$"):
+        read_config(path)
 
 
-def test_runconfig_validation():
-    with pytest.raises(ValueError):
-        RunConfig(h=-1.0).validate()
-    with pytest.raises(ValueError):
-        RunConfig(K=0).validate()
+@pytest.mark.parametrize("line, command, message", [
+    ("h=-1", ["coeffs"], "error: depth must be finite and positive"),
+    ("K=0", ["validate", "--h", "2"], "error: dense validation needs "
+                                      "16 <= K <= 64, got K=0"),
+], ids=["h=-1", "K=0"])
+def test_config_value_is_checked_by_its_command(tmp_path, capsys, line,
+                                                command, message):
+    """A config value fails where the same option given on the command line
+    fails, with the command's message, and no file is written."""
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    out = tmp_path / "out"
+    assert run_cli(["--config", str(path), *command,
+                    "--outdir", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_key_the_command_lacks_is_ignored(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("K=0\neps=1.0\n")
+    assert run_cli(["--config", str(path), "resonance", "--h", "1"]) == 0
+    assert "beta_star(1) = 1.0710" in capsys.readouterr().out
 
 
 def test_config_file_sets_defaults(tmp_path, capsys):
@@ -176,6 +199,23 @@ def test_coeffs_json_keys(tmp_path, capsys):
     assert all(0.0 <= v < 1e-9 for k, v in diag.items()
                if k != "coefficient_scale")
     assert diag["coefficient_scale"] >= 1.0
+
+
+@pytest.mark.parametrize("h", [0.05, 1.37])
+def test_coeffs_json_is_the_in_memory_table(tmp_path, capsys, h):
+    """coeffs.json holds the tables, the reduced-matrix table and its
+    diagnostics, nothing else, and every number reads back equal to the
+    value the pipeline computed."""
+    assert run_cli(["coeffs", "--h", str(h), "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "coeffs.json").read_text())
+    ctx = build_context(h)
+    tables = build_tables(ctx)
+    km = assemble_matrix_coeffs(ctx, tables)
+    expected = tables.as_dict() | km.as_dict()
+    expected["diagnostics"] = km.diagnostics
+    assert payload.keys() == expected.keys()
+    assert payload == expected
 
 
 def test_isola_outputs(tmp_path, capsys):
@@ -339,8 +379,8 @@ def test_dno_dump_non_finite_rows_are_an_error(tmp_path, capsys):
     come out NaN) is a named error and writes no file."""
     assert run_cli(["dno-dump", "--h", "1", "--beta", "1e300",
                     "--outdir", str(tmp_path)]) == 1
-    assert ("error: the multiplier rows of orders [2, 3] at beta=1e+300, "
-            "h=1.0 are not finite" in capsys.readouterr().err)
+    assert ("error: the order-2 multiplier rows at beta=1e+300, h=1.0 are "
+            "not finite" in capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == []
 
 

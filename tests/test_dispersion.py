@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import pytest
 
+from stokestab import dispersion
 from stokestab.dispersion import (
     DepthContext,
     SolverError,
@@ -192,3 +193,21 @@ def test_beta_star_against_40_digit_root(h, beta_star_40):
     off at h = 1e-8."""
     ref = beta_star_40(h)
     assert abs(mp.mpf(solve_beta_star(h)) - ref) <= 4 * math.ulp(float(ref))
+
+
+@pytest.mark.parametrize("h, beta_hex", [
+    (0.1705981476440783, "0x1.3addb31110103p-5"),
+    (0.1163, "0x1.26272dc50d538p-6"),
+])
+def test_beta_star_in_few_residual_calls(monkeypatch, h, beta_hex):
+    """Where the interpolation lands on the bracket end next to the root,
+    the finder steps one float inward instead of bisecting the far end:
+    60 and 20 residual calls before, 11 and 8 now, with the same root."""
+    calls = []
+
+    def counted(beta, depth):
+        calls.append(beta)
+        return resonance_residual(beta, depth)
+    monkeypatch.setattr(dispersion, "resonance_residual", counted)
+    assert solve_beta_star(h) == float.fromhex(beta_hex)
+    assert len(calls) <= 13

@@ -22,8 +22,8 @@ from stokestab.kato import (
     PoleError,
 )
 from stokestab.modealg import (DEFAULT_CUTOFF, apply_J, base_eigenvectors,
-                               inner, mode_slot, mode_vector, orders_below,
-                               symplectic_pairing)
+                               complex_form, inner, mode_slot, mode_vector,
+                               orders_below, symplectic_pairing)
 from stokestab.stokes import build_tables
 from stokestab.validator import (_dense_projector, _inverse_sqrt_one_minus,
                                  build_operator, compare_isola,
@@ -298,9 +298,9 @@ def test_basis_corrections_are_taylor_coefficients(asm, ctx1, tables1,
     center, radius = 1j * ctx1.sigma, 0.5 * spectrum_gap(ctx1)
 
     def projector(eps, delta):
-        op = build_operator(eps, ctx1.beta_star + delta, ctx1.h, K=K,
-                            tables=tables1)
-        return _dense_projector(op.matrix, center, radius)
+        R = build_operator(eps, ctx1.beta_star + delta, ctx1.h, K=K,
+                           tables=tables1)
+        return _dense_projector(complex_form(R), center, radius)
 
     P0 = projector(0.0, 0.0)
     pad = 2 * (K - DEFAULT_CUTOFF)

@@ -72,3 +72,15 @@ def test_bracket_halves_every_fourth_step(g, lo, hi):
     widths = [b - a for a, b in _brackets(g, lo, hi, 1e-10)]
     assert widths[-1] <= 1e-10
     assert all(w4 <= 0.5 * w for w, w4 in zip(widths, widths[4:]))
+
+
+def test_trial_point_on_an_end_moves_one_float_inward():
+    """Once the interpolation rounds onto the end next to the root, the
+    finder steps one float inward and closes the bracket there; it used to
+    close the far end by bisection, 36 interior evaluations of cos on
+    (0, 3) where 7 now suffice."""
+    f, calls = _counted(math.cos)
+    lo, hi = bracketed_root(f, 0.0, 3.0, 1.0, math.cos(3.0), 0.0)
+    assert (lo, hi) == (float.fromhex("0x1.921fb54442d18p+0"),
+                        float.fromhex("0x1.921fb54442d19p+0"))
+    assert len(calls) <= 10

@@ -5,11 +5,10 @@ from stokestab import dno, validator
 from stokestab.dispersion import build_context
 from stokestab.isola import delta_of_theta, kappa1, lambda_pair_theta
 from stokestab.kato import assemble_matrix_coeffs
-from stokestab.modealg import mode_slot
+from stokestab.modealg import complex_form, mode_slot
 from stokestab.stokes import build_tables, profile_series
 from stokestab.validator import (
     SpectrumError,
-    TruncatedOperator,
     build_operator,
     compare_isola,
     conjugate_pair_residual,
@@ -68,10 +67,10 @@ def test_real_form_is_the_loop_assembly(depths, h, eps):
     """i D R D^-1 equals the entry-by-entry complex fill exactly."""
     ctx, tables = depths[h]
     beta = ctx.beta_star * 1.001
-    op = build_operator(eps, beta, h, tables, K=16)
-    assert op.real.dtype == np.float64
+    R = build_operator(eps, beta, h, tables, K=16)
+    assert R.dtype == np.float64
     ref = _loop_assembly(eps, beta, h, tables, 16)
-    assert np.array_equal(op.matrix, ref)
+    assert np.array_equal(complex_form(R), ref)
 
 
 def _nearest(a, b):
@@ -85,45 +84,45 @@ def test_real_spectrum_matches_complex_solve(h, tol):
     """The real solve of R gives the complex solve's eigenvalues of M,
     matched nearest-neighbour both ways, and exact pairs lam, -conj(lam)."""
     ctx = build_context(h)
-    op = build_operator(0.01, ctx.beta_star * 1.001, h, build_tables(ctx))
-    lams, ref = spectrum(op), np.linalg.eigvals(op.matrix)
+    R = build_operator(0.01, ctx.beta_star * 1.001, h, build_tables(ctx))
+    lams, ref = spectrum(R), np.linalg.eigvals(complex_form(R))
     assert max(_nearest(lams, ref), _nearest(ref, lams)) < tol
     assert set(lams.tolist()) == set((-lams.conj()).tolist())
 
 
 @pytest.fixture(scope="module")
-def op0(ctx1, tables1):
+def R0(ctx1, tables1):
     return build_operator(0.0, ctx1.beta_star, 1.0, K=20, tables=tables1)
 
 
-def test_flat_spectrum(op0):
-    ok, worst = flat_spectrum_check(op0, tol=1e-9)
+def test_flat_spectrum(R0, ctx1):
+    ok, worst = flat_spectrum_check(R0, ctx1.beta_star, 1.0, tol=1e-9)
     assert ok, worst
 
 
-def test_double_eigenvalue_and_eigenspace(op0, ctx1):
-    gap, residual = eigenspace_match_residual(op0, ctx1)
+def test_double_eigenvalue_and_eigenspace(R0, ctx1):
+    gap, residual = eigenspace_match_residual(R0, ctx1)
     assert gap < 1e-10
     assert residual < 1e-9
 
 
-def test_spectrum_near_sorting(op0, ctx1):
-    near = spectrum_near(op0, 1j * ctx1.sigma, 0.5)
+def test_spectrum_near_sorting(R0, ctx1):
+    near = spectrum_near(R0, 1j * ctx1.sigma, 0.5)
     dists = [abs(z - 1j * ctx1.sigma) for z in near]
     assert dists == sorted(dists)
     assert len(near) >= 2
 
 
-def _assert_disc_matches_dgeev(op, center, radius):
+def _assert_disc_matches_dgeev(R, center, radius):
     """The local solve finds as many eigenvalues in the disc as the full
     dgeev solve of R, each within 8 eps ||R||_1 of its nearest dgeev
     eigenvalue (the local solve's Ritz residual bound is 8 as well), and
     sorted by distance to the center."""
-    near = np.array(spectrum_near(op, center, radius))
-    full = spectrum(op)
+    near = np.array(spectrum_near(R, center, radius))
+    full = spectrum(R)
     ref = full[np.abs(full - center) <= radius]
     assert len(near) == len(ref)
-    tol = 8 * np.finfo(float).eps * np.linalg.norm(op.real, 1)
+    tol = 8 * np.finfo(float).eps * np.linalg.norm(R, 1)
     if len(ref):
         assert max(_nearest(near, ref), _nearest(ref, near)) <= tol
     dists = np.abs(near - center)
@@ -142,30 +141,30 @@ def test_spectrum_near_matches_dgeev_disc(h, eps):
     k1 = kappa1(km)
     for theta in np.linspace(-0.9 * k1, 0.9 * k1, 9):
         pred_p, pred_m = lambda_pair_theta(km, eps, theta)
-        op = build_operator(eps, km.beta_star + delta_of_theta(km, eps, theta),
+        R = build_operator(eps, km.beta_star + delta_of_theta(km, eps, theta),
                             h, tables)
         center = 0.5 * (pred_p + pred_m)
         radius = max(20.0 * abs(pred_p - center), 50.0 * eps ** 3)
-        assert len(_assert_disc_matches_dgeev(op, center, radius)) == 2
+        assert len(_assert_disc_matches_dgeev(R, center, radius)) == 2
 
 
-def test_spectrum_near_singular_shift_and_wide_disc(op0, ctx1):
+def test_spectrum_near_singular_shift_and_wide_disc(R0, ctx1):
     """At eps = 0 the center i*sigma is an exact double eigenvalue, so
     R - Im(center) I is singular; the wide disc holds more eigenvalues than
     the first block has columns."""
     center = 1j * ctx1.sigma
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.inv(op0.real - ctx1.sigma * np.eye(len(op0.real)))
-    assert len(_assert_disc_matches_dgeev(op0, center, 0.5)) == 2
-    assert len(_assert_disc_matches_dgeev(op0, center + 0.3j, 0.5)) > 2
+        np.linalg.inv(R0 - ctx1.sigma * np.eye(len(R0)))
+    assert len(_assert_disc_matches_dgeev(R0, center, 0.5)) == 2
+    assert len(_assert_disc_matches_dgeev(R0, center + 0.3j, 0.5)) > 2
 
 
-def test_spectrum_near_empty_disc(op0):
+def test_spectrum_near_empty_disc(R0):
     """A disc between two neighbouring eigenvalues holds none."""
-    mus = np.sort(spectrum(op0).imag)
+    mus = np.sort(spectrum(R0).imag)
     i = np.argmax(np.diff(mus))
     center = 0.5j * (mus[i] + mus[i + 1])
-    assert _assert_disc_matches_dgeev(op0, center, 0.25 * (mus[i + 1] - mus[i])
+    assert _assert_disc_matches_dgeev(R0, center, 0.25 * (mus[i + 1] - mus[i])
                                       ).size == 0
 
 
@@ -175,29 +174,28 @@ def test_spectrum_near_grows_the_block_to_cover_the_disc():
     because the block then grows."""
     mus = np.array([0.0, 0.01, 0.02, 0.03, 0.5, 0.6, 2.0, 3.0, 4.0, 5.0])
     q = np.linalg.qr(np.random.default_rng(1).standard_normal((10, 10)))[0]
-    op = TruncatedOperator(real=q @ np.diag(mus) @ q.T, K=2, eps=0.0,
-                           beta=0.0, h=1.0)
-    near = spectrum_near(op, 0j, 0.55)
+    R = q @ np.diag(mus) @ q.T
+    near = spectrum_near(R, 0j, 0.55)
     assert np.allclose(near, 1j * mus[:5], rtol=0, atol=1e-14)
 
 
 def test_eigenspace_near_residual_bound(ctx1, tables1):
     """Each returned eigenpair of M meets the Ritz residual bound."""
-    op = build_operator(0.01, ctx1.beta_star + 1e-4, 1.0, tables1)
-    lams, vecs = eigenspace_near(op, 1j * ctx1.sigma, 0.05)
+    R = build_operator(0.01, ctx1.beta_star + 1e-4, 1.0, tables1)
+    lams, vecs = eigenspace_near(R, 1j * ctx1.sigma, 0.05)
     assert len(lams) == 2
-    res = np.linalg.norm(op.matrix @ vecs - vecs * lams, axis=0)
+    res = np.linalg.norm(complex_form(R) @ vecs - vecs * lams, axis=0)
     bound = (validator.RITZ_RESIDUAL * np.finfo(float).eps
-             * np.linalg.norm(op.real, 1) * np.linalg.norm(vecs, axis=0))
+             * np.linalg.norm(R, 1) * np.linalg.norm(vecs, axis=0))
     assert np.all(res <= bound), res / bound
 
 
-def test_spectrum_near_unsettled_is_an_error(op0, ctx1, monkeypatch):
+def test_spectrum_near_unsettled_is_an_error(R0, ctx1, monkeypatch):
     """A block that never settles grows to the full space and then raises
     by name, rather than returning a short list."""
     monkeypatch.setattr(validator, "_BLOCK_STEPS", 1)
     with pytest.raises(SpectrumError, match="residual bound"):
-        spectrum_near(op0, 1j * ctx1.sigma, 0.5)
+        spectrum_near(R0, 1j * ctx1.sigma, 0.5)
 
 
 @pytest.mark.parametrize("h, eps", [(0.3, 0.01), (0.3, 0.005), (0.35, 0.01)])
@@ -222,8 +220,8 @@ def test_compare_isola_ties(h, eps, ties):
 
 
 def test_conjugate_pair_structure(ctx1, tables1):
-    op = build_operator(0.01, ctx1.beta_star + 1e-4, 1.0, K=16, tables=tables1)
-    assert conjugate_pair_residual(op) < 1e-9
+    R = build_operator(0.01, ctx1.beta_star + 1e-4, 1.0, K=16, tables=tables1)
+    assert conjugate_pair_residual(R) < 1e-9
 
 
 def test_resolution_independence(ctx1, tables1, km1):
@@ -231,8 +229,8 @@ def test_resolution_independence(ctx1, tables1, km1):
     beta = ctx1.beta_star + delta
     near = {}
     for K in (16, 24):
-        op = build_operator(0.01, beta, 1.0, K=K, tables=tables1)
-        near[K] = spectrum_near(op, 1j * ctx1.sigma, 0.05)[:2]
+        R = build_operator(0.01, beta, 1.0, K=K, tables=tables1)
+        near[K] = spectrum_near(R, 1j * ctx1.sigma, 0.05)[:2]
         assert len(near[K]) == 2
     # The real solve returns exact conjugate pairs: +-re + i*im are exactly
     # equidistant from i*sigma, and each list keeps LAPACK's fixed pair
@@ -250,7 +248,7 @@ def test_series_vs_oracle_blocks(ctx1, tables1):
         series = build_operator(eps, ctx1.beta_star, 1.0, K=16, tables=tables1)
         oracle = dno.strip_operator(eps, ctx1.beta_star, 1.0, tables1,
                                     range(-24, 25))[8:-8, 8:-8]
-        return np.max(np.abs(series.real[0::2, 1::2] - oracle))
+        return np.max(np.abs(series[0::2, 1::2] - oracle))
 
     g1, g2 = gap(0.01), gap(0.02)
     assert g2 / g1 == pytest.approx(16.0, rel=0.3)
@@ -259,10 +257,10 @@ def test_series_vs_oracle_blocks(ctx1, tables1):
 def test_two_eigenvalues_inside_isola_disc(ctx1, tables1, km1):
     eps = 0.01
     delta = delta_of_theta(km1, eps, 0.0)
-    op = build_operator(eps, ctx1.beta_star + delta, 1.0, K=20, tables=tables1)
+    R = build_operator(eps, ctx1.beta_star + delta, 1.0, K=20, tables=tables1)
     center = 1j * (km1.sigma + (km1.a01 * km1.c20 - km1.a20 * km1.c01)
                    / (km1.a01 - km1.c01) * eps * eps)
-    found = spectrum_near(op, center, 10.0 * eps ** 3)
+    found = spectrum_near(R, center, 10.0 * eps ** 3)
     assert len(found) == 2
 
 
@@ -311,3 +309,13 @@ def test_build_operator_guards(tables1, ctx1):
     for K in (8, 65):
         with pytest.raises(ValueError, match="16 <= K <= 64"):
             build_operator(0.01, ctx1.beta_star, 1.0, K=K, tables=tables1)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_build_operator_non_finite_rows_are_an_error(tables1):
+    """At beta = 1e300 the cascade's order-2 rows come out NaN; the fill
+    stops by name instead of returning NaN entries."""
+    with pytest.raises(ValueError, match=r"^the order-2 multiplier rows at "
+                                         r"beta=1e\+300, h=1\.0 are not "
+                                         r"finite$"):
+        build_operator(0.01, 1e300, 1.0, tables1)
