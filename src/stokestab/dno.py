@@ -337,8 +337,7 @@ class CascadeTree:
             rk = rho[:, o["pq"]]
             den = rate * rate - (rk * rk)[:, o["uprob"][o["uu"]]]
             a = F[:, o["uf"]]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals = a / den
+            vals = a / den
             t1, t2 = o["t1"], o["t2"]
             vals[:, t1] = -2.0 * rate[:, t1] * a[:, t1] / (den[:, t1] * den[:, t1])
             vals[:, t2] = a[:, t2] / (2.0 * rate[:, t2])
@@ -408,7 +407,9 @@ class CascadeTree:
 def cascade_profiles(k0s, betas, h, tables, jmax=3):
     """The profiles of the unit modes k0s up to order jmax at every beta of
     `betas`: one replay of their plan, compiled on first use, analytic in a
-    complex beta."""
+    complex beta. The replay runs with numpy's floating-point warnings off:
+    its resonant denominators are 0 where the plan overwrites the quotient,
+    and rows that come out non-finite are named by `multiplier_rows`."""
     for name, x, kind in [("h", h, numbers.Real)] + [
             ("beta", beta, numbers.Complex) for beta in betas]:
         if not (isinstance(x, kind) and np.isfinite(x) and x.real > 0):
@@ -416,7 +417,8 @@ def cascade_profiles(k0s, betas, h, tables, jmax=3):
     key = (tuple(dict.fromkeys(k0s)), jmax)
     if key not in _plans:
         _plans[key] = Plan(*key)
-    return CascadeTree(_plans[key], betas, h, tables)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        return CascadeTree(_plans[key], betas, h, tables)
 
 
 def shifts(j):

@@ -1,4 +1,4 @@
-"""Residue reduction of the spectral problem to a 2x2 matrix.
+"""Reduction of the spectral problem to a 2x2 matrix.
 
 Near the double eigenvalue i*sigma the linearized operator is similar to a
 2x2 matrix acting on a perturbed basis. The basis comes from the Taylor
@@ -9,20 +9,20 @@ follow from a finite ledger of inner products.
 Every Taylor coefficient is a matrix on the mode arrays of `modealg`: the
 operators are 22x22, the basis pair 22x2. A series in (eps, delta) is a dict
 order -> matrix, and one truncated `series_product` serves three steps:
-- the resolvent: R = S - S J H R gives R_o = -S sum_{0 < a <= o} J H[a]
-  R_(o-a), R_0 = S, each a truncated Laurent series in mu. The flat
-  resolvent S is block-diagonal in the Fourier mode with poles known in
-  closed form, so the projection P_o = -[mu^-1] R_o is exact: no quadrature
-  is involved;
+- the projection: P commutes with M = J H and P^2 = P. Order by order, the
+  commutator fixes the blocks of P_o that mix the range of the flat
+  projector P0 with its complement, through the reduced resolvent Sr of
+  M0 = J H[0, 0]; idempotence fixes the other blocks. M0 is block-diagonal
+  in the Fourier mode with eigenvalues known in closed form, so P0 and Sr
+  are exact: no quadrature is involved;
 - the transform: (I - Q^2)^(-1/2) P U = sum_r w_r Q^r U for U in the range
   of P0, Q = P - P0;
 - the ledger: V^H (H V), V the transformed and normalized base pair.
 No order has a formula of its own.
 
-Conventions: S(mu) is the flat resolvent (L0 - i*sigma - mu)^{-1}; the
-reduced matrix is written i*sigma*I + i*[[A, B], [-B, C]] with A, B, C real;
-the Taylor coefficients of A, B, C in (amplitude, transverse detuning) are
-the outputs.
+Conventions: the reduced matrix is written i*sigma*I + i*[[A, B], [-B, C]]
+with A, B, C real; the Taylor coefficients of A, B, C in (amplitude,
+transverse detuning) are the outputs.
 """
 
 import math
@@ -75,7 +75,7 @@ class KatoAssembler:
     at the Taylor orders `orders` and below.
 
     achieved_tol is the resonance defect max |lam_res - i*sigma| / gap of the
-    two colliding flat eigenvalues: the residue treats both as sitting
+    two colliding flat eigenvalues: the reduction treats both as sitting
     exactly on i*sigma, and this is the only approximation it makes.
     """
 
@@ -84,33 +84,29 @@ class KatoAssembler:
         self.tables = tables
         self.orders = orders_below(orders)
         self.H = operator_family(ctx, tables, orders)
-        # J H[a], column by column
-        self.JH = {a: apply_J(H.T).T for a, H in self.H.items() if a != (0, 0)}
-        self.top = max(m + n for m, n in self.orders)
-        # the window of `_resolvent` takes S_-1 .. S_(2 top - 1)
-        self._laurent, defect = self._laurent_coefficients(2 * self.top)
+        # M = J H, column by column
+        self.M = {a: apply_J(H.T).T for a, H in self.H.items()}
+        self.P0, self.Sr, defect = self._flat_blocks()
         self.achieved_tol = defect / spectrum_gap(ctx, DEFAULT_CUTOFF)
         u1, u2 = base_eigenvectors(ctx)
         self.U = {1: u1, 2: u2}
 
-    # -- resolvent Laurent series ----------------------------------------
+    # -- flat projector and reduced resolvent ------------------------------
 
-    def _laurent_coefficients(self, top):
-        """S_{-1} .. S_{top-1} of S(mu) = sum_n mu^n S_n, stacked as per-mode
-        2x2 blocks of shape (top + 1, 2K + 1, 2, 2); and the resonance defect
+    def _flat_blocks(self):
+        """P0, the sum of the two resonant branch projectors; the reduced
+        resolvent Sr = sum_c P_c / (lam_c - i*sigma) over the other branches
+        c, P_c the branch projector; and the resonance defect
         max |lam_res - i*sigma|.
 
-        Each mode block of S(mu) sums over its two branches: a resonant
-        branch contributes -P / mu, any other branch
-        sum_{n >= 0} mu^n P / d^(n+1) with d = lam - i*sigma, where P is the
-        branch projector. The flat operator M0 = J H[0, 0] is block-diagonal,
-        [[i c0 k, A0(k)], [-1, i c0 k]] on mode k.
+        The flat operator M0 = J H[0, 0] is block-diagonal,
+        [[i c0 k, A0(k)], [-1, i c0 k]] on mode k, and so are P0 and Sr.
         """
         ctx = self.ctx
         K = DEFAULT_CUTOFF
-        coeffs = np.zeros((top + 1, 2 * K + 1, 2, 2), dtype=complex)
+        M0 = self.M[(0, 0)].reshape(2 * K + 1, 2, 2 * K + 1, 2)
+        P0, Sr = (np.zeros(M0.shape, dtype=complex) for _ in range(2))
         defect = 0.0
-        M0 = apply_J(self.H[(0, 0)].T).T.reshape(2 * K + 1, 2, 2 * K + 1, 2)
         for k, block in zip(range(-K, K + 1), np.einsum("kakb->kab", M0)):
             a0 = block[0, 1].real
             lam = {s: 1j * (ctx.c0 * k + s * math.sqrt(a0)) for s in (1, -1)}
@@ -119,62 +115,48 @@ class KatoAssembler:
                 d = lam[s] - 1j * ctx.sigma
                 if (k, s) in RESONANT_BRANCHES:
                     defect = max(defect, abs(d))
-                    coeffs[0, k + K] -= proj
+                    P0[k + K, :, k + K] += proj
                 elif abs(d) <= 1e-12 * abs(lam[s]):
                     raise PoleError(
                         f"flat eigenvalue {lam[s]} at wavenumber {k} is "
                         f"numerically on i*sigma = {1j * ctx.sigma}", k)
                 else:
-                    for n in range(top):
-                        coeffs[n + 1, k + K] += proj / d ** (n + 1)
-        return coeffs, defect
+                    Sr[k + K, :, k + K] += proj / d
+        shape = self.M[(0, 0)].shape
+        return P0.reshape(shape), Sr.reshape(shape), defect
 
-    def resolvent_apply(self, series):
-        """Laurent series of S(mu) x(mu) from that of x(mu).
-
-        series holds one row per power of mu, from some mu^s on, each row a
-        mode array or a matrix of mode-array columns; the result holds as
-        many rows, from mu^(s-1) on. Row p of the result is
-        sum_{i <= p} S_{p-1-i} x_i, one batched matmul over the modes.
-        """
-        x = series.reshape(len(series), len(self._laurent[0]), 2, -1)
-        out = np.empty_like(series)
-        for p in range(len(series)):
-            out[p] = (self._laurent[p::-1] @ x[:p + 1]).sum(axis=0).reshape(
-                series.shape[1:])
-        return out
+    def resolvent_apply(self, x):
+        """The solution Y of [M0, Y] = -x on the mixed blocks
+        P0 Y (I - P0) and (I - P0) Y P0: P0 x Sr - Sr x P0, because
+        M0 P0 = P0 M0 = i*sigma P0 and Sr inverts M0 - i*sigma off the
+        range of P0."""
+        return self.P0 @ x @ self.Sr - self.Sr @ x @ self.P0
 
     # -- projection derivatives --------------------------------------------
 
     @cached_property
-    def _resolvent(self):
-        """Taylor coefficients R_o of the perturbed resolvent, each on the
-        powers mu^-(top+1) .. mu^(top-1).
-
-        R_o has a pole of order at most |o| + 1, and the mu^-1 coefficients
-        of the orders above it need it only up to mu^(top-|o|-1), so one
-        window holds every order. The sum x over a of J H[a] R_(o-a) has a
-        pole of order at most |o| <= top: its mu^-(top+1) row is zero, and
-        rolled to the end it stands for the mu^top row the window cuts. S
-        applied to the rolled rows, taken from mu^-top on, lands on the
-        window again; the cut reaches only rows above mu^(top-|o|-1).
-        """
-        eye = np.eye(len(self.U[1]))
-        unit = np.zeros((2 * self.top + 1,) + eye.shape, dtype=complex)
-        unit[self.top] = eye       # I at mu^0, the rows starting at mu^-top
-        R = {(0, 0): self.resolvent_apply(unit)}
+    def _projections(self):
+        """Taylor coefficients P_o of the spectral projection, order by
+        order from [M, P] = 0 and P^2 = P. With P_o left out of the sums,
+        order o of the first is [M0, P_o] = -C, C = sum_(a > 0)
+        [M_a, P_(o-a)]: the mixed blocks. Order o of the second is
+        P0 P_o + P_o P0 - P_o = -S, S = sum P_a P_b over a + b = o: its
+        diagonal blocks give P0 P_o P0 = -P0 S P0 and
+        (I - P0) P_o (I - P0) = (I - P0) S (I - P0)."""
+        P = {(0, 0): self.P0}
         for o in self.orders[1:]:
-            x = series_product(self.JH, R, [o])[o]
-            R[o] = -self.resolvent_apply(np.roll(x, -1, axis=0))
-        return R
+            C = (series_product(self.M, P, [o])[o]
+                 - series_product(P, self.M, [o])[o])
+            S = series_product(P, P, [o]).get(o, 0 * self.P0)
+            P[o] = self.resolvent_apply(C) + S - self.P0 @ S - S @ self.P0
+        return P
 
     def apply_P(self, m, n, v):
         """m-th amplitude, n-th detuning derivative of the projection, on v
-        (a mode array or a matrix of mode-array columns): m! n! P_(m,n) v
-        with P_o = -[mu^-1] R_o. P(0, 0) is the order-zero projector onto
-        span{U1, U2}."""
-        P = self._resolvent[(m, n)][self.top]
-        return -(math.factorial(m) * math.factorial(n)) * (P @ v)
+        (a mode array or a matrix of mode-array columns): m! n! P_(m,n) v.
+        P(0, 0) is the order-zero projector onto span{U1, U2}."""
+        return (math.factorial(m) * math.factorial(n)
+                * (self._projections[(m, n)] @ v))
 
     # -- perturbed basis --------------------------------------------------
 
@@ -190,12 +172,6 @@ class KatoAssembler:
                 T[o] = T.get(o, 0) + w * p
             power = series_product(Q, power, self.orders)
         return T
-
-    def basis_corrections(self, j, orders):
-        """U_j^{(m,n)} = T_(m,n) U_j for every (m, n) in orders, (0, 0)
-        giving U_j."""
-        T = self.transform()
-        return {o: T[o] @ self.U[j] for o in orders}
 
     def inner_product_table(self, orders):
         """The ledger V^H (H V) at each order in `orders`: a 2x2 matrix whose

@@ -50,10 +50,6 @@ def apply_J(v):
     return out
 
 
-def symplectic_pairing(u, v):
-    return inner(apply_J(u), v)
-
-
 def base_eigenvectors(ctx, K=DEFAULT_CUTOFF):
     """The two colliding eigenvectors U1 (mode 1) and U2 (mode -2)."""
     u1 = mode_vector({1: [1j * ctx.gamma1, 1.0]}, K)

@@ -19,7 +19,7 @@ from stokestab.dispersion import build_context, solve_beta_star
 from stokestab.isola import delta_of_theta, find_h_crit, kappa1
 from stokestab.kato import (ALL_ORDERS, KatoAssembler, assemble_matrix_coeffs,
                             b30_coefficient)
-from stokestab.modealg import symplectic_pairing
+from stokestab.modealg import apply_J, inner
 from stokestab.stokes import build_tables
 from stokestab.validator import (
     build_operator,
@@ -116,8 +116,9 @@ def test_criterion_5_structure_invariants(pipeline):
         worst_anti = max(worst_anti, km.diagnostics["antisym_residue"])
         worst_b = max(worst_b, km.diagnostics["b_forbidden_orders"])
         asm = KatoAssembler(ctx, tables)
+        T = asm.transform()
         for j in (1, 2):
-            corr = asm.basis_corrections(j, [(0, 0), *ALL_ORDERS])
+            corr = {o: t @ asm.U[j] for o, t in T.items()}
             for m in range(4):
                 for n in range(4):
                     if not 1 <= m + n <= 3:
@@ -128,7 +129,7 @@ def test_criterion_5_structure_invariants(pipeline):
                             vb = corr.get((bm, bn))
                             vc = corr.get((m - bm, n - bn))
                             if vb is not None and vc is not None:
-                                total += symplectic_pairing(vb, vc)
+                                total += inner(apply_J(vb), vc)
                     worst_pair = max(worst_pair, abs(total))
     ok = worst_imag < 1e-9 and worst_anti < 1e-10 and worst_pair < 1e-9
     report(5, ok,

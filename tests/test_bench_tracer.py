@@ -30,8 +30,9 @@ def spans(tracer, name):
 
 def test_traced_coeffs_item(tracing):
     """The tracer's `dno.CascadeTree` spans count cascade replays, its
-    `kato.apply_P` spans the projection derivatives (one per Taylor order),
-    and it reads the resonance defect the reduction reports."""
+    `kato.apply_P` spans the projection derivatives and its
+    `kato.resolvent_apply` count their mixed-block solves (one of each per
+    Taylor order), and it reads the resonance defect the reduction reports."""
     def table():
         ctx = build_context(1.37)
         return kato.assemble_matrix_coeffs(ctx, build_tables(ctx))
@@ -42,6 +43,7 @@ def test_traced_coeffs_item(tracing):
         km = table()
     assert km.as_dict() == untraced.as_dict()
     assert spans(tracer, "kato.apply_P") == 9
+    assert tracer.counts["kato.resolvent_apply"] == 9
     assert tracer.achieved_tol_max == km.diagnostics["resonance_defect"]
     # one replay at beta*, one at the complex-step beta
     assert spans(tracer, "dno.CascadeTree") == 2
@@ -66,6 +68,7 @@ def test_traced_b30_and_validate_items(tracing):
     assert spans(tracer, "dno.CascadeTree") == 1
     assert spans(tracer, "modealg.fd_taylor") == 0
     assert spans(tracer, "kato.apply_P") == 3
+    assert tracer.counts["kato.resolvent_apply"] == 3
 
     tracer = tracing.Tracer()
     with tracer.installed():

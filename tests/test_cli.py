@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -382,6 +386,21 @@ def test_dno_dump_non_finite_rows_are_an_error(tmp_path, capsys):
     assert ("error: the order-2 multiplier rows at beta=1e+300, h=1.0 are "
             "not finite" in capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_dno_dump_non_finite_rows_print_only_the_error(tmp_path):
+    """Run as a program, the overflowing replay prints the named error and
+    nothing else: no numpy warning with its source line comes first."""
+    src = str(Path(dno.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stokestab.cli", "dno-dump", "--h", "1",
+         "--beta", "1e300", "--outdir", str(tmp_path)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: the order-2 multiplier rows at "
+                           "beta=1e+300, h=1.0 are not finite\n")
 
 
 @pytest.mark.parametrize("bound, given", [

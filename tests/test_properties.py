@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from stokestab.dispersion import build_context
 from stokestab.kato import ALL_ORDERS, KatoAssembler, assemble_matrix_coeffs
-from stokestab.modealg import orders_below, symplectic_pairing
+from stokestab.modealg import apply_J, inner, orders_below
 from stokestab.stokes import build_tables
 
 depths = st.floats(math.log(0.05), math.log(100.0)).map(math.exp)
@@ -39,10 +39,10 @@ def test_reduction_structure_across_depths(h):
     # the perturbed basis keeps its symplectic pairing at every order; the
     # drift is normalized as the coefficient table is (by 4 pi)
     asm = KatoAssembler(ctx, tables)
+    T = asm.transform()
     for j, gamma in ((1, ctx.gamma1), (2, ctx.gamma2)):
-        V = {o: v / math.sqrt(gamma) for o, v in
-             asm.basis_corrections(j, orders_below(ALL_ORDERS)).items()}
+        V = {o: t @ asm.U[j] / math.sqrt(gamma) for o, t in T.items()}
         for m, n in ALL_ORDERS:
-            drift = sum(symplectic_pairing(V[b], V[(m - b[0], n - b[1])])
+            drift = sum(inner(apply_J(V[b]), V[(m - b[0], n - b[1])])
                         for b in orders_below([(m, n)]))
             assert abs(drift) / (4.0 * math.pi) <= 1e-10 * scale, (h, j, m, n)
