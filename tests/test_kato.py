@@ -194,7 +194,7 @@ def _circle(integrand, ctx, radius, nodes):
 
 
 def test_resonance_defect_reported(asm, km1, ctx1, tables1):
-    """The residue's one assumption: both colliding eigenvalues sit on i*sigma."""
+    """The reduction's one assumption: both colliding eigenvalues sit on i*sigma."""
     assert 0.0 <= asm.achieved_tol < 1e-13
     assert km1.diagnostics["resonance_defect"] == asm.achieved_tol
     with pytest.raises(ValueError):
