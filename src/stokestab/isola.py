@@ -112,7 +112,7 @@ def lambda_pair_theta(km, eps, theta):
 
 def _pair(km, eps, theta, rad):
     """The pair at theta whose leading discriminant is rad."""
-    _check_trusted(eps)
+    _check_trusted(eps, delta_of_theta(km, eps, theta))
     e3 = abs(eps) ** 3
     imag = (km.sigma + center_drift(km) * eps * eps
             + 0.5 * (km.a01 + km.c01) * theta * e3)

@@ -6,18 +6,23 @@ coefficients in (eps, delta) of the spectral projection (Kato, Perturbation
 Theory for Linear Operators, Ch. II, sections 1-2); the matrix entries then
 follow from a finite ledger of inner products.
 
-Every Taylor coefficient is a matrix on the mode arrays of `modealg`: the
-operators are 22x22, the basis pair 22x2. A series in (eps, delta) is a dict
-order -> matrix, and one truncated `series_product` serves three steps:
-- the projection: P commutes with M = J H and P^2 = P. Order by order, the
+The reduction works in the real frame of `modealg`: the operator is
+M = i D R D^-1, so its spectral projection at i*sigma is D P D^-1, P that
+of the real R at sigma. Every Taylor coefficient is a real matrix on the
+mode arrays: the operators are 22x22, the basis pair 22x2. A series in
+(eps, delta) is a dict order -> matrix, and one truncated `series_product`
+serves three steps:
+- the projection: P commutes with R and P^2 = P. Order by order, the
   commutator fixes the blocks of P_o that mix the range of the flat
   projector P0 with its complement, through the reduced resolvent Sr of
-  M0 = J H[0, 0]; idempotence fixes the other blocks. M0 is block-diagonal
+  R0 = R[0, 0]; idempotence fixes the other blocks. R0 is block-diagonal
   in the Fourier mode with eigenvalues known in closed form, so P0 and Sr
   are exact: no quadrature is involved;
-- the transform: (I - Q^2)^(-1/2) P U = sum_r w_r Q^r U for U in the range
+- the transform: (I - Q^2)^(-1/2) P u = sum_r w_r Q^r u for u in the range
   of P0, Q = P - P0;
-- the ledger: V^H (H V), V the transformed and normalized base pair.
+- the ledger: V^T S (R V), V the transformed and normalized base pair and S
+  the swap of each mode's two components. It is the ledger V^H (H V) of the
+  self-adjoint H = -J M on the complex pair i D V, because D^H J D = i S.
 No order has a formula of its own.
 
 Conventions: the reduced matrix is written i*sigma*I + i*[[A, B], [-B, C]]
@@ -32,12 +37,12 @@ from functools import cached_property
 import numpy as np
 
 from .dispersion import RESONANT_BRANCHES, spectrum_gap
-from .modealg import (DEFAULT_CUTOFF, apply_J, base_eigenvectors,
-                      operator_family, orders_below)
+from .modealg import (DEFAULT_CUTOFF, base_eigenvectors, operator_family,
+                      orders_below)
 
 
 class PoleError(RuntimeError):
-    """A non-resonant flat eigenvalue sits (numerically) on i*sigma."""
+    """A non-resonant flat eigenvalue sits (numerically) on sigma."""
 
     def __init__(self, message, wavenumber):
         super().__init__(message)
@@ -65,8 +70,8 @@ def series_product(x, y, orders):
     return out
 
 
-# x^r Taylor coefficients of sqrt((1 + x) / (1 - x)): (I - Q^2)^(-1/2) P U
-# for U in the range of P0 is sum_r w_r Q^r U
+# x^r Taylor coefficients of sqrt((1 + x) / (1 - x)): (I - Q^2)^(-1/2) P u
+# for u in the range of P0 is sum_r w_r Q^r u
 _SERIES_WEIGHTS = (1.0, 1.0, 0.5, 0.5)
 
 
@@ -74,62 +79,59 @@ class KatoAssembler:
     """Builds the projection derivatives, the perturbed basis and the ledger
     at the Taylor orders `orders` and below.
 
-    achieved_tol is the resonance defect max |lam_res - i*sigma| / gap of the
-    two colliding flat eigenvalues: the reduction treats both as sitting
-    exactly on i*sigma, and this is the only approximation it makes.
+    achieved_tol is the resonance defect max |lam_res - sigma| / gap of the
+    two colliding flat eigenvalues of R: the reduction treats both as
+    sitting exactly on sigma, and this is the only approximation it makes.
     """
 
     def __init__(self, ctx, tables, orders=ALL_ORDERS):
         self.ctx = ctx
-        self.tables = tables
         self.orders = orders_below(orders)
-        self.H = operator_family(ctx, tables, orders)
-        # M = J H, column by column
-        self.M = {a: apply_J(H.T).T for a, H in self.H.items()}
+        self.R = operator_family(ctx, tables, orders)
         self.P0, self.Sr, defect = self._flat_blocks()
         self.achieved_tol = defect / spectrum_gap(ctx, DEFAULT_CUTOFF)
         u1, u2 = base_eigenvectors(ctx)
-        self.U = {1: u1, 2: u2}
+        self.u = {1: u1, 2: u2}
 
     # -- flat projector and reduced resolvent ------------------------------
 
     def _flat_blocks(self):
         """P0, the sum of the two resonant branch projectors; the reduced
-        resolvent Sr = sum_c P_c / (lam_c - i*sigma) over the other branches
+        resolvent Sr = sum_c P_c / (lam_c - sigma) over the other branches
         c, P_c the branch projector; and the resonance defect
-        max |lam_res - i*sigma|.
+        max |lam_res - sigma|.
 
-        The flat operator M0 = J H[0, 0] is block-diagonal,
-        [[i c0 k, A0(k)], [-1, i c0 k]] on mode k, and so are P0 and Sr.
+        The flat R0 = R[0, 0] is block-diagonal, [[c0 k, A0(k)], [1, c0 k]]
+        on mode k, and so are P0 and Sr: branch s = +-1 has the eigenvalue
+        c0 k + s sqrt(A0) and the projector [[1, s sqrt(A0)],
+        [s / sqrt(A0), 1]] / 2.
         """
-        ctx = self.ctx
-        K = DEFAULT_CUTOFF
-        M0 = self.M[(0, 0)].reshape(2 * K + 1, 2, 2 * K + 1, 2)
-        P0, Sr = (np.zeros(M0.shape, dtype=complex) for _ in range(2))
-        defect = 0.0
-        for k, block in zip(range(-K, K + 1), np.einsum("kakb->kab", M0)):
-            a0 = block[0, 1].real
-            lam = {s: 1j * (ctx.c0 * k + s * math.sqrt(a0)) for s in (1, -1)}
-            for s in (1, -1):
-                proj = (block - lam[-s] * np.eye(2)) / (lam[s] - lam[-s])
-                d = lam[s] - 1j * ctx.sigma
-                if (k, s) in RESONANT_BRANCHES:
-                    defect = max(defect, abs(d))
-                    P0[k + K, :, k + K] += proj
-                elif abs(d) <= 1e-12 * abs(lam[s]):
-                    raise PoleError(
-                        f"flat eigenvalue {lam[s]} at wavenumber {k} is "
-                        f"numerically on i*sigma = {1j * ctx.sigma}", k)
-                else:
-                    Sr[k + K, :, k + K] += proj / d
-        shape = self.M[(0, 0)].shape
-        return P0.reshape(shape), Sr.reshape(shape), defect
+        ctx, K = self.ctx, DEFAULT_CUTOFF
+        ks, s = np.arange(-K, K + 1)[:, None], np.array([1.0, -1.0])
+        root = np.sqrt(self.R[(0, 0)][0::2, 1::2].diagonal())[:, None]
+        lam = ctx.c0 * ks + s * root
+        d = lam - ctx.sigma
+        resonant = np.any([(ks == k) & (s == sign)
+                           for k, sign in RESONANT_BRANCHES], axis=0)
+        pole = np.argwhere(~resonant & (abs(d) <= 1e-12 * abs(lam)))
+        if len(pole):
+            k, b = pole[0]
+            raise PoleError(f"flat eigenvalue i*{lam[k, b]} at wavenumber "
+                            f"{ks[k, 0]} is numerically on i*sigma = "
+                            f"i*{ctx.sigma}", int(ks[k, 0]))
+        one = np.ones(lam.shape)
+        proj = np.array([[one, s * root], [s / root, one]]) / 2
+        flat = lambda w: np.einsum("abks,ks,kq->kaqb", proj, w,
+                                   np.eye(len(ks))).reshape(2 * len(ks), -1)
+        # 1 / inf = 0 leaves the resonant branches out of Sr
+        return (flat(resonant), flat(1 / np.where(resonant, np.inf, d)),
+                float(abs(d[resonant]).max()))
 
     def resolvent_apply(self, x):
-        """The solution Y of [M0, Y] = -x on the mixed blocks
+        """The solution Y of [R0, Y] = -x on the mixed blocks
         P0 Y (I - P0) and (I - P0) Y P0: P0 x Sr - Sr x P0, because
-        M0 P0 = P0 M0 = i*sigma P0 and Sr inverts M0 - i*sigma off the
-        range of P0."""
+        R0 P0 = P0 R0 = sigma P0 and Sr inverts R0 - sigma off the range
+        of P0."""
         return self.P0 @ x @ self.Sr - self.Sr @ x @ self.P0
 
     # -- projection derivatives --------------------------------------------
@@ -137,16 +139,16 @@ class KatoAssembler:
     @cached_property
     def _projections(self):
         """Taylor coefficients P_o of the spectral projection, order by
-        order from [M, P] = 0 and P^2 = P. With P_o left out of the sums,
-        order o of the first is [M0, P_o] = -C, C = sum_(a > 0)
-        [M_a, P_(o-a)]: the mixed blocks. Order o of the second is
+        order from [R, P] = 0 and P^2 = P. With P_o left out of the sums,
+        order o of the first is [R0, P_o] = -C, C = sum_(a > 0)
+        [R_a, P_(o-a)]: the mixed blocks. Order o of the second is
         P0 P_o + P_o P0 - P_o = -S, S = sum P_a P_b over a + b = o: its
         diagonal blocks give P0 P_o P0 = -P0 S P0 and
         (I - P0) P_o (I - P0) = (I - P0) S (I - P0)."""
         P = {(0, 0): self.P0}
         for o in self.orders[1:]:
-            C = (series_product(self.M, P, [o])[o]
-                 - series_product(P, self.M, [o])[o])
+            C = (series_product(self.R, P, [o])[o]
+                 - series_product(P, self.R, [o])[o])
             S = series_product(P, P, [o]).get(o, 0 * self.P0)
             P[o] = self.resolvent_apply(C) + S - self.P0 @ S - S @ self.P0
         return P
@@ -154,7 +156,7 @@ class KatoAssembler:
     def apply_P(self, m, n, v):
         """m-th amplitude, n-th detuning derivative of the projection, on v
         (a mode array or a matrix of mode-array columns): m! n! P_(m,n) v.
-        P(0, 0) is the order-zero projector onto span{U1, U2}."""
+        P(0, 0) is the order-zero projector onto span{u1, u2}."""
         return (math.factorial(m) * math.factorial(n)
                 * (self._projections[(m, n)] @ v))
 
@@ -163,7 +165,7 @@ class KatoAssembler:
     def transform(self):
         """Taylor coefficients of the similarity transform
         T = sum_r w_r Q^r, Q = P - P0, at every order of the assembler."""
-        eye = np.eye(len(self.U[1]))
+        eye = np.eye(len(self.u[1]))
         Q = {(m, n): self.apply_P(m, n, eye) / (
             math.factorial(m) * math.factorial(n)) for m, n in self.orders[1:]}
         T, power = {}, {(0, 0): eye}
@@ -174,15 +176,16 @@ class KatoAssembler:
         return T
 
     def inner_product_table(self, orders):
-        """The ledger V^H (H V) at each order in `orders`: a 2x2 matrix whose
-        entry [k - 1, j - 1] is the Taylor coefficient of (H V_j, V_k) / 2 pi,
-        V_j = T U_j / sqrt(gamma_j) the normalized perturbed basis."""
-        base = np.stack([self.U[1] / math.sqrt(self.ctx.gamma1),
-                         self.U[2] / math.sqrt(self.ctx.gamma2)], axis=1)
+        """The ledger V^T S (R V) at each order in `orders`: a 2x2 matrix
+        whose entry [k - 1, j - 1] is the Taylor coefficient of
+        (H i D V_j, i D V_k) / 2 pi, V_j = T u_j / sqrt(gamma_j) the
+        normalized perturbed basis; S V swaps each mode's two rows."""
+        base = np.stack([self.u[1] / math.sqrt(self.ctx.gamma1),
+                         self.u[2] / math.sqrt(self.ctx.gamma2)], axis=1)
         V = {o: t @ base for o, t in self.transform().items()}
-        HV = series_product(self.H, V, self.orders)
-        return series_product({o: v.conj().T for o, v in V.items()}, HV,
-                              orders)
+        swap = np.arange(len(base)) ^ 1
+        return series_product({o: v[swap].T for o, v in V.items()},
+                              series_product(self.R, V, self.orders), orders)
 
 
 @dataclass
@@ -216,11 +219,6 @@ class KatoMatrix:
         return (self.c01 * delta + self.c20 * eps ** 2 + self.c02 * delta ** 2
                 + self.c21 * eps ** 2 * delta + self.c03 * delta ** 3)
 
-    def L(self, eps, delta):
-        a, b, c = self.A(eps, delta), self.B(eps, delta), self.C(eps, delta)
-        return np.array([[1j * (self.sigma + a), 1j * b],
-                         [-1j * b, 1j * (self.sigma + c)]])
-
     def as_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)
                 if f.name != "diagnostics"}
@@ -229,17 +227,17 @@ class KatoMatrix:
 # the orders of the diagonal Taylor coefficients a_mn, c_mn
 _DIAGONAL_ORDERS = ((0, 1), (2, 0), (0, 2), (2, 1), (0, 3))
 
-# the gates of the imaginary residue, off-diagonal antisymmetry and
-# forbidden B orders of the ledger, relative to coefficient_scale
-IDENTITY_TOLERANCES = (1e-9, 1e-10, 1e-9)
+# the gates of the off-diagonal antisymmetry and forbidden B orders of the
+# ledger, relative to coefficient_scale
+IDENTITY_TOLERANCES = (1e-10, 1e-9)
 
 
 def assemble_matrix_coeffs(ctx, tables):
     """Full third-order Taylor table of the reduced matrix at one depth.
 
-    The halved ledger t = V^H (H V) / 2 holds the Taylor coefficients of
-    [[-A, B], [B, C]] at each order. Its imaginary residue, off-diagonal
-    antisymmetry and forbidden B orders are gated at IDENTITY_TOLERANCES
+    The halved ledger t = V^T S (R V) / 2 holds the Taylor coefficients of
+    [[-A, B], [B, C]] at each order. Its off-diagonal antisymmetry and
+    forbidden B orders are gated at IDENTITY_TOLERANCES
     times coefficient_scale, the largest magnitude among the eleven
     coefficients and the entries of t (at least 1), so deep or shallow
     extremes fail only on genuine structural violations.
@@ -247,22 +245,20 @@ def assemble_matrix_coeffs(ctx, tables):
     """
     asm = KatoAssembler(ctx, tables)
     t = {o: v / 2 for o, v in asm.inner_product_table(ALL_ORDERS).items()}
-    a = {o: float(-v[0, 0].real) for o, v in t.items()}
+    a = {o: float(-v[0, 0]) for o, v in t.items()}
     coeffs = {f"{name}{m}{n}": value
               for m, n in _DIAGONAL_ORDERS
               for name, value in (("a", a[(m, n)]),
-                                  ("c", float(t[(m, n)][1, 1].real)))}
-    coeffs["b30"] = float(t[(3, 0)][1, 0].real)
+                                  ("c", float(t[(m, n)][1, 1])))}
+    coeffs["b30"] = float(t[(3, 0)][1, 0])
 
     km = KatoMatrix(h=ctx.h, beta_star=ctx.beta_star, sigma=ctx.sigma,
                     **coeffs)
-    imag_res = max(abs(v.imag).max() for v in t.values())
     antisym = max(abs(v[1, 0] - v[0, 1]) for v in t.values())
     b_forbidden = max(abs(v[1, 0]) for o, v in t.items() if o != (3, 0))
     scale = max(1.0, *(abs(v) for v in coeffs.values()),
                 *(abs(v).max() for v in t.values()))
     km.diagnostics = {
-        "imag_residue": float(imag_res),
         "antisym_residue": float(antisym),
         "b_forbidden_orders": float(b_forbidden),
         "a_forbidden_orders": max(abs(a[o]) for o in
@@ -270,9 +266,9 @@ def assemble_matrix_coeffs(ctx, tables):
         "coefficient_scale": float(scale),
         "resonance_defect": asm.achieved_tol,
     }
-    names = ("purely imaginary matrix", "off-diagonal antisymmetry",
+    names = ("off-diagonal antisymmetry",
              "no B terms below third order in amplitude")
-    for res, tol, name in zip((imag_res, antisym, b_forbidden),
+    for res, tol, name in zip((antisym, b_forbidden),
                               IDENTITY_TOLERANCES, names):
         allowed = tol * scale
         if res > allowed:
@@ -292,4 +288,4 @@ def b30_coefficient(ctx, tables):
     """Only the (3, 0) off-diagonal coefficient (for depth scans): the
     assembler builds just the amplitude-order blocks and projections."""
     asm = KatoAssembler(ctx, tables, orders=[(3, 0)])
-    return float(asm.inner_product_table([(3, 0)])[(3, 0)][1, 0].real) / 2
+    return float(asm.inner_product_table([(3, 0)])[(3, 0)][1, 0]) / 2

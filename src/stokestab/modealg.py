@@ -1,12 +1,14 @@
-"""Fourier-mode arrays and the expansion blocks of the Hamiltonian.
+"""Fourier-mode arrays and the expansion blocks of the linearized operator.
 
-A state is a complex array over the integer modes k in [-K, K], two
-components per mode, the component c of mode k at index 2(k + K) + c: the
-layout of the dense truncation in `validator`. Operators are dense matrices
-in the same layout. The Hamiltonian blocks H[j, l] collect the
-order-(eps^j, delta^l) pieces of the linearized problem: cosine multipliers
-and first-order derivative terms in the corners, Fourier-multiplier rows of
-the surface operator in the lower-right slot (differentiated l times in the
+A state is an array over the integer modes k in [-K, K], two components
+per mode, the component c of mode k at index 2(k + K) + c: the layout of
+the dense truncation in `validator`. Operators are dense matrices in the
+same layout. Both work in the real frame: with D = diag(1, i) on each
+mode's (eta, psi) pair, the complex operator is M = i D R D^-1 with R real,
+and a state U of M is i D u with u real. The expansion blocks R[j, l]
+collect the order-(eps^j, delta^l) pieces of R: cosine multipliers and
+first-order derivative terms in the corners, Fourier-multiplier rows of the
+surface operator in the upper-right slot (differentiated l times in the
 transverse parameter).
 """
 
@@ -30,8 +32,10 @@ def mode_slot(k, K=DEFAULT_CUTOFF):
 
 
 def mode_vector(entries, K=DEFAULT_CUTOFF):
-    """State array from {mode: (first, second component)}."""
-    out = np.zeros(2 * (2 * K + 1), dtype=complex)
+    """State array from {mode: (first, second component)}, real unless a
+    component is complex."""
+    out = np.zeros(2 * (2 * K + 1), dtype=np.result_type(
+        float, np.array(list(entries.values()))))
     for k, val in entries.items():
         out[mode_slot(k, K):mode_slot(k, K) + 2] = val
     return out
@@ -51,9 +55,10 @@ def apply_J(v):
 
 
 def base_eigenvectors(ctx, K=DEFAULT_CUTOFF):
-    """The two colliding eigenvectors U1 (mode 1) and U2 (mode -2)."""
-    u1 = mode_vector({1: [1j * ctx.gamma1, 1.0]}, K)
-    u2 = mode_vector({-2: [-1j * ctx.gamma2, 1.0]}, K)
+    """The two colliding eigenvectors of R, u1 (mode 1) and u2 (mode -2):
+    U_j = i D u_j are those of M, [i gamma1, 1] and [-i gamma2, 1]."""
+    u1 = mode_vector({1: [ctx.gamma1, -1.0]}, K)
+    u2 = mode_vector({-2: [-ctx.gamma2, -1.0]}, K)
     return u1, u2
 
 
@@ -77,7 +82,6 @@ class RowProvider:
     """
 
     def __init__(self, ctx, tables):
-        self.ctx = ctx
         self.tables = tables
         self.beta = ctx.beta_star
         self.h = ctx.h
@@ -166,24 +170,17 @@ def complex_form(R):
 
 
 # ----------------------------------------------------------------------
-# Hamiltonian expansion blocks
+# expansion blocks
 
-def build_H(j, ell, tables, rows):
-    """The (eps^j, delta^ell) block of the self-adjoint operator.
-
-    It is the order-j fill of the dense operator M, made self-adjoint by an
-    exact row swap and sign, H = -J M: each mode's negated psi row becomes
-    its first row and its eta row the second. For ell >= 1 only the
-    multiplier rows survive (the corner coefficients do not depend on the
-    transverse parameter).
+def build_R(j, ell, tables, rows):
+    """The real (eps^j, delta^ell) block of R: the order-j fill of the
+    dense operator. For ell >= 1 only the multiplier rows survive (the
+    corner coefficients do not depend on the transverse parameter).
     """
     K = DEFAULT_CUTOFF
     p, r = (convolution(profile_series(tables, name).order_coefficients(j)
                         .items() if ell == 0 else (), K) for name in "pr")
-    M = complex_form(real_form(p, r, banded([(j, rows.taylor(j, ell))], K)))
-    H = np.empty_like(M)
-    H[0::2], H[1::2] = -M[1::2], M[0::2]
-    return H
+    return real_form(p, r, banded([(j, rows.taylor(j, ell))], K))
 
 
 def orders_below(orders):
@@ -193,8 +190,8 @@ def orders_below(orders):
 
 
 def operator_family(ctx, tables, orders):
-    """The H[j, l] blocks at and below the Taylor orders `orders`, sharing
+    """The R[j, l] blocks at and below the Taylor orders `orders`, sharing
     one row provider."""
     rows = RowProvider(ctx, tables)
-    return {(j, ell): build_H(j, ell, tables, rows)
+    return {(j, ell): build_R(j, ell, tables, rows)
             for j, ell in orders_below(orders)}

@@ -150,25 +150,18 @@ def flat_spectrum_check(R, beta, h, tol=1e-9):
     return worst <= tol, worst
 
 
-def eigenspace_near(R, center, radius):
-    """(eigenvalues, eigenvectors) of the complex operator inside the disc,
-    sorted as `spectrum_near`: M = i D R D^-1 takes the eigenvector x of R
-    to D x."""
-    mus, vecs = _eigenpairs_near(R, center, radius)
-    return 1j * mus, vecs * np.tile([1.0, 1j], len(vecs) // 2)[:, None]
-
-
 def eigenspace_match_residual(R, ctx):
-    """How far the two near-collision eigenvectors sit from span{U1, U2}."""
-    lams, vecs = eigenspace_near(R, 1j * ctx.sigma, 0.5 * spectrum_gap(ctx))
-    if len(lams) != 2:
-        raise RuntimeError(f"{len(lams)} eigenvalues within half the spectral "
+    """How far the two near-collision eigenvectors of R sit from
+    span{u1, u2}; D is unitary, so the residual is that of M."""
+    mus, vecs = _eigenpairs_near(R, 1j * ctx.sigma, 0.5 * spectrum_gap(ctx))
+    if len(mus) != 2:
+        raise RuntimeError(f"{len(mus)} eigenvalues within half the spectral "
                            "gap of i*sigma, not the colliding pair")
     base = np.stack(base_eigenvectors(ctx, K=len(R) // 4), axis=1)
     qmat, _ = np.linalg.qr(base)
     v = vecs / np.linalg.norm(vecs, axis=0)
-    res = np.linalg.norm(v - qmat @ (qmat.conj().T @ v), axis=0)
-    return float(np.max(np.abs(lams - 1j * ctx.sigma))), float(np.max(res))
+    res = np.linalg.norm(v - qmat @ (qmat.T @ v), axis=0)
+    return float(np.max(np.abs(mus - ctx.sigma))), float(np.max(res))
 
 
 @dataclass
@@ -185,7 +178,8 @@ def compare_isola(km, eps, tables, n_theta=9, K=20):
     dense operator is built at the detuned transverse parameter and its two
     eigenvalues nearest the predicted isola center are matched to the
     third-order pair by nearest assignment; ties (both assignments equal to
-    machine precision) are reported, not broken.
+    machine precision) are reported, not broken. The predictions come
+    first, so a detuning outside the trusted range fails before the replay.
     """
     if n_theta < 1:
         raise ValueError(f"n_theta must be at least 1, got {n_theta}")
@@ -197,12 +191,12 @@ def compare_isola(km, eps, tables, n_theta=9, K=20):
     k1 = kappa1(km)
     thetas = [(-0.9 + 1.8 * i / (n_theta - 1)) * k1
               for i in range(n_theta)] if n_theta > 1 else [0.0]
+    preds = [lambda_pair_theta(km, eps, theta) for theta in thetas]
     betas = [km.beta_star + delta_of_theta(km, eps, theta) for theta in thetas]
     tree = dno.cascade_profiles(range(K + 1), betas, km.h, tables)
     rows, ties = [], []
     max_distance = 0.0
-    for theta, beta in zip(thetas, betas):
-        pred_p, pred_m = lambda_pair_theta(km, eps, theta)
+    for theta, beta, (pred_p, pred_m) in zip(thetas, betas, preds):
         R = build_operator(eps, beta, km.h, tables, K=K, tree=tree)
         center = 0.5 * (pred_p + pred_m)
         radius = max(20.0 * abs(pred_p - center), 50.0 * abs(eps) ** 3)
@@ -287,7 +281,8 @@ def direct_reduced_matrix(ctx, tables, eps, delta):
     Q = P - P0
     Ksim = _inverse_sqrt_one_minus(Q @ Q) @ (P @ P0 + (np.eye(P.shape[0]) - P)
                                              @ (np.eye(P.shape[0]) - P0))
-    u1, u2 = base_eigenvectors(ctx, K=K)
+    u1, u2 = (1j * np.tile([1.0, 1j], 2 * K + 1) * u  # U_j = i D u_j
+              for u in base_eigenvectors(ctx, K=K))
     v = [Ksim @ u1 / math.sqrt(ctx.gamma1), Ksim @ u2 / math.sqrt(ctx.gamma2)]
     # self-adjoint part H = J^T L = -J L, paired as (H a, b)
     ip = lambda a, b: inner(-apply_J(M @ a), b)

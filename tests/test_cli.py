@@ -199,7 +199,7 @@ def test_coeffs_json_keys(tmp_path, capsys):
     diag = payload["diagnostics"]
     assert sorted(diag) == ["a_forbidden_orders", "antisym_residue",
                             "b_forbidden_orders", "coefficient_scale",
-                            "imag_residue", "resonance_defect"]
+                            "resonance_defect"]
     assert all(0.0 <= v < 1e-9 for k, v in diag.items()
                if k != "coefficient_scale")
     assert diag["coefficient_scale"] >= 1.0
@@ -265,6 +265,17 @@ def test_isola_rejects_untrusted_amplitude(tmp_path, capsys):
         assert "error: Taylor table is trusted only" in err
         assert f"(got eps={float(eps)}," in err
         assert list(tmp_path.iterdir()) == []
+
+
+def test_isola_rejects_untrusted_detuning(tmp_path, capsys):
+    """At h = 0.05, eps = 0.01 the isola sits at delta = kappa0 eps^2 of
+    about 12, far outside the trusted detuning: an error, and no file."""
+    assert run_cli(["isola", "--h", "0.05", "--eps", "0.01",
+                    "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: Taylor table is trusted only" in err
+    assert "(got eps=0.01, delta=12." in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, message", [

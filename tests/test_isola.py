@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from stokestab import isola
+from stokestab import dno, isola
+from stokestab.dispersion import build_context
 from stokestab.isola import (
     BracketError,
     DegenerateIsolaError,
@@ -17,6 +18,9 @@ from stokestab.isola import (
     lambda_pair_theta,
     scan_h,
 )
+from stokestab.kato import assemble_matrix_coeffs
+from stokestab.stokes import build_tables
+from stokestab.validator import compare_isola
 
 
 def test_unperturbed_pair(km1):
@@ -60,6 +64,24 @@ def test_eigenvalue_guard(km1):
         isola_geometry(km1, 0.06)
     with pytest.raises(ValueError):
         lambda_pair_theta(km1, -0.06, 0.0)
+
+
+def test_detuning_guard(monkeypatch):
+    """At h = 0.05 the detuning kappa0 eps^2 of eps = 0.01 is about 12, far
+    outside the trusted range: the pair and the dense comparison fail by
+    name, the comparison before its cascade replay."""
+    ctx = build_context(0.05)
+    tables = build_tables(ctx)
+    km = assemble_matrix_coeffs(ctx, tables)
+    with pytest.raises(ValueError, match=r"\(got eps=0.01, delta=12\."):
+        lambda_pair_theta(km, 0.01, 0.0)
+
+    def replay(*args, **kwargs):
+        raise AssertionError("cascade replayed before the window check")
+
+    monkeypatch.setattr(dno, "cascade_profiles", replay)
+    with pytest.raises(ValueError, match=r"\(got eps=0.01, delta=1"):
+        compare_isola(km, 0.01, tables)
 
 
 def test_isola_samples_on_ellipse(km1):

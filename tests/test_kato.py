@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import ComplexFrame
 
 from stokestab import dno
 from stokestab.dispersion import build_context, lambda0, spectrum_gap
@@ -32,7 +33,7 @@ from stokestab.validator import (_dense_projector, _inverse_sqrt_one_minus,
 
 @pytest.fixture(scope="module")
 def asm(ctx1, tables1):
-    return KatoAssembler(ctx1, tables1)
+    return ComplexFrame(KatoAssembler(ctx1, tables1))
 
 
 def _flat_matrix(ctx, lam):
@@ -124,7 +125,7 @@ def test_series_reduction_matches_composition_reference(h):
     composition sums with the per-pair inner-product ledger."""
     ctx = build_context(h)
     tables = build_tables(ctx)
-    asm = KatoAssembler(ctx, tables)
+    asm = ComplexFrame(KatoAssembler(ctx, tables))
     apply_P, basis_corrections = _composition_reference(asm)
     eye = np.eye(len(asm.U[1]), dtype=complex)
     orders = orders_below(ALL_ORDERS)
@@ -169,7 +170,7 @@ def test_projection_solves_its_defining_equations(h):
     reduction: at most 1.41 achieved_tol plus roundoff over the same
     depths (4.6e-14 at h = 0.05, where achieved_tol is 7.5e-14)."""
     ctx = build_context(h)
-    asm = KatoAssembler(ctx, build_tables(ctx))
+    asm = ComplexFrame(KatoAssembler(ctx, build_tables(ctx)))
     orders = orders_below(ALL_ORDERS)
     eye = np.eye(len(asm.U[1]))
     P = {o: asm.apply_P(*o, eye) / (math.factorial(o[0]) * math.factorial(o[1]))
@@ -199,6 +200,20 @@ def test_resonance_defect_reported(asm, km1, ctx1, tables1):
     assert km1.diagnostics["resonance_defect"] == asm.achieved_tol
     with pytest.raises(ValueError):
         spectrum_gap(ctx1, K=4)   # too few modes to bound the gap
+
+
+def test_reduction_is_float64(ctx1, tables1):
+    """Every array the assembler holds (blocks, flat data, base pair and
+    projections) and every transform and ledger entry is float64."""
+    asm = KatoAssembler(ctx1, tables1)
+    ledger = asm.inner_product_table(ALL_ORDERS)
+    assert {"R", "P0", "Sr", "u", "_projections"} <= vars(asm).keys()
+    held = [x for v in vars(asm).values()
+            for x in (v.values() if isinstance(v, dict) else [v])
+            if isinstance(x, np.ndarray)]
+    assert len(held) == 2 * len(asm.orders) + 4   # R, P, P0, Sr, u1, u2
+    for x in (*held, *asm.transform().values(), *ledger.values()):
+        assert x.dtype == np.float64
 
 
 def test_resolvent_inverse_identity(asm, ctx1):
@@ -246,9 +261,9 @@ def test_resolvent_pole_error(ctx1, tables1):
     assert err.value.wavenumber == 3
 
 
-def test_projector_idempotent_on_span(asm, ctx1):
+def test_projector_idempotent_on_span(asm):
     rng = np.random.default_rng(2)
-    u1, u2 = base_eigenvectors(ctx1)
+    u1, u2 = asm.U[1], asm.U[2]
     v = u1 * complex(rng.normal(), rng.normal()) \
         + u2 * complex(rng.normal(), rng.normal())
     once = asm.apply_P(0, 0, v)
@@ -284,7 +299,7 @@ def test_residues_match_dense_circle_quadrature(h):
     node.
     """
     ctx = build_context(h)
-    asm = KatoAssembler(ctx, build_tables(ctx))
+    asm = ComplexFrame(KatoAssembler(ctx, build_tables(ctx)))
     L0 = _flat_matrix(ctx, 0.0)
     radius = 0.75 * spectrum_gap(ctx, DEFAULT_CUTOFF)
     for (m, n), j in (((1, 0), 1), ((2, 1), 2)):
@@ -367,7 +382,8 @@ def test_basis_corrections_are_taylor_coefficients(asm, ctx1, tables1,
     P0 = projector(0.0, 0.0)
     pad = 2 * (K - DEFAULT_CUTOFF)
     T = asm.transform()
-    for j, u in zip((1, 2), base_eigenvectors(ctx1, K=K)):
+    for j, u in zip((1, 2), map(ComplexFrame.vector,
+                                base_eigenvectors(ctx1, K=K))):
         corr = {o: T[o] @ asm.U[j] for o in ALL_ORDERS}
         ray = [(m, n) for m, n in ALL_ORDERS
                if (m > 0) == (direction[0] > 0) and (n > 0) == (direction[1] > 0)]
@@ -457,7 +473,6 @@ def test_detuning_slopes_closed_form(km1, ctx1):
 
 def test_structural_diagnostics(km1):
     d = km1.diagnostics
-    assert d["imag_residue"] < 1e-9
     assert d["antisym_residue"] < 1e-10
     assert d["b_forbidden_orders"] < 1e-9
     assert d["a_forbidden_orders"] < 1e-9
@@ -552,11 +567,3 @@ def test_coefficients_analytic_in_depth():
     second = abs(vals[0] - 2 * vals[1] + vals[2]) / step ** 2
     assert second < 1e3
 
-
-def test_matrix_entry_functions(km1):
-    L = km1.L(0.01, 0.002)
-    assert np.max(np.abs(L.real)) == 0.0
-    assert L[0, 1] == -L[1, 0]
-    tr = L[0, 0] + L[1, 1]
-    expect = 2j * km1.sigma + 1j * (km1.A(0.01, 0.002) + km1.C(0.01, 0.002))
-    assert abs(tr - expect) < 1e-15

