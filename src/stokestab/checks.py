@@ -103,7 +103,7 @@ def _validator_checks(h):
     ctx = build_context(h)
     t = build_tables(ctx)
     R0 = validator.build_operator(0.0, ctx.beta_star, h, K=16, tables=t)
-    ok, worst = validator.flat_spectrum_check(R0, ctx.beta_star, h, tol=1e-9)
+    ok, worst = validator.flat_spectrum_check(R0, ctx.beta_star, h)
     yield "flat-spectrum eigenvalues", ok
     gapd, res = validator.eigenspace_match_residual(R0, ctx)
     yield "double eigenvalue at the collision", gapd < 1e-10 and res < 1e-9

@@ -80,9 +80,8 @@ def _svg_path(points, xmap, ymap):
     )
 
 
-def write_svg(path, curves, xlabel="Re lambda", ylabel="Im lambda - center",
-              width=640, height=480):
-    """Hand-rolled plot: axes plus one polyline per named curve."""
+def write_svg(path, curves, xlabel="Re lambda", ylabel="Im lambda - center"):
+    """Hand-rolled 640 x 480 plot: axes plus one polyline per named curve."""
     pts = [p for _, curve in curves for p in curve]
     if not pts:
         raise ValueError("nothing to plot")
@@ -94,7 +93,7 @@ def write_svg(path, curves, xlabel="Re lambda", ylabel="Im lambda - center",
     ypad = 0.05 * (yhi - ylo or 1.0)
     xlo, xhi = xlo - xpad, xhi + xpad
     ylo, yhi = ylo - ypad, yhi + ypad
-    m = 50
+    width, height, m = 640, 480, 50
     xmap = lambda x: m + (x - xlo) / (xhi - xlo) * (width - 2 * m)
     ymap = lambda y: height - m - (y - ylo) / (yhi - ylo) * (height - 2 * m)
     colors = ["#e66100", "#1f77b4", "#2ca02c", "#9467bd"]
@@ -272,12 +271,14 @@ def cmd_validate(args):
                      "dist"], rows)
     summary = {"h": args.h, "eps": args.eps, "K": args.K,
                "max_distance": comp.max_distance,
-               "ties": len(comp.ties)}
+               "ties": len(comp.ties),
+               "dense_stable_rows": comp.dense_stable_rows}
     if args.ratio_check:
         half = validator.compare_isola(km, args.eps / 2.0, n_theta=args.thetas,
                                        K=args.K, tables=tables)
         summary["max_distance_half_eps"] = half.max_distance
         summary["eps_ratio"] = comp.max_distance / half.max_distance
+        summary["dense_stable_rows_half_eps"] = half.dense_stable_rows
     write_json(_out(args, "validate_summary.json"), summary)
     print(_out(args, "validate_summary.json"))
     return 0

@@ -166,17 +166,15 @@ def build_context(h, tol=1e-12):
 RESONANT_BRANCHES = ((1, -1), (-2, 1))
 
 
-def spectrum_gap(ctx, K=12):
-    """Distance from i*sigma to the rest of the flat spectrum below cutoff K.
+def spectrum_gap(ctx):
+    """Distance from i*sigma to the rest of the flat spectrum.
 
     The two colliding branches (k, sign) = (1, -1) and (-2, +1) are excluded;
     everything else is bounded away by the strict monotonicity of the
-    branches, so the minimum over |k| <= K is the true gap once K >= 5.
+    branches, so the minimum over |k| <= 5 is the true gap.
     """
-    if K < 5:
-        raise ValueError("K must be at least 5")
     gap = math.inf
-    for k in range(-K, K + 1):
+    for k in range(-5, 6):
         for sign in (1, -1):
             if (k, sign) in RESONANT_BRANCHES:
                 continue

@@ -89,7 +89,7 @@ class KatoAssembler:
         self.orders = orders_below(orders)
         self.R = operator_family(ctx, tables, orders)
         self.P0, self.Sr, defect = self._flat_blocks()
-        self.achieved_tol = defect / spectrum_gap(ctx, DEFAULT_CUTOFF)
+        self.achieved_tol = defect / spectrum_gap(ctx)
         u1, u2 = base_eigenvectors(ctx)
         self.u = {1: u1, 2: u2}
 

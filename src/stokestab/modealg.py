@@ -12,8 +12,6 @@ surface operator in the upper-right slot (differentiated l times in the
 transverse parameter).
 """
 
-import math
-
 import numpy as np
 
 from .stokes import profile_series
@@ -38,19 +36,6 @@ def mode_vector(entries, K=DEFAULT_CUTOFF):
         float, np.array(list(entries.values()))))
     for k, val in entries.items():
         out[mode_slot(k, K):mode_slot(k, K) + 2] = val
-    return out
-
-
-def inner(u, v):
-    """L2(T) pairing (u, v) = 2*pi * sum_k <u_k, conj(v_k)>."""
-    return 2.0 * math.pi * np.vdot(v, u)
-
-
-def apply_J(v):
-    """Symplectic rotation J [a, b] = [b, -a] of every mode (last axis)."""
-    out = np.empty_like(v)
-    out[..., 0::2] = v[..., 1::2]
-    out[..., 1::2] = -v[..., 0::2]
     return out
 
 

@@ -6,8 +6,21 @@ import pytest
 
 from stokestab.dispersion import build_context
 from stokestab.kato import series_product
-from stokestab.modealg import apply_J, complex_form
+from stokestab.modealg import complex_form
 from stokestab.stokes import build_tables
+
+
+def inner(u, v):
+    """L2(T) pairing (u, v) = 2*pi * sum_k <u_k, conj(v_k)>."""
+    return 2.0 * math.pi * np.vdot(v, u)
+
+
+def apply_J(v):
+    """Symplectic rotation J [a, b] = [b, -a] of every mode (last axis)."""
+    out = np.empty_like(v)
+    out[..., 0::2] = v[..., 1::2]
+    out[..., 1::2] = -v[..., 0::2]
+    return out
 
 
 @pytest.fixture(scope="session")

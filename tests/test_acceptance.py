@@ -13,14 +13,13 @@ published constant is already 15.4).
 import math
 
 import pytest
-from conftest import ComplexFrame
+from conftest import ComplexFrame, apply_J, inner
 
 from stokestab import dno
 from stokestab.dispersion import build_context, solve_beta_star
 from stokestab.isola import delta_of_theta, find_h_crit, kappa1
 from stokestab.kato import (ALL_ORDERS, KatoAssembler, assemble_matrix_coeffs,
                             b30_coefficient)
-from stokestab.modealg import apply_J, inner
 from stokestab.stokes import build_tables
 from stokestab.validator import (
     build_operator,

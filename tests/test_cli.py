@@ -301,9 +301,22 @@ def test_validate_command(tmp_path, capsys):
     capsys.readouterr()
     summary = json.loads((tmp_path / "validate_summary.json").read_text())
     assert summary["max_distance"] < 1e-6
+    assert summary["dense_stable_rows"] == 0
     lines = (tmp_path / "validate.csv").read_text().splitlines()
     assert lines[0] == "theta,pred_re,pred_im,num_re,num_im,dist"
     assert len(lines) == 4
+
+
+def test_validate_ratio_check_records_rows_without_the_isola(tmp_path,
+                                                             capsys):
+    """At h = 0.5 the dense pair is purely imaginary at one of three
+    detunings at eps and at eps/2: the ratio alone would not say so."""
+    assert run_cli(["validate", "--h", "0.5", "--thetas", "3",
+                    "--ratio-check", "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "validate_summary.json").read_text())
+    assert summary["dense_stable_rows"] == 1
+    assert summary["dense_stable_rows_half_eps"] == 1
 
 
 def test_hcrit_command(tmp_path, capsys):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import ComplexFrame
+from conftest import ComplexFrame, apply_J, inner
 
 from stokestab import dno
 from stokestab.dispersion import build_context, lambda0, spectrum_gap
@@ -22,13 +22,12 @@ from stokestab.kato import (
     b30_coefficient,
     PoleError,
 )
-from stokestab.modealg import (DEFAULT_CUTOFF, apply_J, base_eigenvectors,
-                               complex_form, inner, mode_slot, mode_vector,
-                               orders_below)
+from stokestab.modealg import (DEFAULT_CUTOFF, base_eigenvectors, mode_slot,
+                               mode_vector, orders_below)
 from stokestab.stokes import build_tables
-from stokestab.validator import (_dense_projector, _inverse_sqrt_one_minus,
+from stokestab.validator import (TransformError, _dense_projector,
                                  build_operator, compare_isola,
-                                 direct_entry_functions)
+                                 direct_entry_functions, kato_basis)
 
 
 @pytest.fixture(scope="module")
@@ -198,8 +197,6 @@ def test_resonance_defect_reported(asm, km1, ctx1, tables1):
     """The reduction's one assumption: both colliding eigenvalues sit on i*sigma."""
     assert 0.0 <= asm.achieved_tol < 1e-13
     assert km1.diagnostics["resonance_defect"] == asm.achieved_tol
-    with pytest.raises(ValueError):
-        spectrum_gap(ctx1, K=4)   # too few modes to bound the gap
 
 
 def test_reduction_is_float64(ctx1, tables1):
@@ -301,7 +298,7 @@ def test_residues_match_dense_circle_quadrature(h):
     ctx = build_context(h)
     asm = ComplexFrame(KatoAssembler(ctx, build_tables(ctx)))
     L0 = _flat_matrix(ctx, 0.0)
-    radius = 0.75 * spectrum_gap(ctx, DEFAULT_CUTOFF)
+    radius = 0.75 * spectrum_gap(ctx)
     for (m, n), j in (((1, 0), 1), ((2, 1), 2)):
         v = asm.U[j]
         chains = _compositions(m, n)
@@ -362,40 +359,83 @@ def test_single_projection_supports(asm):
     assert set(_support(u2_20, 1e-11)) <= {-4, -2, 0}
 
 
+def _dense_pair(ctx, tables, eps, delta, K=20):
+    """The real projectors P at (eps, delta) and P0 of the dense truncated
+    R by circle quadrature, and the real base pair on modes -K..K."""
+    radius = 0.5 * spectrum_gap(ctx)
+    P, P0 = (_dense_projector(build_operator(e, ctx.beta_star + d, ctx.h,
+                                             tables, K=K), ctx.sigma, radius)
+             for e, d in ((eps, delta), (0.0, 0.0)))
+    return P, P0, np.stack(base_eigenvectors(ctx, K=K), axis=1)
+
+
 @pytest.mark.parametrize("direction, steps", [((1, 0), (0.005, 0.0025)),
                                               ((0, 1), (0.01, 0.005))])
-def test_basis_corrections_are_taylor_coefficients(asm, ctx1, tables1,
-                                                   direction, steps):
-    """sum over m + n <= 3 of s^(m+n) U_j^(m,n) along a ray (eps, delta) =
-    s * direction is the cubic Taylor polynomial of the dense similarity
-    transform (I - Q^2)^(-1/2) P U_j, with P the projector of the dense
-    truncated operator by circle quadrature: the remainder shrinks 16-fold
+def test_basis_corrections_are_taylor_coefficients(ctx1, tables1, direction,
+                                                   steps):
+    """sum over m + n <= 3 of s^(m+n) T_(m,n) u_j along a ray (eps, delta) =
+    s * direction is the cubic Taylor polynomial of the dense transform
+    `kato_basis` of the real base pair u_j, with P the projector of the
+    dense truncated R by circle quadrature: the remainder shrinks 16-fold
     when s halves (a wrong series weight leaves an s^3 term)."""
     K = 20
-    center, radius = 1j * ctx1.sigma, 0.5 * spectrum_gap(ctx1)
+    pad = ((2 * (K - DEFAULT_CUTOFF),) * 2, (0, 0))
+    T = KatoAssembler(ctx1, tables1).transform()
+    u = np.stack(base_eigenvectors(ctx1), axis=1)
+    ray = [(m, n) for m, n in ALL_ORDERS
+           if (m > 0) == (direction[0] > 0) and (n > 0) == (direction[1] > 0)]
+    rest = []
+    for step in steps:
+        P, P0, U = _dense_pair(ctx1, tables1, step * direction[0],
+                               step * direction[1], K)
+        taylor = U + sum(step ** sum(o) * np.pad(T[o] @ u, pad) for o in ray)
+        rest.append(np.linalg.norm(kato_basis(P, P0, U) - taylor, axis=0))
+    for j in (0, 1):
+        assert rest[0][j] / rest[1][j] == pytest.approx(16.0, abs=0.5), (
+            j, rest)
 
-    def projector(eps, delta):
-        R = build_operator(eps, ctx1.beta_star + delta, ctx1.h, K=K,
-                           tables=tables1)
-        return _dense_projector(complex_form(R), center, radius)
 
-    P0 = projector(0.0, 0.0)
-    pad = 2 * (K - DEFAULT_CUTOFF)
-    T = asm.transform()
-    for j, u in zip((1, 2), map(ComplexFrame.vector,
-                                base_eigenvectors(ctx1, K=K))):
-        corr = {o: T[o] @ asm.U[j] for o in ALL_ORDERS}
-        ray = [(m, n) for m, n in ALL_ORDERS
-               if (m > 0) == (direction[0] > 0) and (n > 0) == (direction[1] > 0)]
-        rest = []
-        for step in steps:
-            P = projector(step * direction[0], step * direction[1])
-            Q = P - P0
-            dense = _inverse_sqrt_one_minus(Q @ Q) @ P @ u
-            taylor = u + sum(step ** sum(o) * np.pad(corr[o], pad)
-                             for o in ray)
-            rest.append(np.linalg.norm(dense - taylor))
-        assert rest[0] / rest[1] == pytest.approx(16.0, abs=0.5), (j, rest)
+@pytest.mark.parametrize("h, eps, delta, bound", [(1.0, 1e-3, 1e-3, 1e-14),
+                                                  (0.05, 1e-4, 1e-4, 2.5e-13)])
+def test_kato_basis_matches_eigendecomposition(h, eps, delta, bound):
+    """The 2x2 transform equals (I - Q^2)^(-1/2) P U formed from an
+    eigendecomposition of the full 82x82 Q^2, Q = P - P0, to 3.5e-16 at
+    h = 1 and 4.9e-14 at h = 0.05 relative to the reference (measured),
+    where ||Q^2|| is 0.9 and the eigenvector matrix has condition 1e3."""
+    ctx = build_context(h)
+    P, P0, U = _dense_pair(ctx, build_tables(ctx), eps, delta)
+    Q = P - P0
+    lam, X = np.linalg.eig(Q @ Q)
+    ref = X @ (np.linalg.solve(X, P @ U) / np.sqrt(1 - lam + 0j)[:, None])
+    assert np.linalg.norm(ref.imag) <= bound * np.linalg.norm(ref)
+    err = np.linalg.norm(kato_basis(P, P0, U) - ref.real)
+    assert err <= bound * np.linalg.norm(ref), (h, err)
+
+
+def test_dense_reduction_names_a_pair_outside_the_contour():
+    """At h = 0.05, (eps, delta) = (2e-4, 2e-4) the colliding pair has left
+    the circle of half the spectral gap: trace(P) is 0, not 2."""
+    ctx = build_context(0.05)
+    with pytest.raises(TransformError, match="trace 0.000, not 2"):
+        direct_entry_functions(ctx, build_tables(ctx), 2e-4, 2e-4)
+
+
+def test_kato_basis_names_a_missing_root():
+    """A G = P0 P on the range of P0 with its eigenvalues on the negative
+    axis has no principal root, even where trace(P) is 2."""
+    P0 = np.diag([1.0, 1.0, 0.0, 0.0])
+    with pytest.raises(TransformError, match="no principal"):
+        kato_basis(2 * np.eye(4) - 3 * P0, P0, np.eye(4)[:, :2])
+
+
+def test_dense_reduction_is_float64(ctx1, tables1):
+    """The projector pair, the transformed basis and the ledger entries of
+    the dense reduction are all float64."""
+    P, P0, U = _dense_pair(ctx1, tables1, 1e-3, 1e-3)
+    for x in (P, P0, kato_basis(P, P0, U)):
+        assert x.dtype == np.float64
+    entries = direct_entry_functions(ctx1, tables1, 1e-3, 1e-3)
+    assert [type(x) for x in entries] == [np.float64] * 3
 
 
 def test_cascade_trees_per_depth(monkeypatch):

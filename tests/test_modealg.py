@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ComplexFrame
+from conftest import ComplexFrame, apply_J, inner
 
 from stokestab import dno
 from stokestab.dispersion import build_context
@@ -10,10 +10,8 @@ from stokestab.kato import ALL_ORDERS
 from stokestab.modealg import (
     DEFAULT_CUTOFF,
     RowProvider,
-    apply_J,
     base_eigenvectors,
     build_R,
-    inner,
     mode_slot,
     mode_vector,
     operator_family,

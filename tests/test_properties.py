@@ -7,12 +7,12 @@ are held to the same standard.
 
 import math
 
-from conftest import ComplexFrame
+from conftest import ComplexFrame, apply_J, inner
 from hypothesis import given, settings, strategies as st
 
 from stokestab.dispersion import build_context
 from stokestab.kato import ALL_ORDERS, KatoAssembler, assemble_matrix_coeffs
-from stokestab.modealg import apply_J, inner, orders_below
+from stokestab.modealg import orders_below
 from stokestab.stokes import build_tables
 
 depths = st.floats(math.log(0.05), math.log(100.0)).map(math.exp)

@@ -96,7 +96,7 @@ def R0(ctx1, tables1):
 
 
 def test_flat_spectrum(R0, ctx1):
-    ok, worst = flat_spectrum_check(R0, ctx1.beta_star, 1.0, tol=1e-9)
+    ok, worst = flat_spectrum_check(R0, ctx1.beta_star, 1.0)
     assert ok, worst
 
 
@@ -217,6 +217,22 @@ def test_compare_isola_ties(h, eps, ties):
     tables = build_tables(ctx)
     comp = compare_isola(assemble_matrix_coeffs(ctx, tables), eps, tables)
     assert len(comp.ties) == ties
+
+
+@pytest.mark.parametrize("h, stable", [(0.5, 3), (2.0, 0)])
+def test_compare_isola_counts_rows_without_the_isola(h, stable):
+    """At eps = 0.01 the predicted pair is unstable at all nine detunings.
+    At h = 0.5 the dense pair is purely imaginary at three of them, so the
+    dense operator has not seen the isola there; at h = 2 it sees it at
+    every detuning. The count is exact: the local solver returns real Ritz
+    values with a real part of exactly 0."""
+    ctx = build_context(h)
+    tables = build_tables(ctx)
+    comp = compare_isola(assemble_matrix_coeffs(ctx, tables), 0.01, tables)
+    assert all(p.real != 0 for _, p, _, _, _, _ in comp.rows)
+    assert comp.dense_stable_rows == stable
+    assert sum(a.real == 0 and b.real == 0
+               for _, _, _, a, b, _ in comp.rows) == stable
 
 
 def test_conjugate_pair_structure(ctx1, tables1):
