@@ -315,6 +315,7 @@ def test_validate_ratio_check_records_rows_without_the_isola(tmp_path,
                     "--ratio-check", "--outdir", str(tmp_path)]) == 0
     capsys.readouterr()
     summary = json.loads((tmp_path / "validate_summary.json").read_text())
+    assert 16.0 * 0.7 <= summary["eps_ratio"] <= 16.0 * 1.3   # 13.2
     assert summary["dense_stable_rows"] == 1
     assert summary["dense_stable_rows_half_eps"] == 1
 
