@@ -155,6 +155,22 @@ def test_tau_matches_branch_slope():
             assert abs(fd - tau / (2.0 * gamma)) < 1e-8 * abs(fd), (h, j)
 
 
+def test_spectrum_gap_positive_and_cutoff_independent():
+    """At h = 2 the gap is positive, and widening the brute-force cutoff
+    from |k| <= 8 to |k| <= 16 leaves it unchanged."""
+    ctx = build_context(2.0)
+
+    def enumerated(K):
+        return min(abs(lambda0(k, ctx.beta_star, ctx.h, sign).imag - ctx.sigma)
+                   for k in range(-K, K + 1) for sign in (1, -1)
+                   if (k, sign) not in ((1, -1), (-2, 1)))
+
+    g8, g16 = enumerated(8), enumerated(16)
+    assert spectrum_gap(ctx) > 0.0
+    assert g8 == g16
+    assert spectrum_gap(ctx) == g8
+
+
 def test_spectrum_gap_matches_enumeration():
     """The gap, taken over |k| <= 5, is positive and is the brute-force
     minimum over |k| <= 64 at both ends of the validated range and between:
