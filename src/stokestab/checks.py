@@ -39,7 +39,7 @@ def _dno_checks(h):
     ctx = build_context(h)
     t = build_tables(ctx)
     beta = ctx.beta_star
-    tree = dno.cascade_profiles(range(-9, 10), (beta,), h, t)
+    tree = dno.cascade_profiles(range(-9, 10), [(beta, h, t)])
     worst = 0.0
     ks = range(-4, 5)
     for k, (bm, bp) in zip(ks, dno.multiplier_rows(1, ks, beta, h, t)[0]):

@@ -208,8 +208,8 @@ def cmd_dno_dump(args):
     tables = build_tables(ctx)
     beta = args.beta if args.beta is not None else ctx.beta_star
     ks = range(args.kmin, args.kmax + 1)
-    tree = dno.cascade_profiles(sorted({abs(k) for k in ks}), (beta,), args.h,
-                                tables)
+    tree = dno.cascade_profiles(sorted({abs(k) for k in ks}),
+                                [(beta, args.h, tables)])
     orders = [dno.multiplier_rows(j, ks, beta, args.h, tables, tree)[0]
               for j in range(4)]
     path = _out(args, "dno.csv")

@@ -16,11 +16,11 @@ order; the solutions stay inside a small closed algebra of terms
 
 so the solve is exact up to roundoff. Which terms arise depends on the unit
 mode alone: each cascade is compiled once into index arrays and replayed in
-numpy for a whole batch of betas. An independent strip solve (Fourier
-modes in x, integral-reformulated Chebyshev collocation in z) gives the
-surface operator at finite amplitude as a matrix on a window of modes;
-divided differences of it recover the same multiplier rows through a
-second, unrelated path.
+numpy for a whole batch of (beta, h) points, depths mixed. An independent
+strip solve (Fourier modes in x, integral-reformulated Chebyshev
+collocation in z) gives the surface operator at finite amplitude as a
+matrix on a window of modes; divided differences of it recover the same
+multiplier rows through a second, unrelated path.
 """
 
 import math
@@ -306,17 +306,22 @@ _plans = {}
 
 
 class CascadeTree:
-    """The vertical profiles of a plan's unit modes at a batch of betas.
+    """The vertical profiles of a plan's unit modes at a batch of points.
 
-    The plan is replayed one order at a time, every tree and beta at once:
-    amps[b, slot] is the amplitude of a profile term at betas[b] and
-    traces[j][b, i] the surface derivative of the i-th order-j profile.
+    The plan is replayed one order at a time, every tree and point at once.
+    A point is (beta, h, tables): the plan holds no depth, so the depth and
+    its expansion tables are columns like beta. amps[b, slot] is the
+    amplitude of a profile term at the b-th point and traces[j][b, i] the
+    surface derivative of the i-th order-j profile.
     """
 
-    def __init__(self, plan, betas, h, tables):
-        self.plan, self.h = plan, h
-        self.index = {beta: b for b, beta in enumerate(betas)}
+    def __init__(self, plan, points):
+        self.plan = plan
+        betas, hs, tables = zip(*points)
+        # keyed by depth as well: close depths can share a beta* float
+        self.index = {(beta, h): b for b, (beta, h, _) in enumerate(points)}
         self.beta = beta = np.array(betas, np.result_type(float, *betas))[:, None]
+        self.h = h = np.array(hs, float)[:, None]
         self.rho = rho = np.sqrt(np.arange(plan.qmax + 1) ** 2 + beta)
         kind, power, n, c, q, s = plan.keys
         self.rates = rates = n + c * rho[:, q]
@@ -325,7 +330,9 @@ class CascadeTree:
         amps[:, 1:plan.n0:2] = np.tanh(h * rates[:, 1:plan.n0:2])
         # the cos(m x) halving and the product-to-sum 1/2 are exact scalings
         halves = np.array([0.25 if p[1] else 0.5 for p in PIECES])
-        pieces = jacobian_amplitudes(tables, h) * beta * halves
+        pieces = np.array([jacobian_amplitudes(t, x)
+                           for t, x in zip(tables, hs)]) * beta * halves
+        h2 = np.array([t.h2 for t in tables])[:, None]
         self.traces, self.forcing = {}, {}
         for j, o in enumerate(plan.orders, start=1):
             prod = pieces[:, o["pa"]] * amps[:, o["pb"]]
@@ -358,7 +365,7 @@ class CascadeTree:
                 neumann[:, o["nfirst"]] = np.add.reduceat(derivative_terms(
                     kind[ns], power[ns], rates[:, ns], s[ns] * h, amps[:, ns],
                     -h, 2, ls[:, o["nprob"]], 34.0), o["nstart"], axis=1)
-                bottom += tables.h2 * neumann
+                bottom += h2 * neumann
             amps[:, us] = up
             amps[:, o["hc"]] += a_hom
             amps[:, o["hs"]] += bottom / rk + a_hom * np.tanh(x)
@@ -373,11 +380,15 @@ class CascadeTree:
         """d/dz of the order-j profile of unit mode k0 at k, at z = 0."""
         return self.traces[j][:, self.plan.problems[(k0, j, k)][0]]
 
-    def rows(self, j, ks, beta):
-        """The order-j rows at output wavenumbers ks (see `multiplier_rows`),
-        one row each, entry i at shift shifts(j)[i]: row k is read from the
-        profiles of unit mode |k| at wavenumbers sign(k) (k + s)."""
-        line = self.traces[j][self.index[beta]]
+    def rows(self, j, ks, beta, h):
+        """The order-j rows at output wavenumbers ks (see `multiplier_rows`)
+        at the point (beta, h), one row each, entry i at shift shifts(j)[i]:
+        row k is read from the profiles of unit mode |k| at wavenumbers
+        sign(k) (k + s)."""
+        if (beta, h) not in self.index:
+            raise ValueError(f"the replay holds no point beta={beta!r}, "
+                             f"h={h!r}")
+        line = self.traces[j][self.index[(beta, h)]]
         firsts = [self.plan.problems[(abs(k), j, abs(k) - j)][0] for k in ks]
         i = np.arange(j + 1)
         return line[np.array(firsts)[:, None]
@@ -385,7 +396,7 @@ class CascadeTree:
 
     def terms(self, k0, j, k, z, n=0):
         """Each term's part of the n-th z-derivative of the order-j profile
-        of unit mode k0 at k, at height z, per beta."""
+        of unit mode k0 at k, at height z, per point."""
         slots = self.plan.profiles[(k0, j, k)]
         kind, power, *_, s = self.plan.keys[:, slots]
         return derivative_terms(kind, power, self.rates[:, slots], s * self.h,
@@ -394,7 +405,7 @@ class CascadeTree:
     def residual(self, k0, j, k, z):
         """Pointwise defect of the order-j problem of unit mode k0 at k, at
         height z, relative to the summed magnitudes of its terms there (its
-        roundoff scale), per beta."""
+        roundoff scale), per point."""
         _, lo, hi = self.plan.problems[(k0, j, k)]
         kind, power, n, c, q, s = self.plan.orders[j - 1]["fkey"][:, lo:hi]
         forcing = derivative_terms(kind, power, n + c * self.rho[:, q],
@@ -404,21 +415,24 @@ class CascadeTree:
         return abs(values.sum(axis=1)) / np.abs(values).sum(axis=1)
 
 
-def cascade_profiles(k0s, betas, h, tables, jmax=3):
-    """The profiles of the unit modes k0s up to order jmax at every beta of
-    `betas`: one replay of their plan, compiled on first use, analytic in a
-    complex beta. The replay runs with numpy's floating-point warnings off:
-    its resonant denominators are 0 where the plan overwrites the quotient,
-    and rows that come out non-finite are named by `multiplier_rows`."""
-    for name, x, kind in [("h", h, numbers.Real)] + [
-            ("beta", beta, numbers.Complex) for beta in betas]:
-        if not (isinstance(x, kind) and np.isfinite(x) and x.real > 0):
-            raise ValueError(f"{name} must be a finite number > 0, got {x!r}")
+def cascade_profiles(k0s, points, jmax=3):
+    """The profiles of the unit modes k0s up to order jmax at every
+    (beta, h, tables) point of `points`: one replay of their plan, compiled
+    on first use, analytic in a complex beta. The replay runs with numpy's
+    floating-point warnings off: its resonant denominators are 0 where the
+    plan overwrites the quotient, and rows that come out non-finite are
+    named by `multiplier_rows`."""
+    for beta, h, _ in points:
+        for name, x, kind in (("h", h, numbers.Real),
+                              ("beta", beta, numbers.Complex)):
+            if not (isinstance(x, kind) and np.isfinite(x) and x.real > 0):
+                raise ValueError(f"{name} must be a finite number > 0, "
+                                 f"got {x!r}")
     key = (tuple(dict.fromkeys(k0s)), jmax)
     if key not in _plans:
         _plans[key] = Plan(*key)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        return CascadeTree(_plans[key], betas, h, tables)
+        return CascadeTree(_plans[key], points)
 
 
 def shifts(j):
@@ -435,10 +449,10 @@ def multiplier_rows(j, ks, beta, h, tables, tree=None, top=0):
     The one place that decides where a row comes from: orders 0 and 1 are
     the printed closed forms, evaluated on Taylor arrays up to top = 3;
     orders 2 and 3 the cascade at top = 0, read from `tree` (a replay holding
-    the unit modes |k| at beta) or from a replay of its own. The operator is
-    self-adjoint and commutes with x -> -x, so entry (k, k+s) equals entry
-    (k+s, k) and entry (-k-s, -k): the whole row is read from the one tree
-    of the unit mode |k|.
+    the unit modes |k| at the point (beta, h)) or from a replay of its own.
+    The operator is self-adjoint and commutes with x -> -x, so entry
+    (k, k+s) equals entry (k+s, k) and entry (-k-s, -k): the whole row is
+    read from the one tree of the unit mode |k|.
     """
     if top not in range(4 if j <= 1 else 1):
         raise ValueError(f"order-{j} rows have Taylor coefficients up to "
@@ -446,9 +460,9 @@ def multiplier_rows(j, ks, beta, h, tables, tree=None, top=0):
     if j <= 1:
         rows = _closed_forms(j, ks, beta, h, top)
     else:
-        tree = tree or cascade_profiles(sorted({abs(k) for k in ks}), (beta,),
-                                        h, tables, j)
-        rows = tree.rows(j, ks, beta)[None]
+        tree = tree or cascade_profiles(sorted({abs(k) for k in ks}),
+                                        [(beta, h, tables)], j)
+        rows = tree.rows(j, ks, beta, h)[None]
     if not np.isfinite(rows).all():
         raise ValueError(f"the order-{j} multiplier rows at beta={beta!r}, "
                          f"h={h!r} are not finite")

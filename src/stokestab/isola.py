@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .dispersion import build_context
 from .kato import assemble_matrix_coeffs, b30_coefficient
+from .modealg import unit_mode_replay
 from .stokes import build_tables
 from .util import bracketed_root
 
@@ -147,6 +148,10 @@ def delta_of_theta(km, eps, theta):
 
 SCAN_QUANTITIES = ("beta_star", "b30", "kappa0", "kappa1")
 
+# depths per cascade replay of `scan_h`: the per-depth replay cost is flat
+# past a batch of about 16
+SCAN_CHUNK = 32
+
 
 def scan_h(h_grid, quantity, progress=None):
     """Evaluate one pipeline quantity per depth; failures are recorded rows.
@@ -154,29 +159,47 @@ def scan_h(h_grid, quantity, progress=None):
     Returns a list of (h, value_or_None, error_message_or_"") rows in grid
     order and hands each row to `progress` as soon as it is done. beta_star
     needs only the resonance solve; the rest run the reduction pipeline
-    (b30 only its amplitude orders, kappas the full table).
+    (b30 only its amplitude orders, kappas the full table). The grid runs in
+    chunks of SCAN_CHUNK depths: each chunk builds its contexts and tables,
+    then one cascade replay serves every depth whose setup succeeded. If
+    that replay fails, each depth replays alone, so an error lands only on
+    the row of the depth that raised it.
     """
     if quantity not in SCAN_QUANTITIES:
         raise ValueError(f"unknown scan quantity {quantity!r}")
 
-    def one(h):
+    def attempt(run, *args):
+        try:
+            return run(*args), ""
+        except Exception as exc:  # recorded, scan continues
+            return None, f"{type(exc).__name__}: {exc}"
+
+    def setup(h):
         ctx = build_context(h)
+        return ctx, None if quantity == "beta_star" else build_tables(ctx)
+
+    def evaluate(ctx, tables, tree):
         if quantity == "beta_star":
             return ctx.beta_star
-        tables = build_tables(ctx)
         if quantity == "b30":
-            return b30_coefficient(ctx, tables)
-        km = assemble_matrix_coeffs(ctx, tables)
+            return b30_coefficient(ctx, tables, tree)
+        km = assemble_matrix_coeffs(ctx, tables, tree)
         return kappa0(km) if quantity == "kappa0" else kappa1(km)
 
-    rows = []
-    for h in h_grid:
-        try:
-            rows.append((h, one(h), ""))
-        except Exception as exc:  # recorded, scan continues
-            rows.append((h, None, f"{type(exc).__name__}: {exc}"))
-        if progress:
-            progress(rows[-1])
+    h_grid, rows = list(h_grid), []
+    for start in range(0, len(h_grid), SCAN_CHUNK):
+        chunk = h_grid[start:start + SCAN_CHUNK]
+        inputs = [attempt(setup, h) for h in chunk]
+        ready = [x for x, _ in inputs if x]
+        tree = None
+        if ready and quantity != "beta_star":
+            tree, _ = attempt(unit_mode_replay, [(ctx.beta_star, ctx.h, tables)
+                                                 for ctx, tables in ready])
+        for h, (x, err) in zip(chunk, inputs):
+            rows.append((h, *attempt(evaluate, *x, tree)) if x
+                        else (h, None, err))
+            if progress:
+                progress(rows[-1])
     return rows
 
 

@@ -79,19 +79,25 @@ class KatoAssembler:
     """Builds the projection derivatives, the perturbed basis and the ledger
     at the Taylor orders `orders` and below.
 
-    achieved_tol is the resonance defect max |lam_res - sigma| / gap of the
-    two colliding flat eigenvalues of R: the reduction treats both as
-    sitting exactly on sigma, and this is the only approximation it makes.
+    `tree`, if given, is a `modealg.unit_mode_replay` holding the point
+    (ctx.beta_star, ctx.h); without one the assembler replays its own.
     """
 
-    def __init__(self, ctx, tables, orders=ALL_ORDERS):
+    def __init__(self, ctx, tables, orders=ALL_ORDERS, tree=None):
         self.ctx = ctx
         self.orders = orders_below(orders)
-        self.R = operator_family(ctx, tables, orders)
-        self.P0, self.Sr, defect = self._flat_blocks()
-        self.achieved_tol = defect / spectrum_gap(ctx)
+        self.R = operator_family(ctx, tables, orders, tree)
+        self.P0, self.Sr, self._defect = self._flat_blocks()
         u1, u2 = base_eigenvectors(ctx)
         self.u = {1: u1, 2: u2}
+
+    @cached_property
+    def achieved_tol(self):
+        """The resonance defect max |lam_res - sigma| / gap of the two
+        colliding flat eigenvalues of R: the reduction treats both as
+        sitting exactly on sigma, and this is the only approximation it
+        makes."""
+        return self._defect / spectrum_gap(self.ctx)
 
     # -- flat projector and reduced resolvent ------------------------------
 
@@ -232,8 +238,9 @@ _DIAGONAL_ORDERS = ((0, 1), (2, 0), (0, 2), (2, 1), (0, 3))
 IDENTITY_TOLERANCES = (1e-10, 1e-9)
 
 
-def assemble_matrix_coeffs(ctx, tables):
-    """Full third-order Taylor table of the reduced matrix at one depth.
+def assemble_matrix_coeffs(ctx, tables, tree=None):
+    """Full third-order Taylor table of the reduced matrix at one depth,
+    its cascade rows read from `tree` (see `KatoAssembler`) if given.
 
     The halved ledger t = V^T S (R V) / 2 holds the Taylor coefficients of
     [[-A, B], [B, C]] at each order. Its off-diagonal antisymmetry and
@@ -243,7 +250,7 @@ def assemble_matrix_coeffs(ctx, tables):
     extremes fail only on genuine structural violations.
     Raises AssemblyError naming the broken identity.
     """
-    asm = KatoAssembler(ctx, tables)
+    asm = KatoAssembler(ctx, tables, tree=tree)
     t = {o: v / 2 for o, v in asm.inner_product_table(ALL_ORDERS).items()}
     a = {o: float(-v[0, 0]) for o, v in t.items()}
     coeffs = {f"{name}{m}{n}": value
@@ -284,8 +291,9 @@ def assemble_matrix_coeffs(ctx, tables):
     return km
 
 
-def b30_coefficient(ctx, tables):
+def b30_coefficient(ctx, tables, tree=None):
     """Only the (3, 0) off-diagonal coefficient (for depth scans): the
-    assembler builds just the amplitude-order blocks and projections."""
-    asm = KatoAssembler(ctx, tables, orders=[(3, 0)])
+    assembler builds just the amplitude-order blocks and projections, its
+    cascade rows read from `tree` (see `KatoAssembler`) if given."""
+    asm = KatoAssembler(ctx, tables, orders=[(3, 0)], tree=tree)
     return float(asm.inner_product_table([(3, 0)])[(3, 0)][1, 0]) / 2

@@ -54,32 +54,39 @@ def base_eigenvectors(ctx, K=DEFAULT_CUTOFF):
 COMPLEX_STEP = 1e-30
 
 
+def unit_mode_replay(points):
+    """One cascade replay of the unit modes 0..5 at every (beta, h, tables)
+    point: the order-2 and order-3 rows of modes -5..5 at each point, on
+    which the vectors of the reduction live (modes -5..4)."""
+    return dno.cascade_profiles(range(DEFAULT_CUTOFF + 1), points)
+
+
 class RowProvider:
     """Order-j multiplier rows of modes -5..5 and their delta-Taylor
     coefficients at beta*.
 
     Every row comes from `dno.multiplier_rows`: the rows themselves at beta*
-    (one replay of the unit modes 0..5 serves orders 2 and 3). Orders 0 and
+    (orders 2 and 3 from `tree`, a `unit_mode_replay` holding the point
+    (ctx.beta_star, ctx.h), or from a replay of its own). Orders 0 and
     1, closed forms, give their Taylor coefficients exactly, as Taylor
     arrays evaluated once to order 3; orders 2 and 3 give their first Taylor
     coefficient by a complex step through the cascade (the reduction stops
     at total order 3, so only (j, l) = (2, 1) is ever asked for).
     """
 
-    def __init__(self, ctx, tables):
+    def __init__(self, ctx, tables, tree=None):
         self.tables = tables
         self.beta = ctx.beta_star
         self.h = ctx.h
         self.ks = range(-DEFAULT_CUTOFF, DEFAULT_CUTOFF + 1)
-        self._tree = self._closed = None
+        self._tree, self._closed = tree, None
 
     def taylor(self, j, ell):
         """The ell-th Taylor coefficients of the order-j rows of modes -5..5,
         an array with one row per mode, laid out as `dno.multiplier_rows`."""
         if ell == 0:
-            # unit modes 0..5: the vectors live on modes -5..4
-            self._tree = self._tree or dno.cascade_profiles(
-                range(DEFAULT_CUTOFF + 1), (self.beta,), self.h, self.tables)
+            self._tree = self._tree or unit_mode_replay(
+                [(self.beta, self.h, self.tables)])
             return dno.multiplier_rows(j, self.ks, self.beta, self.h,
                                        self.tables, self._tree)[0]
         if j <= 1:
@@ -174,9 +181,9 @@ def orders_below(orders):
                    for m in range(top_m + 1) for n in range(top_n + 1)})
 
 
-def operator_family(ctx, tables, orders):
+def operator_family(ctx, tables, orders, tree=None):
     """The R[j, l] blocks at and below the Taylor orders `orders`, sharing
-    one row provider."""
-    rows = RowProvider(ctx, tables)
+    one row provider (and its replay `tree`, if given)."""
+    rows = RowProvider(ctx, tables, tree)
     return {(j, ell): build_R(j, ell, tables, rows)
             for j, ell in orders_below(orders)}

@@ -46,12 +46,12 @@ def build_operator(eps, beta, h, tables, K=20, tree=None):
     G and r blocks real. `complex_form(R)` forms M; K = len(R) // 4.
 
     The surface-operator block sums the multiplier rows of orders 0-3 (from
-    `tree`, a cascade replay of the unit modes 0..K at beta, if given)
+    `tree`, a cascade replay of the unit modes 0..K at (beta, h), if given)
     weighted by powers of eps.
     """
     _check_cutoff(K)
     _check_amplitude(eps)
-    tree = tree or dno.cascade_profiles(range(K + 1), (beta,), h, tables)
+    tree = tree or dno.cascade_profiles(range(K + 1), [(beta, h, tables)])
     G = banded([(j, eps ** j * dno.multiplier_rows(
         j, range(-K, K + 1), beta, h, tables, tree)[0]) for j in range(4)], K)
     p, r = (convolution([(m, amp * eps ** order) for (order, m), amp
@@ -196,7 +196,8 @@ def compare_isola(km, eps, tables, n_theta=9, K=20):
               for i in range(n_theta)] if n_theta > 1 else [0.0]
     preds = [lambda_pair_theta(km, eps, theta) for theta in thetas]
     betas = [km.beta_star + delta_of_theta(km, eps, theta) for theta in thetas]
-    tree = dno.cascade_profiles(range(K + 1), betas, km.h, tables)
+    tree = dno.cascade_profiles(range(K + 1),
+                                [(beta, km.h, tables) for beta in betas])
     rows, ties = [], []
     for theta, beta, (pred_p, pred_m) in zip(thetas, betas, preds):
         R = build_operator(eps, beta, km.h, tables, K=K, tree=tree)

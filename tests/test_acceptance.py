@@ -156,8 +156,8 @@ def test_criterion_6_two_path_dno(pipeline):
         if ctx is None:
             ctx = build_context(h)
             tables = build_tables(ctx)
-        tree = dno.cascade_profiles(range(-7, 8), (ctx.beta_star,), h,
-                                    tables, 1)
+        tree = dno.cascade_profiles(range(-7, 8),
+                                    [(ctx.beta_star, h, tables)], 1)
         ks = range(-6, 7)
         for k, (bm, bp) in zip(ks, dno.multiplier_rows(1, ks, ctx.beta_star,
                                                         h, tables)[0]):

@@ -76,3 +76,29 @@ def test_traced_b30_and_validate_items(tracing):
     assert spans(tracer, "validator.build_operator") == 9
     assert spans(tracer, "validator.spectrum") == 0
     assert spans(tracer, "dno.CascadeTree") == 1
+
+
+def test_traced_scan_replays_once_per_chunk(tracing):
+    """A 16-depth `scan_h`, one chunk, replays the cascade once for all
+    its depths and still calls `isola.b30_coefficient` once per depth:
+    the benchmark's per-depth spans and its injected faults sit there."""
+    grid = [0.05 * 2000.0 ** (i / 15) for i in range(16)]
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        rows = isola.scan_h(grid, "b30")
+    assert all(err == "" for _, _, err in rows)
+    assert spans(tracer, "dno.CascadeTree") == 1
+    assert spans(tracer, "kato.b30_coefficient") == 16
+
+
+def test_scan_reads_b30_through_the_isola_global(monkeypatch):
+    """`scan_h` looks `b30_coefficient` up on `isola` at each depth, where
+    the benchmark's self-test injects a flipped sign: the flip reaches
+    every row."""
+    grid = [0.1, 1.0, 10.0]
+    plain = isola.scan_h(grid, "b30")
+    b30 = isola.b30_coefficient
+    monkeypatch.setattr(isola, "b30_coefficient",
+                        lambda *args: -b30(*args))
+    flipped = isola.scan_h(grid, "b30")
+    assert [v for _, v, _ in flipped] == [-v for _, v, _ in plain]

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import defaultdict
@@ -11,7 +12,7 @@ from mpmath import mp, mpf
 
 from stokestab import dno
 from stokestab.dispersion import build_context
-from stokestab.modealg import RowProvider
+from stokestab.modealg import COMPLEX_STEP, RowProvider
 from stokestab.stokes import build_tables
 
 
@@ -60,7 +61,7 @@ def test_r1_deep_limits():
 def test_cascade_reproduces_order_one(h):
     ctx = build_context(h)
     tables = build_tables(ctx)
-    tree = dno.cascade_profiles(range(-7, 8), (ctx.beta_star,), h, tables, 1)
+    tree = dno.cascade_profiles(range(-7, 8), [(ctx.beta_star, h, tables)], 1)
     ks = range(-6, 7)
     for k, (bm, bp) in zip(ks, dno.multiplier_rows(1, ks, ctx.beta_star, h,
                                                     tables)[0]):
@@ -74,22 +75,50 @@ def test_cascade_order_two_support(setup1):
     assert sorted(row) == [-2, 0, 2]
 
 
-def test_tree_growth_order_is_invisible(setup1):
-    """A row does not depend on what else its replay holds: rows read from
-    one replay of the unit modes 0..4 at three betas, to order 3, equal bit
-    for bit the rows of a replay of mode |k| alone at one beta, and the
-    order-2 rows of a replay that stops at order 2."""
-    ctx, tables = setup1
-    betas, h = [r * ctx.beta_star for r in (0.9, 1.01, 1.3)], 1.0
-    batch = dno.cascade_profiles(range(5), betas, h, tables)
-    for beta in betas:
+def test_tree_growth_order_is_invisible():
+    """A row does not depend on what else its replay holds. One replay of
+    the unit modes 0..4 at mixed points (three betas at h = 1, beta* at
+    h = 0.05 and at h = 100) gives each point the traces of a replay of
+    that point alone, bit for bit, and the rows of a replay of mode |k|
+    alone and of one that stops at order 2. So does a batch with a
+    complex-step beta added: that batch is complex, so each of its points
+    is compared with its own replay as a complex beta."""
+    points = []
+    for h, ratios in ((0.05, (1.0,)), (1.0, (0.9, 1.01, 1.3)), (100.0, (1.0,))):
+        ctx = build_context(h)
+        tables = build_tables(ctx)
+        points += [(r * ctx.beta_star, h, tables) for r in ratios]
+    step = complex(points[1][0], COMPLEX_STEP)
+    mixed = [(complex(b), h, t) for b, h, t in points] + [(step, 1.0, points[1][2])]
+    for batch in (points, mixed):
+        tree = dno.cascade_profiles(range(5), batch)
+        for i, point in enumerate(batch):
+            alone = dno.cascade_profiles(range(5), [point])
+            for j in (1, 2, 3):
+                assert np.array_equal(tree.traces[j][i], alone.traces[j][0])
+    tree = dno.cascade_profiles(range(5), points)
+    for beta, h, tables in points:
         for k in range(-4, 5):
             for j in (2, 3):
                 alone = dno.cascade_row(j, k, beta, h, tables)
-                assert dno.cascade_row(j, k, beta, h, tables, batch) == alone
-            two = dno.cascade_profiles((abs(k),), (beta,), h, tables, 2)
-            assert (two.rows(2, (k,), beta)[0].tolist()
-                    == batch.rows(2, (k,), beta)[0].tolist())
+                assert dno.cascade_row(j, k, beta, h, tables, tree) == alone
+            two = dno.cascade_profiles((abs(k),), [(beta, h, tables)], 2)
+            assert np.array_equal(two.rows(2, (k,), beta, h),
+                                  tree.rows(2, (k,), beta, h))
+
+
+def test_replay_read_at_a_point_it_lacks_is_an_error(setup1):
+    """A replay is keyed by (beta, h): read at its beta but at another
+    depth, it raises a ValueError naming both, and reads no row of the
+    depth it holds."""
+    ctx, tables = setup1
+    beta = ctx.beta_star
+    tree = dno.cascade_profiles(range(3), [(beta, 1.0, tables)])
+    message = re.escape(f"the replay holds no point beta={beta!r}, h=1.0001")
+    with pytest.raises(ValueError, match=message):
+        tree.rows(2, (1,), beta, 1.0001)
+    with pytest.raises(ValueError, match=message):
+        dno.multiplier_rows(2, (1,), beta, 1.0001, tables, tree)
 
 
 def test_cascade_mirror_symmetry():
@@ -101,7 +130,7 @@ def test_cascade_mirror_symmetry():
         ctx = build_context(h)
         tables = build_tables(ctx)
         beta = ctx.beta_star
-        tree = dno.cascade_profiles(range(-23, 24), (beta,), h, tables)
+        tree = dno.cascade_profiles(range(-23, 24), [(beta, h, tables)])
         for j in (2, 3):
             for k in range(-20, 21):
                 row = dno.cascade_row(j, k, beta, h, tables, tree)
@@ -118,7 +147,7 @@ def test_bvp_residual_and_boundaries(setup1):
     bottom Neumann data h2 * u''_{j-2}(-h)."""
     ctx, tables = setup1
     h = 1.0
-    tree = dno.cascade_profiles((1,), (ctx.beta_star,), h, tables)
+    tree = dno.cascade_profiles((1,), [(ctx.beta_star, h, tables)])
     profiles = tree.plan.profiles
     value = lambda j, k, z, n: tree.terms(1, j, k, z, n).sum()
     zs = np.linspace(-h, 0.0, 100)
@@ -268,13 +297,13 @@ def test_replay_dtype_follows_beta(setup1):
     2 and 3)."""
     ctx, tables = setup1
     beta = ctx.beta_star
-    real = dno.cascade_profiles(range(6), (beta,), 1.0, tables)
-    cplx = dno.cascade_profiles(range(6), (complex(beta),), 1.0, tables)
+    real = dno.cascade_profiles(range(6), [(beta, 1.0, tables)])
+    cplx = dno.cascade_profiles(range(6), [(complex(beta), 1.0, tables)])
     assert real.amps.dtype == np.float64
     assert cplx.amps.dtype == np.complex128
     for j in (2, 3):
-        a = np.array(real.rows(j, range(-5, 6), beta))
-        b = np.array(cplx.rows(j, range(-5, 6), complex(beta)))
+        a = np.array(real.rows(j, range(-5, 6), beta, 1.0))
+        b = np.array(cplx.rows(j, range(-5, 6), complex(beta), 1.0))
         assert not b.imag.any()
         assert abs(b.real - a).max() < 1e-12 * abs(a).max()
 
@@ -390,7 +419,7 @@ def test_replay_against_mpmath_rows(h, j, k, bound):
     and 2.3e-14 off, the trees 1.5e-14 and 2.1e-14."""
     ctx = build_context(h)
     tables = build_tables(ctx)
-    tree = dno.cascade_profiles((k,), (ctx.beta_star,), h, tables)
+    tree = dno.cascade_profiles((k,), [(ctx.beta_star, h, tables)])
     worst = 0.0
     for kk in (k, -k):
         exact = _mp_row(j, kk, ctx.beta_star, h, tables)

@@ -161,6 +161,34 @@ def test_scan_records_failures():
     assert rows[1][1] is None and rows[1][2] != ""
 
 
+def test_scan_chunks_keep_rows_per_depth():
+    """A grid that crosses a chunk boundary, with h = -1, NaN and 1e-9 in
+    the middle of its first chunk, and in its second chunk h = 300, whose
+    Jacobian amplitudes overflow in the chunk's replay, so that chunk
+    replays depth by depth: each failure is recorded on its own row only,
+    with the message of its depth run alone; every other row is
+    `b30_coefficient(ctx, tables)` of its depth bit for bit; `progress`
+    gets the rows in grid order."""
+    n = isola.SCAN_CHUNK + 7
+    grid = [0.05 * 2000.0 ** (i / (n - 5)) for i in range(n - 4)]
+    grid[10:10] = [-1.0, math.nan, 1e-9]
+    grid.insert(isola.SCAN_CHUNK + 2, 300.0)
+    seen = []
+    rows = scan_h(grid, "b30", progress=seen.append)
+    assert seen == rows and len(rows) == n
+    for (h, value, err), x in zip(rows, grid):
+        assert h is x
+        try:
+            ctx = build_context(h)
+            expected, message = isola.b30_coefficient(
+                ctx, build_tables(ctx)), ""
+        except (ValueError, OverflowError) as exc:
+            expected, message = None, f"{type(exc).__name__}: {exc}"
+        assert (value, err) == (expected, message), h
+    assert [i for i, row in enumerate(rows) if row[2]] == [
+        10, 11, 12, isola.SCAN_CHUNK + 2]
+
+
 def test_scan_b30_sign_change():
     hs = [0.2, 0.24, 0.26, 0.3, 0.5, 1.0, 2.0, 4.0]
     rows = scan_h(hs, "b30")

@@ -49,7 +49,7 @@ def _loop_assembly(eps, beta, h, tables, K):
                         M[i + 1, c + 1] += 1j * q * fac * pm
                     else:
                         M[i + 1, c] -= fac * pm
-    tree = dno.cascade_profiles(range(K + 1), (beta,), h, tables)
+    tree = dno.cascade_profiles(range(K + 1), [(beta, h, tables)])
     for k in range(-K, K + 1):
         i = mode_slot(k, K)
         for j in range(4):
