@@ -84,19 +84,19 @@ def test_tree_growth_order_is_invisible():
     complex-step beta added: that batch is complex, so each of its points
     is compared with its own replay as a complex beta."""
     points = []
-    for h, ratios in ((0.05, (1.0,)), (1.0, (0.9, 1.01, 1.3)), (100.0, (1.0,))):
+    for h, ratios in ((0.05, [1.0]), (1.0, [0.9, 1.01, 1.3]), (100.0, [1.0])):
         ctx = build_context(h)
         tables = build_tables(ctx)
         points += [(r * ctx.beta_star, h, tables) for r in ratios]
-    step = complex(points[1][0], COMPLEX_STEP)
-    mixed = [(complex(b), h, t) for b, h, t in points] + [(step, 1.0, points[1][2])]
-    for batch in (points, mixed):
+    beta1, _, tables1 = points[1]
+    mixed = [(complex(b), h, t) for b, h, t in points]
+    mixed.append((complex(beta1, COMPLEX_STEP), 1.0, tables1))
+    for batch in (mixed, points):
         tree = dno.cascade_profiles(range(5), batch)
         for i, point in enumerate(batch):
             alone = dno.cascade_profiles(range(5), [point])
             for j in (1, 2, 3):
                 assert np.array_equal(tree.traces[j][i], alone.traces[j][0])
-    tree = dno.cascade_profiles(range(5), points)
     for beta, h, tables in points:
         for k in range(-4, 5):
             for j in (2, 3):
