@@ -18,8 +18,10 @@ serves three steps:
   R0 = R[0, 0]; idempotence fixes the other blocks. R0 is block-diagonal
   in the Fourier mode with eigenvalues known in closed form, so P0 and Sr
   are exact: no quadrature is involved;
-- the transform: (I - Q^2)^(-1/2) P u = sum_r w_r Q^r u for u in the range
-  of P0, Q = P - P0;
+- the transform: Kato's transform takes a basis U of the range of P0 to
+  P U G^(-1/2), P0 P U = U G. G - I is of second order, since
+  P0 P_o P0 = 0 at first order, so G^(-1/2) = (3 I - G) / 2 through third
+  order and T P0 = (3 X - X X) / 2, X = P P0;
 - the ledger: V^T S (R V), V the transformed and normalized base pair and S
   the swap of each mode's two components. It is the ledger V^H (H V) of the
   self-adjoint H = -J M on the complex pair i D V, because D^H J D = i S.
@@ -68,11 +70,6 @@ def series_product(x, y, orders):
             if o in orders:
                 out[o] = out.get(o, 0) + xa @ yb
     return out
-
-
-# x^r Taylor coefficients of sqrt((1 + x) / (1 - x)): (I - Q^2)^(-1/2) P u
-# for u in the range of P0 is sum_r w_r Q^r u
-_SERIES_WEIGHTS = (1.0, 1.0, 0.5, 0.5)
 
 
 class KatoAssembler:
@@ -169,16 +166,15 @@ class KatoAssembler:
     # -- perturbed basis --------------------------------------------------
 
     def transform(self):
-        """Taylor coefficients of the similarity transform
-        T = sum_r w_r Q^r, Q = P - P0, at every order of the assembler."""
-        eye = np.eye(len(self.u[1]))
-        Q = {(m, n): self.apply_P(m, n, eye) / (
+        """Taylor coefficients of Kato's similarity transform T on the range
+        of P0, at every order of the assembler: T P0 = (3 X - X X) / 2,
+        X = P P0, and T_(0,0) = I."""
+        X = {(m, n): self.apply_P(m, n, self.P0) / (
             math.factorial(m) * math.factorial(n)) for m, n in self.orders[1:]}
-        T, power = {}, {(0, 0): eye}
-        for w in _SERIES_WEIGHTS:
-            for o, p in power.items():
-                T[o] = T.get(o, 0) + w * p
-            power = series_product(Q, power, self.orders)
+        X[(0, 0)] = self.P0
+        XX = series_product(X, X, self.orders[1:])
+        T = {o: (3 * X[o] - XX[o]) / 2 for o in self.orders[1:]}
+        T[(0, 0)] = np.eye(len(self.P0))
         return T
 
     def inner_product_table(self, orders):
