@@ -124,11 +124,11 @@ class DepthContext:
     tau1: float
     tau2: float
 
-    def validate(self, tol=1e-12):
+    def validate(self):
         if not 0.0 < self.beta_star < 3.0:
             raise ValueError(f"beta_star={self.beta_star} outside (0, 3)")
         alt = -2.0 * self.c0 + self.gamma2
-        if not abs(self.sigma - alt) <= tol:
+        if not abs(self.sigma - alt) <= 1e-11:
             raise ValueError(
                 f"sigma mismatch: c0 - gamma1 = {self.sigma}, "
                 f"-2 c0 + gamma2 = {alt}"
@@ -143,9 +143,9 @@ def _tau(j, beta, h):
     return 0.5 * (h * sech2(h * u) + math.tanh(h * u) / u)
 
 
-def build_context(h, tol=1e-12):
+def build_context(h):
     """Solve the resonance condition at depth h and package the scalars."""
-    beta = solve_beta_star(h, tol=tol)
+    beta = solve_beta_star(h)
     c0 = tanh_half(h)
     g1 = branch_magnitude(1, beta, h)
     g2 = branch_magnitude(2, beta, h)
@@ -159,7 +159,7 @@ def build_context(h, tol=1e-12):
         tau1=_tau(1, beta, h),
         tau2=_tau(2, beta, h),
     )
-    return ctx.validate(tol=max(tol * 10.0, 1e-12))
+    return ctx.validate()
 
 
 # the two flat branches (wavenumber, sign) that collide at i*sigma
@@ -183,8 +183,8 @@ def spectrum_gap(ctx):
     return gap
 
 
-def beta_star_large_depth_limit(tol=1e-14):
+def beta_star_large_depth_limit():
     """Root of 3 - (1+b)^(1/4) - (4+b)^(1/4) = 0 on [0, 3]."""
     f = lambda b: 3.0 - (1.0 + b) ** 0.25 - (4.0 + b) ** 0.25
-    lo, hi = bracketed_root(f, 0.0, 3.0, f(0.0), f(3.0), tol)
+    lo, hi = bracketed_root(f, 0.0, 3.0, f(0.0), f(3.0), 1e-14)
     return 0.5 * (lo + hi)

@@ -133,7 +133,10 @@ PIECES = ((1, 1, COSH, 1, 1), (2, 0, COSH, 2, 2), (2, 2, COSH, 2, 2),
 
 def jacobian_amplitudes(tables, h):
     t = tables
-    ch, c2h, c3h = math.cosh(h), math.cosh(2 * h), math.cosh(3 * h)
+    try:
+        ch, c2h, c3h = math.cosh(h), math.cosh(2 * h), math.cosh(3 * h)
+    except OverflowError:
+        raise ValueError(f"cosh(3 h) overflows at depth h={h!r}") from None
     z11, z22 = t.zeta11, t.zeta22
     return np.array([
         2.0 * z11 / ch, z11 * z11 / (2 * ch * ch), 4.0 * z22 / c2h,

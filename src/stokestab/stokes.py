@@ -156,24 +156,6 @@ def profile_series(tables, which):
     raise ValueError(f"unknown profile {which!r}")
 
 
-EPS_GUARD = 0.1
-
-
-def eval_profile(tables, eps, x, which):
-    """Evaluate a truncated profile at amplitude eps and grid point x.
-
-    which is one of eta, psi, zeta, p, q, r; zeta returns the full stretch
-    x + deviation. Amplitudes beyond |eps| = 0.1 are refused: the series
-    carry no validity statement there.
-    """
-    if not abs(eps) <= EPS_GUARD:
-        raise RangeError(f"|eps|={abs(eps)} exceeds series guard {EPS_GUARD}")
-    val = profile_series(tables, which).evaluate(eps, x)
-    if which == "zeta":
-        return x + val
-    return val
-
-
 def conformal_fixed_point(ctx, tables, eps, N=256, tol=1e-13, max_sweeps=200):
     """Solve the conformal-stretch fixed point on an N-point grid.
 
@@ -226,14 +208,15 @@ def conformal_fixed_point(ctx, tables, eps, N=256, tol=1e-13, max_sweeps=200):
     raise ConvergenceError(f"no convergence below {tol} in {max_sweeps} sweeps")
 
 
-def r_consistency_residual(tables, orders=((1, 1), (2, 0), (2, 2), (3, 1), (3, 3)),
-                           N=64):
+def r_consistency_residual(tables):
     """Max mismatch between the r table and (1+q)/zeta' rebuilt from q, zeta,
     relative to the largest r amplitude (5.6e8 at h = 0.05).
 
-    Expands (1+q)/zeta' order by order in eps on a grid (series inversion is
-    exact through cubic order) and re-extracts the cosine amplitudes.
+    Expands (1+q)/zeta' order by order in eps on a 64-point grid (series
+    inversion is exact through cubic order) and re-extracts the cosine
+    amplitudes of every entry of the r table.
     """
+    N = 64
     x = 2.0 * math.pi * np.arange(N) / N
     q = profile_series(tables, "q")
     zeta = profile_series(tables, "zeta")
@@ -255,8 +238,8 @@ def r_consistency_residual(tables, orders=((1, 1), (2, 0), (2, 2), (3, 1), (3, 3
             r_ord[i + j] += q_ord[i] * inv[j]
     table = profile_series(tables, "r")
     worst = 0.0
-    for o, m in orders:
+    for (o, m), a in table.coefficients.items():
         coeffs = np.fft.fft(r_ord[o])
         amp = 2.0 * coeffs[m].real / N if m else coeffs[0].real / N
-        worst = max(worst, abs(amp - table.coefficients.get((o, m), 0.0)))
+        worst = max(worst, abs(amp - a))
     return worst / max(map(abs, table.coefficients.values()))

@@ -189,6 +189,20 @@ def test_scan_chunks_keep_rows_per_depth():
         10, 11, 12, isola.SCAN_CHUNK + 2]
 
 
+def test_overflowing_depth_is_named():
+    """From h = 237 up cosh(3 h) overflows in the Jacobian amplitudes:
+    `b30_coefficient` raises a ValueError naming the depth, and `scan_h`
+    records that message on the depth's row; h = 236 still gives the deep
+    b30."""
+    ctx = build_context(300.0)
+    with pytest.raises(ValueError, match=r"depth h=300\.0"):
+        isola.b30_coefficient(ctx, build_tables(ctx))
+    (h, value, err), (_, deep, ok) = scan_h([300.0, 236.0], "b30")
+    assert (h, value) == (300.0, None)
+    assert err == "ValueError: cosh(3 h) overflows at depth h=300.0"
+    assert deep == pytest.approx(-0.49476, abs=1e-5) and ok == ""
+
+
 def test_scan_b30_sign_change():
     hs = [0.2, 0.24, 0.26, 0.3, 0.5, 1.0, 2.0, 4.0]
     rows = scan_h(hs, "b30")

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import functools
+import json
 import math
 import operator
 import os
@@ -377,7 +378,8 @@ def test_basis_corrections_are_taylor_coefficients(ctx1, tables1, direction,
     s * direction is the cubic Taylor polynomial of the dense transform
     `kato_basis` of the real base pair u_j, with P the projector of the
     dense truncated R by circle quadrature: the remainder shrinks 16-fold
-    when s halves (a wrong series weight leaves an s^3 term)."""
+    when s halves (a coefficient wrong at order k <= 3 leaves an s^k
+    term)."""
     K = 20
     pad = ((2 * (K - DEFAULT_CUTOFF),) * 2, (0, 0))
     T = KatoAssembler(ctx1, tables1).transform()
@@ -527,6 +529,24 @@ def test_deep_limit_b30():
 
 def test_fast_b30_matches_full(km1, ctx1, tables1):
     assert b30_coefficient(ctx1, tables1) == pytest.approx(km1.b30, abs=1e-12)
+
+
+REFERENCE = json.loads(
+    (Path(__file__).parent / "data" / "coeffs_reference.json").read_text())
+
+
+@pytest.mark.parametrize("ref", REFERENCE, ids=lambda r: f"h={r['h']}")
+def test_coefficients_match_reference(ref):
+    """Every entry of the coefficient table lies within 1e-12 of the
+    reference's `coefficient_scale` of the committed reference table
+    (`tests/data/coeffs_reference.json`, eight depths across the validated
+    range)."""
+    ctx = build_context(ref["h"])
+    got = assemble_matrix_coeffs(ctx, build_tables(ctx)).as_dict()
+    assert got.keys() == ref["coefficients"].keys()
+    for name, value in ref["coefficients"].items():
+        assert abs(got[name] - value) <= 1e-12 * ref["coefficient_scale"], (
+            name, got[name], value)
 
 
 def test_ledger_completeness_against_direct(km1, ctx1, tables1):

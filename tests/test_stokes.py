@@ -10,7 +10,6 @@ from stokestab.stokes import (
     RangeError,
     build_tables,
     conformal_fixed_point,
-    eval_profile,
     profile_series,
     r_consistency_residual,
 )
@@ -49,27 +48,23 @@ def test_tables_finite_over_depth_range():
             assert math.isfinite(val), (h, name)
 
 
-def test_eval_profile_zero_amplitude(tables1):
+def test_profile_series_zero_amplitude(tables1):
     for x in (0.0, 0.7, 3.1):
-        assert eval_profile(tables1, 0.0, x, "eta") == 0.0
-        assert eval_profile(tables1, 0.0, x, "zeta") == x
-        assert eval_profile(tables1, 0.0, x, "p") == tables1.c0
-        assert eval_profile(tables1, 0.0, x, "q") == 0.0
-        assert eval_profile(tables1, 0.0, x, "r") == 1.0
+        value = lambda which: profile_series(tables1, which).evaluate(0.0, x)
+        assert value("eta") == 0.0
+        assert x + value("zeta") == x
+        assert value("p") == tables1.c0
+        assert value("q") == 0.0
+        assert value("r") == 1.0
 
 
-def test_eval_profile_cosine_sum_at_origin(tables1):
+def test_profile_series_cosine_sum_at_origin(tables1):
     eps = 0.01
     t = tables1
     expected = (eps + eps ** 2 * (t.eta20 + t.eta22)
                 + eps ** 3 * (t.eta31 + t.eta33))
-    assert eval_profile(t, eps, 0.0, "eta") == pytest.approx(expected, rel=1e-14)
-
-
-def test_eval_profile_guard(tables1):
-    for eps in (0.2, math.nan):
-        with pytest.raises(RangeError):
-            eval_profile(tables1, eps, 0.0, "eta")
+    assert profile_series(t, "eta").evaluate(eps, 0.0) == pytest.approx(
+        expected, rel=1e-14)
 
 
 def test_profile_parity(tables1):
