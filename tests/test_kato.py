@@ -537,8 +537,8 @@ REFERENCE = json.loads(
 
 @pytest.mark.parametrize("ref", REFERENCE, ids=lambda r: f"h={r['h']}")
 def test_coefficients_match_reference(ref):
-    """Every entry of the coefficient table lies within 1e-12 of the
-    reference's `coefficient_scale` of the committed reference table
+    """Every entry of the coefficient table lies within 1e-12 of
+    `coefficient_scale` of the committed reference table
     (`tests/data/coeffs_reference.json`, eight depths across the validated
     range)."""
     ctx = build_context(ref["h"])
