@@ -157,11 +157,26 @@ def hyperbolic(kind, arg, m, log_scale=0.0, switch=700.0):
     pairs huge hyperbolic values with tiny amplitudes or damping factors.
     Both branches are analytic, so a complex step through them differentiates.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = np.cosh(arg), np.sinh(arg)
+    return _product(kind, arg, m, pair, log_scale, switch)
+
+
+def _product(kind, arg, m, pair, log_scale, switch):
+    """`hyperbolic` given pair = (cosh(arg), sinh(arg)): the direct product
+    on every element, then the log-space form on only the elements past the
+    switch, gathered and written back."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        near = m * np.where(kind, np.cosh(arg), np.sinh(arg)) * np.exp(log_scale)
-        far = (np.where(kind | (arg.real > 0.0), 1.0, -1.0) * np.sign(m.real)
-               * np.exp(_abs(arg) + np.log(_abs(m)) - LOG2 + log_scale))
-    return np.where(np.abs(arg.real) <= switch, near, far)
+        out = m * np.where(kind, *pair) * np.exp(log_scale)
+        near = np.abs(arg.real) <= switch
+        if not near.all():
+            far = np.broadcast_to(~near, out.shape)
+            kind, arg, m, log_scale = (np.broadcast_to(x, out.shape)[far]
+                                       for x in (kind, arg, m, log_scale))
+            out[far] = (np.where(kind | (arg.real > 0.0), 1.0, -1.0)
+                        * np.sign(m.real) * np.exp(
+                            _abs(arg) + np.log(_abs(m)) - LOG2 + log_scale))
+    return out
 
 
 def derivative_terms(kind, power, rate, shift, amp, z, n, log_scale=0.0,
@@ -169,15 +184,18 @@ def derivative_terms(kind, power, rate, shift, amp, z, n, log_scale=0.0,
     """Each term's part of the n-th z-derivative of a profile at z.
 
     d^n/dz^n [a z^p K(r z + s)] = a r^n z^p K^(n) + p n a r^(n-1) K^(n-1),
-    where K^(n) is K for even n and its partner for odd n.
+    where K^(n) is K for even n and its partner for odd n: both parts take
+    one cosh and one sinh of the shared argument.
     """
     arg = rate * z + shift
     even = kind if n % 2 == 0 else 1 - kind
-    out = hyperbolic(even, arg, amp * rate ** n * np.where(power, z, 1.0),
-                     log_scale, switch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = np.cosh(arg), np.sinh(arg)
+    out = _product(even, arg, amp * rate ** n * np.where(power, z, 1.0), pair,
+                   log_scale, switch)
     if n:
-        out = out + hyperbolic(1 - even, arg, n * amp * rate ** (n - 1) * power,
-                               log_scale, switch)
+        out = out + _product(1 - even, arg, n * amp * rate ** (n - 1) * power,
+                             pair, log_scale, switch)
     return out
 
 
@@ -301,6 +319,12 @@ class Plan:
             o["trs"] = np.flatnonzero(o["ttype"])
             self.orders.append(o)
         self.keys = np.array(keys, np.intp).T
+        # the replay's gathers that hold no point: the key columns at udest
+        # and ns, uprob at uu and ts at trs
+        for o in self.orders:
+            o["ukey"] = self.keys[:, o["udest"]]
+            o["nkey"] = self.keys[:, o["ns"]]
+            o["urow"], o["tslots"] = o["uprob"][o["uu"]], o["ts"][o["trs"]]
         self.profiles = {key: np.array(v) for key, v in profiles.items()}
 
 
@@ -326,7 +350,7 @@ class CascadeTree:
         self.beta = beta = np.array(betas, np.result_type(float, *betas))[:, None]
         self.h = h = np.array(hs, float)[:, None]
         self.rho = rho = np.sqrt(np.arange(plan.qmax + 1) ** 2 + beta)
-        kind, power, n, c, q, s = plan.keys
+        _, _, n, c, q, _ = plan.keys
         self.rates = rates = n + c * rho[:, q]
         self.amps = amps = np.zeros_like(rates)
         amps[:, :plan.n0:2] = 1.0
@@ -345,28 +369,29 @@ class CascadeTree:
             _, _, fn, fc, fq, _ = o["fkey"]
             rate = (fn + fc * rho[:, fq])[:, o["uf"]]
             rk = rho[:, o["pq"]]
-            den = rate * rate - (rk * rk)[:, o["uprob"][o["uu"]]]
+            den = rate * rate - (rk * rk)[:, o["urow"]]
             a = F[:, o["uf"]]
             vals = a / den
             t1, t2 = o["t1"], o["t2"]
             vals[:, t1] = -2.0 * rate[:, t1] * a[:, t1] / (den[:, t1] * den[:, t1])
             vals[:, t2] = a[:, t2] / (2.0 * rate[:, t2])
             up = np.add.reduceat(vals, o["ustart"], axis=1)
+            del prod, rate, den, a, vals  # before the derivative terms
             # homogeneous solve: u(0) = 0, u'(-h) = h2 u''_{j-2}(-h); the
             # bottom data are damped by sech(rho h) in log space
             x = rk * h
             ls = LOG2 - x - np.log1p(np.exp(-2.0 * x))
-            us = o["udest"]
-            terms = (kind[us], power[us], rates[:, us], s[us] * h, up)
+            us, (ukind, upower, *_, ushift) = o["udest"], o["ukey"]
+            terms = (ukind, upower, rates[:, us], ushift * h, up)
             a_hom = -np.add.reduceat(derivative_terms(*terms, 0.0, 0),
                                      o["astart"], axis=1)
             bottom = -np.add.reduceat(derivative_terms(
                 *terms, -h, 1, ls[:, o["uprob"]], 34.0), o["astart"], axis=1)
             if o["ns"].size:
-                ns = o["ns"]
+                ns, (nkind, npower, *_, nshift) = o["ns"], o["nkey"]
                 neumann = np.zeros_like(bottom)
                 neumann[:, o["nfirst"]] = np.add.reduceat(derivative_terms(
-                    kind[ns], power[ns], rates[:, ns], s[ns] * h, amps[:, ns],
+                    nkind, npower, rates[:, ns], nshift * h, amps[:, ns],
                     -h, 2, ls[:, o["nprob"]], 34.0), o["nstart"], axis=1)
                 bottom += h2 * neumann
             amps[:, us] = up
@@ -374,7 +399,7 @@ class CascadeTree:
             amps[:, o["hs"]] += bottom / rk + a_hom * np.tanh(x)
             # surface traces of the merged derivative profiles
             tv = amps[:, o["ts"]]
-            tv[:, o["trs"]] *= rates[:, o["ts"][o["trs"]]]
+            tv[:, o["trs"]] *= rates[:, o["tslots"]]
             g = np.add.reduceat(tv, o["gstart"], axis=1)
             self.traces[j] = np.add.reduceat(
                 hyperbolic(o["gkind"], o["gs"] * h, g), o["pstart"], axis=1)

@@ -220,7 +220,8 @@ def default_h_grid(h_min=0.1, h_max=10.0, points=200):
 
 
 def find_h_crit(bracket=(0.2, 0.3), tol=1e-5):
-    """The depth where b30 changes sign, bracketed to at most tol."""
+    """The depth where b30 changes sign, bracketed to at most tol. The two
+    bracket ends share one cascade replay."""
 
     def b30_at(h):
         ctx = build_context(h)
@@ -231,7 +232,11 @@ def find_h_crit(bracket=(0.2, 0.3), tol=1e-5):
         raise BracketError(f"bad bracket {bracket}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    flo, fhi = b30_at(lo), b30_at(hi)
+    ends = [(ctx, build_tables(ctx))
+            for ctx in (build_context(lo), build_context(hi))]
+    tree = unit_mode_replay([(ctx.beta_star, ctx.h, tables)
+                             for ctx, tables in ends])
+    flo, fhi = (b30_coefficient(*end, tree) for end in ends)
     if flo * fhi > 0.0:
         raise BracketError(
             f"b30 does not change sign on {bracket}: "

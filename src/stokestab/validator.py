@@ -267,20 +267,27 @@ def kato_basis(P, P0, U):
     return P @ U @ np.linalg.inv((G + s * np.eye(2)) / math.sqrt(tr + 2 * s))
 
 
-def direct_entry_functions(ctx, tables, eps, delta):
-    """(A, B, C) at finite (eps, delta), entirely by dense algebra: the
-    spectral projector of the truncated operator by a dense contour
-    integral, Kato's transform of the normalized base pair by the actual
-    projector pair, and the halved ledger t = V^T S (R V) / 2 of `kato`.
-    No Taylor expansion enters, so this is the ground truth the coefficient
-    tables are checked against. K = 20 modes; the contour is the circle of
-    radius half the spectral gap about the collision."""
+def direct_entry_functions(ctx, tables, points):
+    """(A, B, C) at each finite (eps, delta) of `points`, entirely by dense
+    algebra: the spectral projector of the truncated operator by a dense
+    contour integral, Kato's transform of the normalized base pair by the
+    actual projector pair, and the halved ledger t = V^T S (R V) / 2 of
+    `kato`. No Taylor expansion enters, so this is the ground truth the
+    coefficient tables are checked against. K = 20 modes; the contour is the
+    circle of radius half the spectral gap about the collision. The flat
+    operator and its projector depend on the depth alone and are built once
+    for all the points."""
     K, radius = 20, 0.5 * spectrum_gap(ctx)
-    R = build_operator(eps, ctx.beta_star + delta, ctx.h, tables, K=K)
-    R0 = build_operator(0.0, ctx.beta_star, ctx.h, tables, K=K)
+    P0 = _dense_projector(build_operator(0.0, ctx.beta_star, ctx.h, tables,
+                                         K=K), ctx.sigma, radius)
     U = np.stack(base_eigenvectors(ctx, K=K), axis=1) / np.sqrt(
         [ctx.gamma1, ctx.gamma2])
-    V = kato_basis(_dense_projector(R, ctx.sigma, radius),
-                   _dense_projector(R0, ctx.sigma, radius), U)
-    t = V[np.arange(len(R)) ^ 1].T @ (R @ V) / 2   # S swaps each mode's pair
-    return -t[0, 0] - ctx.sigma, (t[0, 1] + t[1, 0]) / 2, t[1, 1] - ctx.sigma
+    entries = []
+    for eps, delta in points:
+        R = build_operator(eps, ctx.beta_star + delta, ctx.h, tables, K=K)
+        V = kato_basis(_dense_projector(R, ctx.sigma, radius), P0, U)
+        # S swaps each mode's pair
+        t = V[np.arange(len(R)) ^ 1].T @ (R @ V) / 2
+        entries.append((-t[0, 0] - ctx.sigma, (t[0, 1] + t[1, 0]) / 2,
+                        t[1, 1] - ctx.sigma))
+    return entries

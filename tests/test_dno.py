@@ -255,6 +255,114 @@ def test_derivative_value_matches_profile_derivative(n):
     assert abs(point(deep, -h, ls) - sum(ref)) < 1e-12 * sum(map(abs, ref))
 
 
+def _two_branch(kind, arg, m, log_scale=0.0, switch=700.0):
+    """The reference for `dno.hyperbolic`: the direct and the log-space
+    products on every element, then one of the two picked per element."""
+    def mag(x):
+        return x * np.sign(x.real) if np.iscomplexobj(x) else np.abs(x)
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        near = (m * np.where(kind, np.cosh(arg), np.sinh(arg))
+                * np.exp(log_scale))
+        far = (np.where(kind | (arg.real > 0.0), 1.0, -1.0) * np.sign(m.real)
+               * np.exp(mag(arg) + np.log(mag(m)) - math.log(2.0) + log_scale))
+    return np.where(np.abs(arg.real) <= switch, near, far)
+
+
+def _two_branch_terms(kind, power, rate, shift, amp, z, n, log_scale=0.0,
+                      switch=700.0):
+    """The reference for `dno.derivative_terms`: each part through its own
+    two-branch product."""
+    arg = rate * z + shift
+    even = kind if n % 2 == 0 else 1 - kind
+    out = _two_branch(even, arg, amp * rate ** n * np.where(power, z, 1.0),
+                      log_scale, switch)
+    if n:
+        out = out + _two_branch(1 - even, arg,
+                                n * amp * rate ** (n - 1) * power,
+                                log_scale, switch)
+    return out
+
+
+def _assert_same_bits(got, ref):
+    """Equal values, NaN where NaN, and the same sign on every zero."""
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(got, ref, equal_nan=True)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
+
+
+# (3, 7) lies below numpy's 256 KiB threshold for reusing a temporary
+# operand's buffer and (16, 1200) above it, where numpy takes the operands of
+# a complex product in the other order, which can move its last bit
+KERNEL_SHAPES = [(3, 7), (16, 1200)]
+# the real and imaginary parts (arg, m) of the kernel tests: real input, a
+# complex step through both, and a real arg with complex amplitudes (the
+# surface traces of a complex replay)
+KERNEL_DTYPES = {"real": (0.0, 0.0), "complex": (0.3, 0.2),
+                 "complex m": (0.0, 0.2)}
+# |Re arg| / switch drawn from these ranges: no element, some and every
+# element past the switch
+KERNEL_REACH = {"none": (0.0, 0.9), "some": (0.0, 1.6), "all": (1.1, 1.6)}
+
+
+def _kernel_inputs(rng, shape, dtype, switch, reach):
+    """arg and m of `shape` with |Re arg| spread over `reach` times the
+    switch, signs mixed, and m holding +0, -0 and negative entries."""
+    lo, hi = KERNEL_REACH[reach]
+    arg = rng.uniform(lo, hi, shape) * switch * rng.choice([-1.0, 1.0], shape)
+    m = rng.standard_normal(shape)
+    m[:, ::5], m[:, 1::5] = 0.0, -0.0
+    im_arg, im_m = KERNEL_DTYPES[dtype]
+    if im_arg:
+        arg = arg + 1j * im_arg * rng.standard_normal(shape)
+    if im_m:
+        m = m + 1j * im_m * rng.standard_normal(shape)
+    return arg, m
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+@pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+def test_hyperbolic_matches_the_two_branch_form(shape, dtype):
+    """The kernel equals its two-branch reference bit for bit: for a scalar
+    kind (as `strip_operator` passes it) and a kind per column, a scalar and
+    an array log-scale, at both switches of the replay, with no element,
+    some and every element past the switch."""
+    rng = np.random.default_rng(3001)
+    for switch in (34.0, 700.0):
+        for reach in KERNEL_REACH:
+            arg, m = _kernel_inputs(rng, shape, dtype, switch, reach)
+            kinds = (dno.COSH, dno.SINH, rng.integers(0, 2, shape[1]))
+            for kind in kinds:
+                for ls in (0.0, -rng.uniform(0.0, 2.0 * switch, shape)):
+                    _assert_same_bits(dno.hyperbolic(kind, arg, m, ls, switch),
+                                      _two_branch(kind, arg, m, ls, switch))
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+@pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+def test_derivative_terms_match_the_two_branch_form(shape, dtype):
+    """The derivatives of order 0, 1 and 2, whose two parts share one cosh
+    and one sinh, equal the reference that takes each part through its own
+    two-branch product, bit for bit, over the inputs of the kernel test with
+    powers 0 and 1 and a height z per point."""
+    rng = np.random.default_rng(3002)
+    z = -rng.uniform(0.5, 2.0, (shape[0], 1))
+    for switch in (34.0, 700.0):
+        for reach in KERNEL_REACH:
+            arg, amp = _kernel_inputs(rng, shape, dtype, switch, reach)
+            shift = rng.integers(-3, 4, shape[1]) * 0.25
+            rate = (arg - shift) / z
+            power = rng.integers(0, 2, shape[1])
+            for kind in (dno.COSH, rng.integers(0, 2, shape[1])):
+                for ls in (0.0, -rng.uniform(0.0, 2.0 * switch, shape)):
+                    for n in (0, 1, 2):
+                        cols = (kind, power, rate, shift, amp, z, n, ls,
+                                switch)
+                        _assert_same_bits(dno.derivative_terms(*cols),
+                                          _two_branch_terms(*cols))
+
+
 def test_deep_strip_cascade_is_finite():
     ctx = build_context(50.0)
     tables = build_tables(ctx)

@@ -219,6 +219,35 @@ def test_find_h_crit_no_sign_change():
         find_h_crit((1.0, 2.0), tol=1e-3)
 
 
+def test_find_h_crit_ends_share_one_replay(monkeypatch):
+    """The two bracket ends are read from one two-point replay, and their
+    b30 values equal the per-depth calls bit for bit; the interior points
+    replay alone."""
+    calls, replays = [], []
+    b30, replay = isola.b30_coefficient, isola.unit_mode_replay
+
+    def spy(ctx, tables, tree=None):
+        calls.append((ctx.h, tree, b30(ctx, tables, tree)))
+        return calls[-1][2]
+
+    def counted(points):
+        replays.append([h for _, h, _ in points])
+        return replay(points)
+
+    monkeypatch.setattr(isola, "b30_coefficient", spy)
+    monkeypatch.setattr(isola, "unit_mode_replay", counted)
+    find_h_crit((0.2, 0.3), tol=1e-5)
+    assert replays == [[0.2, 0.3]]
+    (lo, tree_lo, flo), (hi, tree_hi, fhi) = calls[:2]
+    assert (lo, hi) == (0.2, 0.3) and tree_lo is tree_hi is not None
+    assert all(tree is None for _, tree, _ in calls[2:])
+    for h, value in ((lo, flo), (hi, fhi)):
+        ctx = build_context(h)
+        alone = b30(ctx, build_tables(ctx))
+        assert math.copysign(1.0, alone) == math.copysign(1.0, value)
+        assert alone == value, (h, alone, value)
+
+
 def test_find_h_crit_interval_contract():
     hc = find_h_crit((0.24, 0.26), tol=1e-3)
     assert abs(hc - 0.2506) < 2e-3
@@ -233,8 +262,8 @@ def test_find_h_crit_evaluations(monkeypatch, bracket, most):
     evaluated = []
     b30 = isola.b30_coefficient
 
-    def counted(ctx, tables):
-        evaluated.append((ctx.h, b30(ctx, tables)))
+    def counted(ctx, tables, tree=None):
+        evaluated.append((ctx.h, b30(ctx, tables, tree)))
         return evaluated[-1][1]
 
     monkeypatch.setattr(isola, "b30_coefficient", counted)

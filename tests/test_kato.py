@@ -420,7 +420,7 @@ def test_dense_reduction_names_a_pair_outside_the_contour():
     the circle of half the spectral gap: trace(P) is 0, not 2."""
     ctx = build_context(0.05)
     with pytest.raises(TransformError, match="not 2: the colliding pair left"):
-        direct_entry_functions(ctx, build_tables(ctx), 2e-4, 2e-4)
+        direct_entry_functions(ctx, build_tables(ctx), [(2e-4, 2e-4)])
 
 
 def test_kato_basis_names_a_missing_root():
@@ -437,7 +437,7 @@ def test_dense_reduction_is_float64(ctx1, tables1):
     P, P0, U = _dense_pair(ctx1, tables1, 1e-3, 1e-3)
     for x in (P, P0, kato_basis(P, P0, U)):
         assert x.dtype == np.float64
-    entries = direct_entry_functions(ctx1, tables1, 1e-3, 1e-3)
+    [entries] = direct_entry_functions(ctx1, tables1, [(1e-3, 1e-3)])
     assert [type(x) for x in entries] == [np.float64] * 3
 
 
@@ -556,13 +556,11 @@ def test_ledger_completeness_against_direct(km1, ctx1, tables1):
     1e-12 times the (order-ten) fourth-order coefficients, and shrinking
     at least eight-fold when both parameters halve.
     """
-    def defect(eps, delta):
-        a, b, c = direct_entry_functions(ctx1, tables1, eps, delta)
-        return max(abs(a - km1.A(eps, delta)), abs(b - km1.B(eps, delta)),
-                   abs(c - km1.C(eps, delta)))
-
-    d1 = defect(1e-3, 1e-3)
-    d2 = defect(5e-4, 5e-4)
+    points = [(1e-3, 1e-3), (5e-4, 5e-4)]
+    d1, d2 = (max(abs(a - km1.A(eps, delta)), abs(b - km1.B(eps, delta)),
+                  abs(c - km1.C(eps, delta)))
+              for (eps, delta), (a, b, c)
+              in zip(points, direct_entry_functions(ctx1, tables1, points)))
     assert d1 < 5e-11
     assert d1 / max(d2, 1e-15) > 8.0
 
@@ -583,11 +581,11 @@ def test_shallow_b30_against_direct_reduction():
         ctx = build_context(h)
         tables = build_tables(ctx)
         km = assemble_matrix_coeffs(ctx, tables)
-        g = []
-        for eps in (eps0, eps0 / 2, eps0 / 4):
-            _, bp, _ = direct_entry_functions(ctx, tables, eps, 0.0)
-            _, bm, _ = direct_entry_functions(ctx, tables, -eps, 0.0)
-            g.append((bp - bm) / 2 / eps ** 3)
+        epss = (eps0, eps0 / 2, eps0 / 4)
+        b = [entries[1] for entries in direct_entry_functions(
+            ctx, tables, [(s * eps, 0.0) for eps in epss for s in (1, -1)])]
+        g = [(bp - bm) / 2 / eps ** 3
+             for eps, bp, bm in zip(epss, b[::2], b[1::2])]
         r1a = (4 * g[1] - g[0]) / 3
         r1b = (4 * g[2] - g[1]) / 3
         direct = (16 * r1b - r1a) / 15
