@@ -167,7 +167,9 @@ def _product(kind, arg, m, pair, log_scale, switch):
     on every element, then the log-space form on only the elements past the
     switch, gathered and written back."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = m * np.where(kind, *pair) * np.exp(log_scale)
+        # K(arg) stays a temporary: numpy computes a large product into it
+        # as K * m, and a complex product's last bit depends on that order
+        out = np.asarray(m * np.where(kind, *pair) * np.exp(log_scale))
         near = np.abs(arg.real) <= switch
         if not near.all():
             far = np.broadcast_to(~near, out.shape)
@@ -376,7 +378,8 @@ class CascadeTree:
             vals[:, t1] = -2.0 * rate[:, t1] * a[:, t1] / (den[:, t1] * den[:, t1])
             vals[:, t2] = a[:, t2] / (2.0 * rate[:, t2])
             up = np.add.reduceat(vals, o["ustart"], axis=1)
-            del prod, rate, den, a, vals  # before the derivative terms
+            # freed before the derivative terms, which set the peak memory
+            del prod, rate, den, a, vals
             # homogeneous solve: u(0) = 0, u'(-h) = h2 u''_{j-2}(-h); the
             # bottom data are damped by sech(rho h) in log space
             x = rk * h

@@ -337,6 +337,11 @@ def test_hyperbolic_matches_the_two_branch_form(shape, dtype):
                 for ls in (0.0, -rng.uniform(0.0, 2.0 * switch, shape)):
                     _assert_same_bits(dno.hyperbolic(kind, arg, m, ls, switch),
                                       _two_branch(kind, arg, m, ls, switch))
+    # a scalar argument on both sides of the switch gives a 0-d array
+    for x in (3.0, -40.0, 40.0):
+        arg = np.float64(x) + (0.5j if dtype == "complex" else 0.0)
+        _assert_same_bits(dno.hyperbolic(dno.SINH, arg, -2.0, -30.0, 34.0),
+                          _two_branch(dno.SINH, arg, -2.0, -30.0, 34.0))
 
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES)
