@@ -150,16 +150,22 @@ def _abs(x):
     return x * np.sign(x.real) if np.iscomplexobj(x) else np.abs(x)
 
 
-def hyperbolic(kind, arg, m, log_scale=0.0, switch=700.0):
-    """m * K(arg) * exp(log_scale) elementwise, K = cosh where kind is COSH.
-
-    Past |Re arg| = switch the product is fused in log space: the deep strip
-    pairs huge hyperbolic values with tiny amplitudes or damping factors.
-    Both branches are analytic, so a complex step through them differentiates.
-    """
+def hyperbolic(kind, arg, m):
+    """m * K(arg) elementwise, K = cosh where kind is COSH, fused in log
+    space past |Re arg| = 700 for the deep strip's huge hyperbolic values.
+    Both branches are analytic, so a complex step through them differentiates."""
     with np.errstate(over="ignore", invalid="ignore"):
         pair = np.cosh(arg), np.sinh(arg)
-    return _product(kind, arg, m, pair, log_scale, switch)
+    return _product(kind, arg, m, pair, 0.0, 700.0)
+
+
+def _times(left, right):
+    """left * right in this order, into the temporary right where left is an
+    array of its shape and dtype: numpy computes a product into a large
+    temporary right as right * left, and a complex product's last bit moves."""
+    fits = (type(right) is np.ndarray and getattr(left, "shape", None)
+            == right.shape and left.dtype == right.dtype)
+    return np.multiply(left, right, out=right if fits else None)
 
 
 def _product(kind, arg, m, pair, log_scale, switch):
@@ -167,9 +173,7 @@ def _product(kind, arg, m, pair, log_scale, switch):
     on every element, then the log-space form on only the elements past the
     switch, gathered and written back."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # K(arg) stays a temporary: numpy computes a large product into it
-        # as K * m, and a complex product's last bit depends on that order
-        out = np.asarray(m * np.where(kind, *pair) * np.exp(log_scale))
+        out = np.asarray(_times(m, np.where(kind, *pair)) * np.exp(log_scale))
         near = np.abs(arg.real) <= switch
         if not near.all():
             far = np.broadcast_to(~near, out.shape)
@@ -193,8 +197,8 @@ def derivative_terms(kind, power, rate, shift, amp, z, n, log_scale=0.0,
     even = kind if n % 2 == 0 else 1 - kind
     with np.errstate(over="ignore", invalid="ignore"):
         pair = np.cosh(arg), np.sinh(arg)
-    out = _product(even, arg, amp * rate ** n * np.where(power, z, 1.0), pair,
-                   log_scale, switch)
+    out = _product(even, arg, _times(amp, rate ** n) * np.where(power, z, 1.0),
+                   pair, log_scale, switch)
     if n:
         out = out + _product(1 - even, arg, n * amp * rate ** (n - 1) * power,
                              pair, log_scale, switch)
@@ -249,7 +253,7 @@ class Plan:
     """
 
     def __init__(self, k0s, jmax):
-        self.jmax, self.qmax = jmax, max(map(abs, k0s)) + jmax
+        self.qmax = max(map(abs, k0s)) + jmax
         self.n0 = 2 * len(k0s)      # order-0 slots: cosh, sinh per unit mode
         keys = [(kind, 0, 0, 1, abs(k0), 0) for k0 in k0s for kind in (COSH, SINH)]
         profiles = {(k0, 0, k0): [2 * t, 2 * t + 1] for t, k0 in enumerate(k0s)}
@@ -399,7 +403,7 @@ class CascadeTree:
                 bottom += h2 * neumann
             amps[:, us] = up
             amps[:, o["hc"]] += a_hom
-            amps[:, o["hs"]] += bottom / rk + a_hom * np.tanh(x)
+            amps[:, o["hs"]] += bottom / rk + _times(a_hom, np.tanh(x))
             # surface traces of the merged derivative profiles
             tv = amps[:, o["ts"]]
             tv[:, o["trs"]] *= rates[:, o["tslots"]]

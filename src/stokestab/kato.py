@@ -81,6 +81,9 @@ class KatoAssembler:
     """
 
     def __init__(self, ctx, tables, orders=ALL_ORDERS, tree=None):
+        if any(m + n > 3 for m, n in orders):
+            raise ValueError(f"order {max(orders, key=sum)} lies past the "
+                             "cubic truncation m + n <= 3")
         self.ctx = ctx
         self.orders = orders_below(orders)
         self.R = operator_family(ctx, tables, orders, tree)

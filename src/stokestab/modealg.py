@@ -30,10 +30,8 @@ def mode_slot(k, K=DEFAULT_CUTOFF):
 
 
 def mode_vector(entries, K=DEFAULT_CUTOFF):
-    """State array from {mode: (first, second component)}, real unless a
-    component is complex."""
-    out = np.zeros(2 * (2 * K + 1), dtype=np.result_type(
-        float, np.array(list(entries.values()))))
+    """Real state array from {mode: (first, second component)}."""
+    out = np.zeros(2 * (2 * K + 1))
     for k, val in entries.items():
         out[mode_slot(k, K):mode_slot(k, K) + 2] = val
     return out
@@ -42,9 +40,8 @@ def mode_vector(entries, K=DEFAULT_CUTOFF):
 def base_eigenvectors(ctx, K=DEFAULT_CUTOFF):
     """The two colliding eigenvectors of R, u1 (mode 1) and u2 (mode -2):
     U_j = i D u_j are those of M, [i gamma1, 1] and [-i gamma2, 1]."""
-    u1 = mode_vector({1: [ctx.gamma1, -1.0]}, K)
-    u2 = mode_vector({-2: [-ctx.gamma2, -1.0]}, K)
-    return u1, u2
+    return (mode_vector({1: [ctx.gamma1, -1.0]}, K),
+            mode_vector({-2: [-ctx.gamma2, -1.0]}, K))
 
 
 # ----------------------------------------------------------------------
@@ -153,12 +150,6 @@ def real_form(p, r, G):
     R[1::2, 0::2] = r
     R[1::2, 1::2] = p * ks
     return R
-
-
-def complex_form(R):
-    """M = i D R D^-1 from its real form R."""
-    d = np.tile([1.0, 1j], R.shape[0] // 2)
-    return R * (1j * np.outer(d, 1.0 / d))
 
 
 # ----------------------------------------------------------------------

@@ -17,8 +17,7 @@ import numpy as np
 from . import dno
 from .dispersion import lambda0, spectrum_gap
 from .isola import delta_of_theta, kappa1, lambda_pair_theta
-from .modealg import (banded, base_eigenvectors, complex_form, convolution,
-                      real_form)
+from .modealg import banded, base_eigenvectors, convolution, real_form
 from .stokes import profile_series
 
 
@@ -43,7 +42,7 @@ def build_operator(eps, beta, h, tables, K=20, tree=None):
     """Dense 2(2K+1) x 2(2K+1) truncation of the linearized operator as the
     real R = -i D^-1 M D: with D = diag(1, i) on each mode's (eta, psi)
     pair, the p d/dx blocks of the complex operator M are imaginary and its
-    G and r blocks real. `complex_form(R)` forms M; K = len(R) // 4.
+    G and r blocks real; K = len(R) // 4.
 
     The surface-operator block sums the multiplier rows of orders 0-3 (from
     `tree`, a cascade replay of the unit modes 0..K at (beta, h), if given)
@@ -225,11 +224,11 @@ def compare_isola(km, eps, tables, n_theta=9, K=20):
                            ties=ties, dense_stable_rows=stable)
 
 
-def conjugate_pair_residual(R):
-    """Spectrum symmetry under lam -> -conj(lam) (Hamiltonian reality), from
-    the complex solve: on the real solve it would hold by construction."""
-    lams = np.linalg.eigvals(complex_form(R))
-    return float(np.abs(-lams.conj()[:, None] - lams).min(axis=1).max())
+def hamiltonian_residual(R):
+    """Largest entry of S R - (S R)^T over that of |R|, S the swap of each
+    mode's pair: S R = D^H H D, so this is the defect of H = H^H, M = J H."""
+    SR = R[np.arange(len(R)) ^ 1]
+    return float(np.abs(SR - SR.T).max() / np.abs(R).max())
 
 
 # ----------------------------------------------------------------------

@@ -6,13 +6,18 @@ import pytest
 
 from stokestab.dispersion import build_context
 from stokestab.kato import series_product
-from stokestab.modealg import complex_form
 from stokestab.stokes import build_tables
 
 
 def inner(u, v):
     """L2(T) pairing (u, v) = 2*pi * sum_k <u_k, conj(v_k)>."""
     return 2.0 * math.pi * np.vdot(v, u)
+
+
+def complex_form(R):
+    """M = i D R D^-1 from its real form R."""
+    d = np.tile([1.0, 1j], R.shape[0] // 2)
+    return R * (1j * np.outer(d, 1.0 / d))
 
 
 def apply_J(v):

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from stokestab import dno
@@ -354,6 +355,24 @@ def test_seed_check_at_range_ends_and_deep(capsys, command, h):
     summary = [line for line in capsys.readouterr().out.splitlines()
                if line.startswith("seed-check:")]
     assert len(summary) == 1 and summary[0].endswith(" 0 failed")
+
+
+def test_seed_check_fails_on_a_non_hamiltonian_operator(capsys, monkeypatch):
+    """A surface block G made non-symmetric by 1e-3 at eps = 0.01 fails
+    `validate --seed-check` by name; the checks at eps = 0 still pass."""
+    from stokestab import validator
+    fill = validator.banded
+
+    def broken(terms, K):
+        G = fill(terms, K)
+        # the order-1 rows vanish at eps = 0
+        return G + 1e-3 * np.triu(np.ones_like(G), 1) if terms[1][1].any() else G
+
+    monkeypatch.setattr(validator, "banded", broken)
+    assert run_cli(["validate", "--h", "1", "--seed-check"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "[FAIL] validator: Hamiltonian structure" in out
+    assert out[-1] == "seed-check: 2 passed, 1 failed"
 
 
 def test_seed_check_runs_at_the_given_depth(capsys):

@@ -82,7 +82,19 @@ def test_tree_growth_order_is_invisible():
     that point alone, bit for bit, and the rows of a replay of mode |k|
     alone and of one that stops at order 2. So does a batch with a
     complex-step beta added: that batch is complex, so each of its points
-    is compared with its own replay as a complex beta."""
+    is compared with its own replay as a complex beta. A 16-point
+    complex-step replay of the unit modes 0..20 at h = 1, whose arrays pass
+    numpy's 256 KiB threshold for computing into a temporary operand, gives
+    each point its replay alone too."""
+    ctx = build_context(1.0)
+    tables = build_tables(ctx)
+    wide = [(complex(r * ctx.beta_star, COMPLEX_STEP), 1.0, tables)
+            for r in np.linspace(0.9, 1.3, 16)]
+    tree = dno.cascade_profiles(range(21), wide)
+    for i, point in enumerate(wide):
+        alone = dno.cascade_profiles(range(21), [point])
+        for j in (1, 2, 3):
+            assert np.array_equal(tree.traces[j][i], alone.traces[j][0])
     points = []
     for h, ratios in ((0.05, [1.0]), (1.0, [0.9, 1.01, 1.3]), (100.0, [1.0])):
         ctx = build_context(h)
@@ -262,7 +274,7 @@ def _two_branch(kind, arg, m, log_scale=0.0, switch=700.0):
         return x * np.sign(x.real) if np.iscomplexobj(x) else np.abs(x)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        near = (m * np.where(kind, np.cosh(arg), np.sinh(arg))
+        near = (np.multiply(m, np.where(kind, np.cosh(arg), np.sinh(arg)))
                 * np.exp(log_scale))
         far = (np.where(kind | (arg.real > 0.0), 1.0, -1.0) * np.sign(m.real)
                * np.exp(mag(arg) + np.log(mag(m)) - math.log(2.0) + log_scale))
@@ -275,7 +287,8 @@ def _two_branch_terms(kind, power, rate, shift, amp, z, n, log_scale=0.0,
     two-branch product."""
     arg = rate * z + shift
     even = kind if n % 2 == 0 else 1 - kind
-    out = _two_branch(even, arg, amp * rate ** n * np.where(power, z, 1.0),
+    out = _two_branch(even, arg,
+                      np.multiply(amp, rate ** n) * np.where(power, z, 1.0),
                       log_scale, switch)
     if n:
         out = out + _two_branch(1 - even, arg,
@@ -293,8 +306,9 @@ def _assert_same_bits(got, ref):
 
 
 # (3, 7) lies below numpy's 256 KiB threshold for reusing a temporary
-# operand's buffer and (16, 1200) above it, where numpy takes the operands of
-# a complex product in the other order, which can move its last bit
+# operand's buffer and (16, 1200) above it, where numpy would take the
+# operands of `a * temporary` in the other order, which can move the last bit
+# of a complex product: the kernel and its reference both fix the order
 KERNEL_SHAPES = [(3, 7), (16, 1200)]
 # the real and imaginary parts (arg, m) of the kernel tests: real input, a
 # complex step through both, and a real arg with complex amplitudes (the
@@ -325,23 +339,21 @@ def _kernel_inputs(rng, shape, dtype, switch, reach):
 @pytest.mark.parametrize("dtype", KERNEL_DTYPES)
 def test_hyperbolic_matches_the_two_branch_form(shape, dtype):
     """The kernel equals its two-branch reference bit for bit: for a scalar
-    kind (as `strip_operator` passes it) and a kind per column, a scalar and
-    an array log-scale, at both switches of the replay, with no element,
-    some and every element past the switch."""
+    kind (as `strip_operator` passes it) and a kind per column, with no
+    element, some and every element past its switch at 700. The other
+    switch and the log-scales reach the same product through
+    `derivative_terms` (n = 0) in the next test."""
     rng = np.random.default_rng(3001)
-    for switch in (34.0, 700.0):
-        for reach in KERNEL_REACH:
-            arg, m = _kernel_inputs(rng, shape, dtype, switch, reach)
-            kinds = (dno.COSH, dno.SINH, rng.integers(0, 2, shape[1]))
-            for kind in kinds:
-                for ls in (0.0, -rng.uniform(0.0, 2.0 * switch, shape)):
-                    _assert_same_bits(dno.hyperbolic(kind, arg, m, ls, switch),
-                                      _two_branch(kind, arg, m, ls, switch))
+    for reach in KERNEL_REACH:
+        arg, m = _kernel_inputs(rng, shape, dtype, 700.0, reach)
+        for kind in (dno.COSH, dno.SINH, rng.integers(0, 2, shape[1])):
+            _assert_same_bits(dno.hyperbolic(kind, arg, m),
+                              _two_branch(kind, arg, m))
     # a scalar argument on both sides of the switch gives a 0-d array
-    for x in (3.0, -40.0, 40.0):
+    for x in (3.0, -800.0, 800.0):
         arg = np.float64(x) + (0.5j if dtype == "complex" else 0.0)
-        _assert_same_bits(dno.hyperbolic(dno.SINH, arg, -2.0, -30.0, 34.0),
-                          _two_branch(dno.SINH, arg, -2.0, -30.0, 34.0))
+        _assert_same_bits(dno.hyperbolic(dno.SINH, arg, -2.0),
+                          _two_branch(dno.SINH, arg, -2.0))
 
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES)

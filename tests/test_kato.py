@@ -6,6 +6,7 @@ import math
 import operator
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -257,6 +258,17 @@ def test_resolvent_pole_error(ctx1, tables1):
     with pytest.raises(PoleError) as err:
         KatoAssembler(dataclasses.replace(ctx1, sigma=on_branch), tables1)
     assert err.value.wavenumber == 3
+
+
+@pytest.mark.parametrize("order", [(4, 0), (0, 4), (2, 2), (3, 1)])
+def test_orders_past_the_cubic_truncation_are_an_error(ctx1, tables1, order):
+    """T P0 = (3X - XX)/2 is exact only through total order 3, and the
+    operator is cubic in eps: a higher order is one named error, raised
+    before any block is built."""
+    message = re.escape(f"order {order} lies past the cubic truncation "
+                        "m + n <= 3")
+    with pytest.raises(ValueError, match=message):
+        KatoAssembler(ctx1, tables1, orders=[order])
 
 
 def test_projector_idempotent_on_span(asm):

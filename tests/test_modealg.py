@@ -34,8 +34,12 @@ def complex_base(ctx):
 
 
 def random_vector(rng, kmin=-5, kmax=5):
-    return mode_vector({k: rng.normal(size=2) + 1j * rng.normal(size=2)
-                        for k in range(kmin, kmax + 1)})
+    """A complex state on modes kmin..kmax: mode arrays are real, so its
+    real and imaginary parts are filled apart."""
+    vals = {k: rng.normal(size=2) + 1j * rng.normal(size=2)
+            for k in range(kmin, kmax + 1)}
+    return (mode_vector({k: v.real for k, v in vals.items()})
+            + 1j * mode_vector({k: v.imag for k, v in vals.items()}))
 
 
 def support(v):

@@ -1,20 +1,21 @@
 import numpy as np
 import pytest
+from conftest import ComplexFrame, complex_form
 
 from stokestab import dno, validator
 from stokestab.dispersion import build_context
 from stokestab.isola import delta_of_theta, kappa1, lambda_pair_theta
 from stokestab.kato import assemble_matrix_coeffs
-from stokestab.modealg import complex_form, mode_slot
+from stokestab.modealg import mode_slot
 from stokestab.stokes import build_tables, profile_series
 from stokestab.validator import (
     SpectrumError,
     build_operator,
     compare_isola,
-    conjugate_pair_residual,
     _eigenpairs_near,
     eigenspace_match_residual,
     flat_spectrum_check,
+    hamiltonian_residual,
     spectrum,
     spectrum_near,
 )
@@ -235,9 +236,28 @@ def test_compare_isola_counts_rows_without_the_isola(h, stable):
                for _, _, _, a, b, _ in comp.rows) == stable
 
 
-def test_conjugate_pair_structure(ctx1, tables1):
-    R = build_operator(0.01, ctx1.beta_star + 1e-4, 1.0, K=16, tables=tables1)
-    assert conjugate_pair_residual(R) < 1e-9
+@pytest.mark.parametrize("h", [0.05, 1.0, 100.0])
+def test_hamiltonian_structure(depths, h):
+    """S R is D^H H D, H = -J M the self-adjoint block of the complex frame,
+    exactly. Its asymmetry is exactly 0 at eps = 0 and roundoff at
+    eps = 0.01, and it reads a strict upper triangle of 1e-3 added to the
+    surface block G or to the r band of a K = 16 operator."""
+    ctx, tables = depths[h]
+    beta = ctx.beta_star * 1.001
+    R0, R = (build_operator(eps, beta, h, tables, K=16) for eps in (0.0, 0.01))
+    d = np.tile([1.0, 1j], len(R) // 2)
+    H = ComplexFrame.block(R)
+    assert np.array_equal(d.conj()[:, None] * H * d, R[np.arange(len(R)) ^ 1])
+    assert hamiltonian_residual(R0) == 0.0
+    assert hamiltonian_residual(R) < 1e-14
+    scale = np.abs(R).max()
+    triangle = np.triu(np.random.default_rng(33).standard_normal((33, 33)), 1)
+    for block in ((slice(0, None, 2), slice(1, None, 2)),
+                  (slice(1, None, 2), slice(0, None, 2))):
+        broken = R.copy()
+        broken[block] += 1e-3 * triangle
+        defect = np.abs(triangle).max() * 1e-3 / scale
+        assert hamiltonian_residual(broken) == pytest.approx(defect, rel=1e-9)
 
 
 def test_resolution_independence(ctx1, tables1, km1):
