@@ -102,8 +102,8 @@ def _validator_checks(h):
     ctx = build_context(h)
     t = build_tables(ctx)
     tree = dno.cascade_profiles(range(17), [(ctx.beta_star, h, t)])
-    R0, R = (validator.build_operator(eps, ctx.beta_star, h, t, K=16, tree=tree)
-             for eps in (0.0, 0.01))
+    R0, R = (validator.build_operator(eps, ctx.beta_star, h, t, K=16,
+                                      tree=tree) for eps in (0.0, 0.01))
     ok, worst = validator.flat_spectrum_check(R0, ctx.beta_star, h)
     yield "flat-spectrum eigenvalues", ok
     gapd, res = validator.eigenspace_match_residual(R0, ctx)

@@ -153,7 +153,7 @@ def _abs(x):
 def hyperbolic(kind, arg, m):
     """m * K(arg) elementwise, K = cosh where kind is COSH, fused in log
     space past |Re arg| = 700 for the deep strip's huge hyperbolic values.
-    Both branches are analytic, so a complex step through them differentiates."""
+    Both branches are analytic, so a complex step differentiates them."""
     with np.errstate(over="ignore", invalid="ignore"):
         pair = np.cosh(arg), np.sinh(arg)
     return _product(kind, arg, m, pair, 0.0, 700.0)
@@ -161,8 +161,8 @@ def hyperbolic(kind, arg, m):
 
 def _times(left, right):
     """left * right in this order, into the temporary right where left is an
-    array of its shape and dtype: numpy computes a product into a large
-    temporary right as right * left, and a complex product's last bit moves."""
+    array of its shape and dtype: numpy would compute a large temporary
+    right's product as right * left, moving a complex product's last bit."""
     fits = (type(right) is np.ndarray and getattr(left, "shape", None)
             == right.shape and left.dtype == right.dtype)
     return np.multiply(left, right, out=right if fits else None)

@@ -363,12 +363,14 @@ def test_seed_check_fails_on_a_non_hamiltonian_operator(capsys, monkeypatch):
     from stokestab import validator
     fill = validator.banded
 
-    def broken(terms, K):
+    def skewed(terms, K):
         G = fill(terms, K)
         # the order-1 rows vanish at eps = 0
-        return G + 1e-3 * np.triu(np.ones_like(G), 1) if terms[1][1].any() else G
+        if terms[1][1].any():
+            G += 1e-3 * np.triu(np.ones_like(G), 1)
+        return G
 
-    monkeypatch.setattr(validator, "banded", broken)
+    monkeypatch.setattr(validator, "banded", skewed)
     assert run_cli(["validate", "--h", "1", "--seed-check"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert "[FAIL] validator: Hamiltonian structure" in out
