@@ -17,7 +17,7 @@ import numpy as np
 from . import checks
 from .dispersion import (beta_star_large_depth_limit, build_context,
                          resonance_residual, solve_beta_star)
-from .stokes import build_tables
+from .stokes import ORDER, build_tables
 from . import dno, isola, kato, validator
 
 
@@ -211,7 +211,7 @@ def cmd_dno_dump(args):
     tree = dno.cascade_profiles(sorted({abs(k) for k in ks}),
                                 [(beta, args.h, tables)])
     orders = [dno.multiplier_rows(j, ks, beta, args.h, tables, tree)[0]
-              for j in range(4)]
+              for j in range(ORDER + 1)]
     path = _out(args, "dno.csv")
     write_csv(path, ["k", "A0", "Bm1", "Bp1", "Cm2", "C0", "Cp2",
                      "Dm3", "Dm1", "Dp1", "Dp3"],

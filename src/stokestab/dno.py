@@ -28,6 +28,7 @@ import numbers
 
 import numpy as np
 
+from .stokes import ORDER
 from .util import coth, sech2
 
 
@@ -450,7 +451,7 @@ class CascadeTree:
         return abs(values.sum(axis=1)) / np.abs(values).sum(axis=1)
 
 
-def cascade_profiles(k0s, points, jmax=3):
+def cascade_profiles(k0s, points, jmax=ORDER):
     """The profiles of the unit modes k0s up to order jmax at every
     (beta, h, tables) point of `points`: one replay of their plan, compiled
     on first use, analytic in a complex beta. The replay runs with numpy's
@@ -482,16 +483,16 @@ def multiplier_rows(j, ks, beta, h, tables, tree=None, top=0):
     ks[i] + shifts(j)[m] (so [0, i, 0] at j = 1 is the printed B-1(k)).
 
     The one place that decides where a row comes from: orders 0 and 1 are
-    the printed closed forms, evaluated on Taylor arrays up to top = 3;
+    the printed closed forms, evaluated on Taylor arrays up to top = ORDER;
     orders 2 and 3 the cascade at top = 0, read from `tree` (a replay holding
     the unit modes |k| at the point (beta, h)) or from a replay of its own.
     The operator is self-adjoint and commutes with x -> -x, so entry
     (k, k+s) equals entry (k+s, k) and entry (-k-s, -k): the whole row is
     read from the one tree of the unit mode |k|.
     """
-    if top not in range(4 if j <= 1 else 1):
+    if top not in range(ORDER + 1 if j <= 1 else 1):
         raise ValueError(f"order-{j} rows have Taylor coefficients up to "
-                         f"order {3 if j <= 1 else 0}, got top={top}")
+                         f"order {ORDER if j <= 1 else 0}, got top={top}")
     if j <= 1:
         rows = _closed_forms(j, ks, beta, h, top)
     else:

@@ -19,13 +19,13 @@ serves three steps:
   in the Fourier mode with eigenvalues known in closed form, so P0 and Sr
   are exact: no quadrature is involved;
 - the transform: Kato's transform takes a basis U of the range of P0 to
-  P U G^(-1/2), P0 P U = U G. G - I is of second order, since
-  P0 P_o P0 = 0 at first order, so G^(-1/2) = (3 I - G) / 2 through third
-  order and T P0 = (3 X - X X) / 2, X = P P0;
+  P U G^(-1/2), P0 P U = U G. Y = G - I is of second order (P0 P_o P0 = 0 at
+  first order), so through total order N the binomial series of G^(-1/2)
+  stops at Y^(N/2); as X G^i = X^(i+1), X = P P0, it sums in powers of X;
 - the ledger: V^T S (R V), V the transformed and normalized base pair and S
   the swap of each mode's two components. It is the ledger V^H (H V) of the
   self-adjoint H = -J M on the complex pair i D V, because D^H J D = i S.
-No order has a formula of its own.
+No order has a formula of its own; every order the inputs reach is served.
 
 Conventions: the reduced matrix is written i*sigma*I + i*[[A, B], [-B, C]]
 with A, B, C real; the Taylor coefficients of A, B, C in (amplitude,
@@ -34,13 +34,14 @@ transverse detuning) are the outputs.
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partialmethod
 
 import numpy as np
 
 from .dispersion import RESONANT_BRANCHES, spectrum_gap
 from .modealg import (DEFAULT_CUTOFF, base_eigenvectors, operator_family,
                       orders_below)
+from .stokes import ORDER
 
 
 class PoleError(RuntimeError):
@@ -55,8 +56,8 @@ class AssemblyError(RuntimeError):
     """A structural identity of the reduced matrix failed."""
 
 
-ALL_ORDERS = tuple((m, n) for m in range(4) for n in range(4)
-                   if 1 <= m + n <= 3)
+ALL_ORDERS = tuple((m, n) for m in range(ORDER + 1) for n in range(ORDER + 1)
+                   if 1 <= m + n <= ORDER)
 
 
 def series_product(x, y, orders):
@@ -81,9 +82,13 @@ class KatoAssembler:
     """
 
     def __init__(self, ctx, tables, orders=ALL_ORDERS, tree=None):
-        if any(m + n > 3 for m, n in orders):
-            raise ValueError(f"order {max(orders, key=sum)} lies past the "
-                             "cubic truncation m + n <= 3")
+        for m, n in orders:
+            limit = (f"closed-form rows' detuning order {ORDER}" if n > ORDER
+                     else "cascade rows' detuning order 1" if m > 1 and n > 1
+                     else f"cutoff's amplitude order {2 * DEFAULT_CUTOFF - 3}"
+                     if m > 2 * DEFAULT_CUTOFF - 3 else None)
+            if limit:
+                raise ValueError(f"order {(m, n)} lies past the {limit}")
         self.ctx = ctx
         self.orders = orders_below(orders)
         self.R = operator_family(ctx, tables, orders, tree)
@@ -170,13 +175,19 @@ class KatoAssembler:
 
     def transform(self):
         """Taylor coefficients of Kato's similarity transform T on the range
-        of P0, at every order of the assembler: T P0 = (3 X - X X) / 2,
-        X = P P0, and T_(0,0) = I."""
+        of P0 at every order of the assembler, T_(0,0) = I: its binomial
+        series (Kato, Ch. I, section 4.6) as T P0 = sum_i w_i X^(i+1), w_i =
+        (-1)^i sum_(k <= N/2) C(2k, k) C(k, i) / 4^k: 3/2, -1/2 up to N = 3."""
+        ks = range(max(map(sum, self.orders)) // 2 + 1)
+        weights = [(-1) ** i * sum(math.comb(2 * k, k) * math.comb(k, i)
+                                   / 4 ** k for k in ks[i:]) for i in ks]
         X = {(m, n): self.apply_P(m, n, self.P0) / (
             math.factorial(m) * math.factorial(n)) for m, n in self.orders[1:]}
         X[(0, 0)] = self.P0
-        XX = series_product(X, X, self.orders[1:])
-        T = {o: (3 * X[o] - XX[o]) / 2 for o in self.orders[1:]}
+        power, T = X, {o: weights[0] * X[o] for o in self.orders[1:]}
+        for w in weights[1:]:
+            power = series_product(power, X, self.orders)
+            T = {o: t + w * power[o] for o, t in T.items()}
         T[(0, 0)] = np.eye(len(self.P0))
         return T
 
@@ -191,6 +202,10 @@ class KatoAssembler:
         swap = np.arange(len(base)) ^ 1
         return series_product({o: v[swap].T for o, v in V.items()},
                               series_product(self.R, V, self.orders), orders)
+
+
+# the orders of the diagonal Taylor coefficients a_mn, c_mn
+_DIAGONAL_ORDERS = ((0, 1), (2, 0), (0, 2), (2, 1), (0, 3))
 
 
 @dataclass
@@ -213,24 +228,18 @@ class KatoMatrix:
     b30: float
     diagnostics: dict = field(default_factory=dict)
 
-    def A(self, eps, delta):
-        return (self.a01 * delta + self.a20 * eps ** 2 + self.a02 * delta ** 2
-                + self.a21 * eps ** 2 * delta + self.a03 * delta ** 3)
+    def _entry(self, name, orders, eps, delta):
+        return sum(getattr(self, f"{name}{m}{n}") * eps ** m * delta ** n
+                   for m, n in orders)
 
-    def B(self, eps, delta):
-        return self.b30 * eps ** 3
-
-    def C(self, eps, delta):
-        return (self.c01 * delta + self.c20 * eps ** 2 + self.c02 * delta ** 2
-                + self.c21 * eps ** 2 * delta + self.c03 * delta ** 3)
+    A = partialmethod(_entry, "a", _DIAGONAL_ORDERS)
+    B = partialmethod(_entry, "b", [(3, 0)])
+    C = partialmethod(_entry, "c", _DIAGONAL_ORDERS)
 
     def as_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)
                 if f.name != "diagnostics"}
 
-
-# the orders of the diagonal Taylor coefficients a_mn, c_mn
-_DIAGONAL_ORDERS = ((0, 1), (2, 0), (0, 2), (2, 1), (0, 3))
 
 # the gates of the off-diagonal antisymmetry and forbidden B orders of the
 # ledger, relative to coefficient_scale
@@ -267,8 +276,8 @@ def assemble_matrix_coeffs(ctx, tables, tree=None):
     km.diagnostics = {
         "antisym_residue": float(antisym),
         "b_forbidden_orders": float(b_forbidden),
-        "a_forbidden_orders": max(abs(a[o]) for o in
-                                  ((1, 0), (1, 1), (3, 0), (1, 2))),
+        "a_forbidden_orders": max(abs(a[o]) for o in ALL_ORDERS
+                                  if o not in _DIAGONAL_ORDERS),
         "coefficient_scale": float(scale),
         "resonance_defect": asm.achieved_tol,
     }

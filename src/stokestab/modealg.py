@@ -14,13 +14,13 @@ transverse parameter).
 
 import numpy as np
 
-from .stokes import profile_series
+from .stokes import ORDER, profile_series
 from . import dno
 
 
-# a vector of order t lives within t of the base modes {1, -2}, and the
-# reduction stops at order 3, so every vector lives on modes -5..4: K = 5
-# holds them all (and is the least cutoff at which `spectrum_gap` is exact)
+# the ledger at amplitude order m sums paths of mode shifts, m in all, from
+# one base mode {1, -2} to another, so it reads modes within m/2 of them: K = 5
+# serves m <= 7 (and is the least cutoff at which `spectrum_gap` is exact)
 DEFAULT_CUTOFF = 5
 
 
@@ -53,8 +53,8 @@ COMPLEX_STEP = 1e-30
 
 def unit_mode_replay(points):
     """One cascade replay of the unit modes 0..5 at every (beta, h, tables)
-    point: the order-2 and order-3 rows of modes -5..5 at each point, on
-    which the vectors of the reduction live (modes -5..4)."""
+    point: the order-2 and order-3 rows of modes -5..5 at each point, the
+    window on which the reduction runs."""
     return dno.cascade_profiles(range(DEFAULT_CUTOFF + 1), points)
 
 
@@ -66,9 +66,8 @@ class RowProvider:
     (orders 2 and 3 from `tree`, a `unit_mode_replay` holding the point
     (ctx.beta_star, ctx.h), or from a replay of its own). Orders 0 and
     1, closed forms, give their Taylor coefficients exactly, as Taylor
-    arrays evaluated once to order 3; orders 2 and 3 give their first Taylor
-    coefficient by a complex step through the cascade (the reduction stops
-    at total order 3, so only (j, l) = (2, 1) is ever asked for).
+    arrays evaluated once to order ORDER; orders 2 and 3 give only their
+    first Taylor coefficient, by a complex step through the cascade.
     """
 
     def __init__(self, ctx, tables, tree=None):
@@ -88,7 +87,7 @@ class RowProvider:
                                        self.tables, self._tree)[0]
         if j <= 1:
             self._closed = self._closed or [dno.multiplier_rows(
-                i, self.ks, self.beta, self.h, self.tables, top=3)
+                i, self.ks, self.beta, self.h, self.tables, top=ORDER)
                 for i in (0, 1)]
             return self._closed[j][ell]
         return self._fd_taylor(j, ell)
@@ -173,8 +172,8 @@ def orders_below(orders):
 
 
 def operator_family(ctx, tables, orders, tree=None):
-    """The R[j, l] blocks at and below the Taylor orders `orders`, sharing
-    one row provider (and its replay `tree`, if given)."""
+    """The nonzero R[j, l] blocks, j <= ORDER, at and below the Taylor orders
+    `orders`, sharing one row provider (and its replay `tree`, if given)."""
     rows = RowProvider(ctx, tables, tree)
     return {(j, ell): build_R(j, ell, tables, rows)
-            for j, ell in orders_below(orders)}
+            for j, ell in orders_below(orders) if j <= ORDER}

@@ -14,6 +14,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 
+# the order in eps of every expansion table, and so of the truncated operator
+ORDER = 3
+
+
 class RangeError(ValueError):
     """Amplitude outside the validity guard of the truncated series."""
 
@@ -213,29 +217,28 @@ def r_consistency_residual(tables):
     relative to the largest r amplitude (5.6e8 at h = 0.05).
 
     Expands (1+q)/zeta' order by order in eps on a 64-point grid (series
-    inversion is exact through cubic order) and re-extracts the cosine
+    inversion is exact through order ORDER) and re-extracts the cosine
     amplitudes of every entry of the r table.
     """
     N = 64
     x = 2.0 * math.pi * np.arange(N) / N
     q = profile_series(tables, "q")
     zeta = profile_series(tables, "zeta")
-    # grid values of the eps^j coefficients of q and zeta' (0th..3rd)
-    q_ord = [np.zeros(N) for _ in range(4)]
+    # grid values of the eps^j coefficients of q and zeta', j = 0..ORDER
+    q_ord = [np.zeros(N) for _ in range(ORDER + 1)]
     q_ord[0] += 1.0  # the 1 in (1+q)
-    zp_ord = [np.zeros(N) for _ in range(4)]
+    zp_ord = [np.zeros(N) for _ in range(ORDER + 1)]
     zp_ord[0] += 1.0
     for (o, m), a in q.coefficients.items():
         q_ord[o] = q_ord[o] + a * np.cos(m * x)
     for (o, m), a in zeta.coefficients.items():
         zp_ord[o] = zp_ord[o] + a * m * np.cos(m * x)  # d/dx of sin series
-    # invert zeta' as a series: s = zp - 1, 1/(1+s) = 1 - s + s^2 - s^3
-    s1, s2, s3 = zp_ord[1], zp_ord[2], zp_ord[3]
-    inv = [np.ones(N), -s1, s1 * s1 - s2, -s1 ** 3 + 2 * s1 * s2 - s3]
-    r_ord = [np.zeros(N) for _ in range(4)]
-    for i in range(4):
-        for j in range(4 - i):
-            r_ord[i + j] += q_ord[i] * inv[j]
+    # invert zeta' = 1 + sum s_k eps^k: inv_n = -sum_(k=1..n) s_k inv_(n-k)
+    inv = [np.ones(N)]
+    for n in range(1, ORDER + 1):
+        inv.append(-sum(zp_ord[k] * inv[n - k] for k in range(1, n + 1)))
+    r_ord = [sum(q_ord[i] * inv[n - i] for i in range(n + 1))
+             for n in range(ORDER + 1)]
     table = profile_series(tables, "r")
     worst = 0.0
     for (o, m), a in table.coefficients.items():

@@ -18,7 +18,7 @@ from . import dno
 from .dispersion import lambda0, spectrum_gap
 from .isola import delta_of_theta, kappa1, lambda_pair_theta
 from .modealg import banded, base_eigenvectors, convolution, real_form
-from .stokes import profile_series
+from .stokes import ORDER, profile_series
 
 
 def _check_amplitude(eps):
@@ -44,15 +44,15 @@ def build_operator(eps, beta, h, tables, K=20, tree=None):
     pair, the p d/dx blocks of the complex operator M are imaginary and its
     G and r blocks real; K = len(R) // 4.
 
-    The surface-operator block sums the multiplier rows of orders 0-3 (from
-    `tree`, a cascade replay of the unit modes 0..K at (beta, h), if given)
-    weighted by powers of eps.
+    The surface-operator block sums the multiplier rows of orders 0..ORDER
+    (from `tree`, a cascade replay of the unit modes 0..K at (beta, h), if
+    given) weighted by powers of eps.
     """
     _check_cutoff(K)
     _check_amplitude(eps)
     tree = tree or dno.cascade_profiles(range(K + 1), [(beta, h, tables)])
-    G = banded([(j, eps ** j * dno.multiplier_rows(
-        j, range(-K, K + 1), beta, h, tables, tree)[0]) for j in range(4)], K)
+    G = banded([(j, eps ** j * dno.multiplier_rows(j, range(-K, K + 1), beta,
+                 h, tables, tree)[0]) for j in range(ORDER + 1)], K)
     p, r = (convolution([(m, amp * eps ** order) for (order, m), amp
                          in profile_series(tables, name).coefficients.items()],
                         K) for name in "pr")

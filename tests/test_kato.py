@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from conftest import ComplexFrame, apply_J, inner
 
-from stokestab import dno
+from stokestab import dno, kato
 from stokestab.dispersion import build_context, lambda0, spectrum_gap
 from stokestab.kato import (
     ALL_ORDERS,
@@ -23,6 +23,7 @@ from stokestab.kato import (
     assemble_matrix_coeffs,
     b30_coefficient,
     PoleError,
+    series_product,
 )
 from stokestab.modealg import (DEFAULT_CUTOFF, base_eigenvectors, mode_slot,
                                mode_vector, orders_below)
@@ -260,15 +261,75 @@ def test_resolvent_pole_error(ctx1, tables1):
     assert err.value.wavenumber == 3
 
 
-@pytest.mark.parametrize("order", [(4, 0), (0, 4), (2, 2), (3, 1)])
-def test_orders_past_the_cubic_truncation_are_an_error(ctx1, tables1, order):
-    """T P0 = (3X - XX)/2 is exact only through total order 3, and the
-    operator is cubic in eps: a higher order is one named error, raised
-    before any block is built."""
-    message = re.escape(f"order {order} lies past the cubic truncation "
-                        "m + n <= 3")
-    with pytest.raises(ValueError, match=message):
+@pytest.mark.parametrize("order, limit", [
+    ((0, 4), "closed-form rows' detuning order 3"),
+    ((2, 2), "cascade rows' detuning order 1"),
+    ((8, 0), "cutoff's amplitude order 7")],
+    ids=["closed-form", "cascade", "cutoff"])
+def test_orders_past_the_reach_are_an_error(ctx1, tables1, monkeypatch,
+                                            order, limit):
+    """An order past what the rows or the cutoff reach is one named error,
+    raised before any block is built: the closed-form rows carry detuning
+    orders up to stokes.ORDER, the cascade rows only the first, and the
+    cutoff K = 5 amplitude orders up to 7 (bypassed, K = 5 and K = 9 give
+    the same (7, 0) and (7, 1) to the bit and differ at (8, 0))."""
+    def no_blocks(*args):
+        raise AssertionError("a block was built")
+
+    monkeypatch.setattr(kato, "operator_family", no_blocks)
+    with pytest.raises(ValueError,
+                       match=re.escape(f"order {order} lies past the {limit}")):
         KatoAssembler(ctx1, tables1, orders=[order])
+
+
+@pytest.mark.parametrize("orders", [ALL_ORDERS, [(3, 0)]],
+                         ids=["table", "b30"])
+@pytest.mark.parametrize("h", [0.05, 1.0, 100.0])
+def test_transform_through_third_order_is_the_closed_form(h, orders):
+    """Through total order 3 the binomial series keeps X and X X with the
+    weights 3/2 and -1/2: bit for bit the former closed form
+    T P0 = (3 X - X X) / 2, kept here as the reference (halving is exact,
+    so fl(1.5 a) = fl(3 a) / 2)."""
+    ctx = build_context(h)
+    asm = KatoAssembler(ctx, build_tables(ctx), orders=orders)
+    X = {(m, n): asm.apply_P(m, n, asm.P0) / (
+        math.factorial(m) * math.factorial(n)) for m, n in asm.orders[1:]}
+    X[(0, 0)] = asm.P0
+    XX = series_product(X, X, asm.orders[1:])
+    T = asm.transform()
+    assert T.keys() == set(asm.orders)
+    assert np.array_equal(T[(0, 0)], np.eye(len(asm.P0)))
+    for o in asm.orders[1:]:
+        assert np.array_equal(T[o], (3 * X[o] - XX[o]) / 2), o
+
+
+def test_fourth_order_against_the_dense_reduction(km1, ctx1, tables1):
+    """The assembler serves (4, 0), the weight-4 drift of the truncated
+    operator's A and C: a40 and c40 match the dense reduction's
+    (A - a20 eps^2) / eps^4 at eps = 0.02 and 0.01, Richardson-extrapolated,
+    to 1e-5 relative (measured 5.6e-6 and 4.4e-6; the eps = 0.01 values
+    alone are off by 1.4e-3 and 2.6e-3)."""
+    t = KatoAssembler(ctx1, tables1, orders=[(4, 0)]).inner_product_table(
+        [(4, 0)])[(4, 0)] / 2
+    epss = (0.02, 0.01)
+    entries = direct_entry_functions(ctx1, tables1, [(e, 0.0) for e in epss])
+    for got, ours, second in ((-t[0, 0], 0, km1.a20), (t[1, 1], 2, km1.c20)):
+        f = [(x[ours] - second * e ** 2) / e ** 4
+             for x, e in zip(entries, epss)]
+        assert abs((4 * f[1] - f[0]) / 3 / got - 1) < 1e-5, (got, f)
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5, 0.35])
+def test_parity_zeros_past_the_table(h):
+    """eps -> -eps is the half-period shift and the base modes 1 and -2
+    have opposite parity, so A and C are even in eps and B odd: b40, a31
+    and c31 are exactly 0, while b31 (-0.21822 at h = 1) is not."""
+    ctx = build_context(h)
+    asm = KatoAssembler(ctx, build_tables(ctx), orders=[(4, 0), (3, 1)])
+    t = asm.inner_product_table([(4, 0), (3, 1)])
+    assert t[(4, 0)][1, 0] == t[(4, 0)][0, 1] == 0.0
+    assert t[(3, 1)][0, 0] == t[(3, 1)][1, 1] == 0.0
+    assert t[(3, 1)][1, 0] != 0.0
 
 
 def test_projector_idempotent_on_span(asm):
